@@ -24,9 +24,9 @@ route is available as a cross-check.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .gabor import s0_norm
 from .groups import GroupSpec, Subgroup
-from .signals import Signal, WeightedComb, comb_to_signal, translate
+from .signals import Signal, WeightedComb, _translate_sum, comb_to_signal, translate
 
 __all__ = [
     "BUPU",
@@ -78,8 +78,12 @@ class BUPU:
     lattice: Subgroup
     shape: str
     mother: Signal
-    bumps: tuple[Signal, ...]
     partition_residual: float
+
+    @cached_property
+    def bumps(self) -> tuple[Signal, ...]:
+        """The lattice translates of the mother bump; |H| full-size signals."""
+        return tuple(translate(self.mother, lam) for lam in self.lattice.coords_array)
 
 
 def _triangle_profile(n: int, a: int) -> np.ndarray:
@@ -121,12 +125,8 @@ def make_bupu(group: GroupSpec, lattice: Subgroup, shape: str = "triangle") -> B
     for n, a in zip(group.moduli, steps):
         grid = np.multiply.outer(grid, _axis_profile(n, a, shape))
     mother = Signal(group, grid.reshape(-1))
-    bumps = tuple(translate(mother, lam) for lam in lattice.elements)
-    total = np.zeros(group.order, dtype=np.complex128)
-    for b in bumps:
-        total = total + b.values
-    residual = float(np.max(np.abs(total - 1.0)))
-    return BUPU(group, lattice, shape, mother, bumps, residual)
+    residual = float(np.max(np.abs(_translate_sum(mother, lattice) - 1.0)))
+    return BUPU(group, lattice, shape, mother, residual)
 
 
 def semidiscrete_extension(
@@ -149,7 +149,7 @@ def semidiscrete_extension(
         )
     if method == "direct":
         out = np.zeros(phi.group.order, dtype=np.complex128)
-        for lam, c in zip(lattice.elements, samples.samples):
+        for lam, c in zip(lattice.coords_array, samples.samples):
             out += c * translate(phi, lam).values
         return Signal(phi.group, out)
     if method == "fft":

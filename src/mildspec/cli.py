@@ -24,7 +24,7 @@ from .mild import (
     periodize_analysis,
     refining_comb_sequence,
 )
-from .signals import Signal, dirac, finite_gaussian, random_signal, translate
+from .signals import Signal, _translate_sum, dirac, dirac_comb, finite_gaussian, random_signal
 from .verify import run_suite
 
 __all__ = ["main", "build_parser"]
@@ -265,19 +265,13 @@ def _demo_comb_duality(args) -> int:
     rows = []
     worst = 0.0
     for H in all_subgroups(G):
-        values = np.zeros(G.order, dtype=np.complex128)
-        values[H.indices] = 1.0
-        hat = dft(Signal(G, values))
+        hat = dft(dirac_comb(H))
         Hp = annihilator(H)
-        expected = np.zeros(G.order, dtype=np.complex128)
-        expected[Hp.indices] = float(len(H.elements))
+        expected = float(H.order) * dirac_comb(Hp).values
         residual = float(np.max(np.abs(hat.values - expected)))
         worst = max(worst, residual)
-        rows.append([len(H.elements), len(Hp.elements), repr(residual)])
-        print(
-            f"|H|={len(H.elements):4d}  |H_perp|={len(Hp.elements):4d}  "
-            f"residual={residual:.3e}"
-        )
+        rows.append([H.order, Hp.order, repr(residual)])
+        print(f"|H|={H.order:4d}  |H_perp|={Hp.order:4d}  residual={residual:.3e}")
     if args.out:
         io.write_csv(args.out, ["subgroup_order", "annihilator_order", "residual"], rows)
     print(f"comb transform lands on the annihilator with weight |H|; worst residual {worst:.3e}")
@@ -294,13 +288,13 @@ def _demo_poisson(args) -> int:
         res = poisson_check(f, H)
         worst = max(worst, res.residual)
         rows.append([
-            len(H.elements),
+            H.order,
             repr(res.lhs.real), repr(res.lhs.imag),
             repr(res.rhs.real), repr(res.rhs.imag),
             repr(res.residual),
         ])
         print(
-            f"|H|={len(H.elements):4d}  sum_H f={res.lhs:.6f}  "
+            f"|H|={H.order:4d}  sum_H f={res.lhs:.6f}  "
             f"(|H|/|G|) sum_Hperp fhat={res.rhs:.6f}  residual={res.residual:.3e}"
         )
     if args.out:
@@ -320,19 +314,16 @@ def _demo_periodic_spectrum(args) -> int:
     rng = np.random.default_rng(args.seed)
     period = tuple(p for _ in G.moduli)
     H = grid_subgroup(G, period)
-    base = random_signal(G, rng)
-    values = np.zeros(G.order, dtype=np.complex128)
-    for t in H.elements:
-        values += translate(base, t).values
-    rep = periodize_analysis(Signal(G, values), period)
-    hat = dft(Signal(G, values))
+    periodic = Signal(G, _translate_sum(random_signal(G, rng), H))
+    rep = periodize_analysis(periodic, period)
+    hat = dft(periodic)
     rows = []
     for s, v in zip(G.elements(), hat.values):
         rows.append(["x".join(str(c) for c in s.coords), repr(float(np.abs(v)))])
     if args.out:
         io.write_csv(args.out, ["frequency", "magnitude"], rows)
     lat = rep.period_lattice
-    print(f"period {p} signal on {G}: spectrum confined to the {len(lat.elements)}-point comb")
+    print(f"period {p} signal on {G}: spectrum confined to the {lat.order}-point comb")
     print(f"leakage off the comb: {rep.leakage:.3e}")
     print(f"comb weights vs one-period transform: residual {rep.weight_residual:.3e}")
     return 0 if rep.leakage <= 1e-10 and rep.weight_residual <= 1e-10 else 1

@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GroupMismatchError, NotAFrame
-from .groups import GroupElement, GroupSpec, Subgroup, grid_subgroup
+from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
 from .signals import Signal, finite_gaussian
 
 __all__ = [
@@ -56,18 +56,6 @@ __all__ = [
 FRAME_TOL = 1e-10
 
 
-def _as_steps(group: GroupSpec, steps) -> tuple[int, ...]:
-    if isinstance(steps, (int, np.integer)):
-        steps = (int(steps),) * group.ndim
-    steps = tuple(int(a) for a in steps)
-    if len(steps) != group.ndim:
-        raise GroupMismatchError(f"expected {group.ndim} steps, got {len(steps)}")
-    for a, n in zip(steps, group.moduli):
-        if a < 1 or n % a != 0:
-            raise GroupMismatchError(f"step {a} does not divide the axis modulus {n}")
-    return steps
-
-
 @dataclass(frozen=True)
 class TFLattice:
     """Separable time-frequency lattice aZ x bZ inside G x G^."""
@@ -77,8 +65,8 @@ class TFLattice:
     freq_steps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "time_steps", _as_steps(self.group, self.time_steps))
-        object.__setattr__(self, "freq_steps", _as_steps(self.group, self.freq_steps))
+        object.__setattr__(self, "time_steps", _grid_steps(self.group, self.time_steps))
+        object.__setattr__(self, "freq_steps", _grid_steps(self.group, self.freq_steps))
 
     @cached_property
     def time_lattice(self) -> Subgroup:
@@ -99,9 +87,9 @@ class TFLattice:
 
     def points(self) -> Iterator[tuple[GroupElement, GroupElement]]:
         """Lattice points, time outer loop, both factors in element order."""
-        for t in self.time_lattice.elements:
-            for s in self.freq_lattice.elements:
-                yield t, s
+        for t in self.time_lattice.coords_array.tolist():
+            for s in self.freq_lattice.coords_array.tolist():
+                yield GroupElement(t), GroupElement(s)
 
     def __repr__(self) -> str:
         return (
@@ -165,10 +153,7 @@ class CoefficientArray:
 
 def _shift_index_table(group: GroupSpec, shifts: np.ndarray) -> np.ndarray:
     """Canonical index of (x - t) for each shift row t, each column x."""
-    mod = np.array(group.moduli, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    diff = (group._coords[None, :, :] - shifts[:, None, :]) % mod
-    return diff @ strides
+    return group._index_rows(group._coords[None, :, :] - shifts[:, None, :])
 
 
 def stft(f: Signal, window: Signal) -> STFTGrid:
@@ -228,7 +213,7 @@ def _lattice_analysis(batch: np.ndarray, window: Signal, lattice: TFLattice) -> 
     b_steps = lattice.freq_steps
     folded_shape = tuple(n // b for n, b in zip(moduli, b_steps))
     nf = math.prod(folded_shape)
-    times = lattice.time_lattice.elements
+    times = lattice.time_lattice.coords_array
     B = batch.shape[0]
     roll_axes = tuple(range(group.ndim))
     sum_axes = tuple(1 + 2 * j for j in range(group.ndim))
@@ -237,7 +222,7 @@ def _lattice_analysis(batch: np.ndarray, window: Signal, lattice: TFLattice) -> 
     wgrid = window.grid()
     out = np.empty((B, len(times), nf), dtype=np.complex128)
     for ti, t in enumerate(times):
-        shifted = np.roll(wgrid, shift=t.coords, axis=roll_axes)
+        shifted = np.roll(wgrid, shift=t, axis=roll_axes)
         prod = batch.reshape((B,) + moduli) * np.conj(shifted)[None]
         folded = prod.reshape(inter).sum(axis=sum_axes)
         out[:, ti, :] = np.fft.fftn(folded, axes=fft_axes).reshape(B, nf)
@@ -251,7 +236,7 @@ def _lattice_synthesis(coeff_batch: np.ndarray, window: Signal, lattice: TFLatti
     b_steps = lattice.freq_steps
     folded_shape = tuple(n // b for n, b in zip(moduli, b_steps))
     scale = math.prod(folded_shape)
-    times = lattice.time_lattice.elements
+    times = lattice.time_lattice.coords_array
     B = coeff_batch.shape[0]
     roll_axes = tuple(range(group.ndim))
     fft_axes = tuple(range(1, group.ndim + 1))
@@ -261,7 +246,7 @@ def _lattice_synthesis(coeff_batch: np.ndarray, window: Signal, lattice: TFLatti
         c = coeff_batch[:, ti, :].reshape((B,) + folded_shape)
         tone = np.fft.ifftn(c, axes=fft_axes) * scale
         tone_full = np.tile(tone, (1,) + b_steps)
-        out += tone_full * np.roll(wgrid, shift=t.coords, axis=roll_axes)[None]
+        out += tone_full * np.roll(wgrid, shift=t, axis=roll_axes)[None]
     return out.reshape(B, group.order)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -165,11 +165,11 @@ class GroupSpec:
     def element_at(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
             raise IndexError(f"index {index} out of range for group of order {self.order}")
-        coords = []
-        for s in self._strides:
-            coords.append(index // s)
-            index %= s
-        return GroupElement(tuple(coords))
+        return GroupElement(self._coords[index])
+
+    def _index_rows(self, coords) -> np.ndarray:
+        """Canonical indices of integer coordinate rows (last axis), reduced per axis."""
+        return np.asarray(coords) % np.array(self.moduli) @ np.array(self._strides)
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic) order."""
@@ -178,16 +178,19 @@ class GroupSpec:
 
     def negation_permutation(self) -> np.ndarray:
         """Index permutation sending index(x) to index(-x)."""
-        mod = np.array(self.moduli, dtype=np.int64)
-        neg = (-self._coords) % mod
-        return neg @ np.array(self._strides, dtype=np.int64)
+        return self._index_rows(-self._coords)
 
     def to_json(self) -> list[int]:
         return list(self.moduli)
 
     @staticmethod
     def from_json(data) -> "GroupSpec":
-        return GroupSpec(tuple(int(n) for n in data))
+        """Read the moduli list; strings, bools and floats are rejected, not coerced."""
+        if not isinstance(data, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in data
+        ):
+            raise TypeError(f"a group is a list of integer moduli, got {data!r}")
+        return GroupSpec(tuple(data))
 
     def __repr__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.moduli)
@@ -224,29 +227,37 @@ def character_vector(group: GroupSpec, s) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """Subgroup given by generators and its full sorted element list."""
+    """Subgroup stored as the sorted canonical parent indices of its elements.
+
+    ``indices`` is the only element store.  Row-major index order equals
+    lexicographic coordinate order, so it lists the elements in sorted order;
+    the membership mask, the coordinate rows and the ``GroupElement`` views
+    are derived from it on first use.
+    """
 
     parent: GroupSpec
     generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
+    indices: np.ndarray
+
+    def __post_init__(self):
+        idx = np.asarray(self.indices, dtype=np.intp)
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(row) for row in self.coords_array.tolist())
 
     @cached_property
     def element_set(self) -> frozenset[GroupElement]:
         return frozenset(self.elements)
 
     def contains(self, x) -> bool:
-        return self.parent.check(x) in self.element_set
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """Canonical parent indices of the elements, in element order."""
-        idx = np.array([self.parent.index(e) for e in self.elements], dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+        return bool(self.mask[self.parent.index(x)])
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -270,26 +281,19 @@ class Subgroup:
         subgroups (a diagonal, say).  Step N_j means the axis is collapsed
         to {0}.
         """
-        steps = []
-        for j, n in enumerate(self.parent.moduli):
-            g = n
-            for e in self.elements:
-                g = math.gcd(g, e.coords[j])
-            steps.append(g if g > 0 else n)
+        steps = tuple(
+            math.gcd(n, int(np.gcd.reduce(self.coords_array[:, j])))
+            for j, n in enumerate(self.parent.moduli)
+        )
         expected = math.prod(n // a for n, a in zip(self.parent.moduli, steps))
-        return tuple(steps) if expected == self.order else None
+        return steps if expected == self.order else None
 
     def position(self, x) -> int:
         """Position of x inside the sorted element list."""
         x = self.parent.check(x)
-        try:
-            return self._positions[x]
-        except KeyError:
-            raise GroupMismatchError(f"{x!r} is not in the subgroup") from None
-
-    @cached_property
-    def _positions(self) -> dict[GroupElement, int]:
-        return {e: i for i, e in enumerate(self.elements)}
+        if not self.contains(x):
+            raise GroupMismatchError(f"{x!r} is not in the subgroup")
+        return int(np.searchsorted(self.indices, self.parent.index(x)))
 
     def to_json(self) -> dict:
         return {
@@ -305,56 +309,69 @@ class Subgroup:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.elements == other.elements
+        return self.parent == other.parent and self.indices.tobytes() == other.indices.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.elements))
+        return hash((self.parent, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         gens = ",".join(str(tuple(g.coords)) for g in self.generators) or "0"
         return f"Subgroup(<{gens}> of {self.parent!r}, order {self.order})"
 
 
-def _closure(group: GroupSpec, seed: Iterable[GroupElement], extra: Sequence[GroupElement]) -> set[GroupElement]:
-    """Additive closure of seed (already closed or arbitrary) and extra generators."""
-    seen = set(seed)
-    seen.add(group.zero())
-    frontier = list(seen)
-    gens = list(extra)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def _join(group: GroupSpec, indices: np.ndarray, g) -> np.ndarray:
+    """Sorted indices of H + <g>, for H given by its sorted indices.
+
+    With k the least k > 0 such that k g lies in H, the cosets H + j g for
+    0 <= j < k are disjoint and cover the join, so one broadcast lists every
+    element exactly once.
+    """
+    g = np.asarray(g, dtype=np.int64)
+    member = np.zeros(group.order, dtype=bool)
+    member[indices] = True
+    # the exponent lcm(N_j) kills g, so the multiples up to it contain k g
+    multiples = group._index_rows(np.arange(1, group._char_lcm + 1)[:, None] * g)
+    k = int(np.argmax(member[multiples])) + 1
+    shifts = np.arange(k)[:, None, None] * g
+    cosets = group._index_rows(group._coords[indices][None, :, :] + shifts)
+    return np.sort(cosets, axis=None).astype(np.intp)
 
 
-def _reduced_generators(group: GroupSpec, elements: Sequence[GroupElement]) -> tuple[GroupElement, ...]:
-    """Greedy small generating set for a subgroup given as an element list."""
+def _reduced_generators(group: GroupSpec, indices: np.ndarray) -> tuple[GroupElement, ...]:
+    """Greedy small generating set: repeatedly add the least element outside the span."""
     gens: list[GroupElement] = []
-    span: set[GroupElement] = {group.zero()}
-    for e in sorted(elements):
-        if e not in span:
-            gens.append(e)
-            span = _closure(group, span, [e])
+    span = np.zeros(1, dtype=np.intp)
+    while len(span) < len(indices):
+        i = indices[np.argmin(np.isin(indices, span, assume_unique=True))]
+        gens.append(group.element_at(int(i)))
+        span = _join(group, span, group._coords[i])
     return tuple(gens)
 
 
 def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
     """Smallest subgroup containing the given generators.
 
-    Closure under addition alone suffices: in a finite group every element's
-    negation is one of its own multiples.
+    Built by joining one generator at a time; in a finite group every
+    element's negation is one of its own multiples, so the joins are closed.
     """
     gens = tuple(group.element(g) for g in generators)
-    elements = tuple(sorted(_closure(group, [group.zero()], gens)))
-    if group.order % len(elements) != 0:
-        raise AssertionError("closure size does not divide the group order")
-    return Subgroup(group, gens, elements)
+    indices = np.zeros(1, dtype=np.intp)
+    for g in gens:
+        indices = _join(group, indices, g.coords)
+    return Subgroup(group, gens, indices)
+
+
+def _grid_steps(group: GroupSpec, steps) -> tuple[int, ...]:
+    """Per-axis steps from a scalar or a tuple, each dividing its axis modulus."""
+    if isinstance(steps, (int, np.integer)):
+        steps = (int(steps),) * group.ndim
+    steps = tuple(int(a) for a in steps)
+    if len(steps) != group.ndim:
+        raise GroupMismatchError(f"expected {group.ndim} steps, got {len(steps)}")
+    for a, n in zip(steps, group.moduli):
+        if a < 1 or n % a != 0:
+            raise GroupMismatchError(f"step {a} does not divide the axis modulus {n}")
+    return steps
 
 
 def grid_subgroup(group: GroupSpec, steps) -> Subgroup:
@@ -365,22 +382,9 @@ def grid_subgroup(group: GroupSpec, steps) -> Subgroup:
     Z_N1 x {0} (the discrete stand-in for a continuous-direction subgroup)
     are the steps (1, N2) case.
     """
-    if isinstance(steps, (int, np.integer)):
-        steps = (int(steps),) * group.ndim
-    steps = tuple(int(a) for a in steps)
-    if len(steps) != group.ndim:
-        raise GroupMismatchError(
-            f"expected {group.ndim} steps, got {len(steps)}"
-        )
-    for a, n in zip(steps, group.moduli):
-        if a < 1 or n % a != 0:
-            raise GroupMismatchError(f"step {a} does not divide the axis modulus {n}")
-    gens = []
-    for j, a in enumerate(steps):
-        if a < group.moduli[j]:
-            coords = [0] * group.ndim
-            coords[j] = a
-            gens.append(group.element(coords))
+    steps = _grid_steps(group, steps)
+    # one generator a_j e_j per axis that is not collapsed
+    gens = [row for row, a, n in zip(np.diag(steps), steps, group.moduli) if a < n]
     return subgroup_generated(group, gens)
 
 
@@ -389,13 +393,7 @@ def trivial_subgroup(group: GroupSpec) -> Subgroup:
 
 
 def full_subgroup(group: GroupSpec) -> Subgroup:
-    gens = []
-    for j in range(group.ndim):
-        if group.moduli[j] > 1:
-            coords = [0] * group.ndim
-            coords[j] = 1
-            gens.append(group.element(coords))
-    return subgroup_generated(group, gens)
+    return grid_subgroup(group, 1)
 
 
 def annihilator(subgroup: Subgroup) -> Subgroup:
@@ -410,12 +408,8 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
     gens = subgroup.generators if subgroup.generators else (group.zero(),)
     gcoords = np.array([g.coords for g in gens], dtype=np.int64)
     phases = (group._coords * group._char_weights) @ gcoords.T % L
-    mask = np.all(phases == 0, axis=1)
-    elements = tuple(
-        GroupElement(tuple(int(v) for v in row)) for row in group._coords[mask]
-    )
-    gens_out = _reduced_generators(group, elements)
-    return Subgroup(group, gens_out, elements)
+    indices = np.flatnonzero(np.all(phases == 0, axis=1))
+    return Subgroup(group, _reduced_generators(group, indices), indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,50 +452,44 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
         raise GroupMismatchError("subgroup belongs to a different group")
     coset_map = np.full(group.order, -1, dtype=np.intp)
     reps: list[GroupElement] = []
-    sub_idx = subgroup.indices
-    strides = np.array(group._strides, dtype=np.int64)
-    mod = np.array(group.moduli, dtype=np.int64)
-    sub_coords = subgroup.coords_array
     for i in range(group.order):
         if coset_map[i] >= 0:
             continue
         # scanning in canonical order, the first untouched element is its coset's minimum
-        rep = group.element_at(i)
-        pos = len(reps)
-        reps.append(rep)
-        coset = ((np.array(rep.coords, dtype=np.int64) + sub_coords) % mod) @ strides
-        coset_map[coset] = pos
+        coset_map[group._index_rows(group._coords[i] + subgroup.coords_array)] = len(reps)
+        reps.append(group.element_at(i))
     coset_map.setflags(write=False)
     return QuotientSpec(group, subgroup, tuple(reps), coset_map)
 
 
 def all_subgroups(group: GroupSpec, max_order: int = 4096) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure over added elements.
+    """Every subgroup, sorted by order and then by sorted element list.
 
-    Deliberately brute force; guarded by the desk-scale bound on |G|.
+    Every subgroup is a join of cyclic subgroups, so a breadth-first search
+    from the trivial subgroup that joins each found subgroup with one
+    generator per distinct cyclic subgroup reaches them all.  Subgroups are
+    keyed by their index bytes; the desk-scale bound on |G| stays.
     """
     if group.order > max_order:
         raise ValueError(
             f"group order {group.order} exceeds the enumeration bound {max_order}"
         )
-    found: dict[frozenset[GroupElement], set[GroupElement]] = {}
-    triv = {group.zero()}
-    found[frozenset(triv)] = triv
-    queue = [triv]
-    all_elems = list(group.elements())
+    trivial = np.zeros(1, dtype=np.intp)
+    cyclic: dict[bytes, np.ndarray] = {}
+    for x in group._coords[1:]:
+        cyclic.setdefault(_join(group, trivial, x).tobytes(), x)
+    found = {trivial.tobytes(): trivial}
+    queue = [trivial]
     while queue:
         current = queue.pop()
-        for x in all_elems:
-            if x in current:
-                continue
-            bigger = _closure(group, current, [x])
-            key = frozenset(bigger)
+        for x in cyclic.values():
+            bigger = _join(group, current, x)
+            key = bigger.tobytes()
             if key not in found:
                 found[key] = bigger
                 queue.append(bigger)
-    out = []
-    for elems in found.values():
-        elements = tuple(sorted(elems))
-        out.append(Subgroup(group, _reduced_generators(group, elements), elements))
-    out.sort(key=lambda h: (h.order, h.elements))
+    out = [
+        Subgroup(group, _reduced_generators(group, idx), idx) for idx in found.values()
+    ]
+    out.sort(key=lambda h: (h.order, h.indices.tolist()))
     return out

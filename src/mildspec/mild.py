@@ -22,7 +22,6 @@ lattice).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +35,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     _character_block,
+    _grid_steps,
     annihilator,
     grid_subgroup,
 )
@@ -47,6 +47,7 @@ from .signals import (
     finite_gaussian,
     signal_to_comb,
     tf_shift,
+    translate,
 )
 
 __all__ = [
@@ -113,20 +114,11 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
          s(n) = (N_j/p_j) n_j, computed by direct summation.  The |H| factor
          is forced by the counting convention.
     """
-    from .signals import translate
-
     group = f.group
-    if isinstance(period, (int, np.integer)):
-        period = (int(period),) * group.ndim
-    steps = tuple(int(p) for p in period)
+    steps = _grid_steps(group, period)
     H = grid_subgroup(group, steps)
     scale = tol * (1.0 + f.norm_inf)
-    for j, p in enumerate(steps):
-        if p == group.moduli[j]:
-            continue
-        coords = [0] * group.ndim
-        coords[j] = p
-        shift = group.element(coords)
+    for shift in H.generators:
         dev = float(np.max(np.abs(translate(f, shift).values - f.values)))
         if dev > scale:
             raise NotPeriodic(shift, dev)
@@ -138,8 +130,7 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
 
     box = list(itertools.product(*(range(p) for p in steps)))
     box_coords = np.array(box, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    box_values = f.values[box_coords @ strides]
+    box_values = f.values[group._index_rows(box_coords)]
     table = np.conj(_character_block(group, perp.coords_array, box_coords))
     one_period = table @ box_values
     weight_residual = float(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fourier import COUNTING, FourierConvention
 from .gabor import GaborSystem, TFLattice
-from .groups import GroupSpec, _character_block
+from .groups import GroupElement, GroupSpec, Subgroup, _character_block
 from .signals import Signal
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "stft_direct",
     "synthesis_matrix",
     "frame_apply_direct",
+    "subgroups_by_closure",
 ]
 
 
@@ -65,7 +66,6 @@ def synthesis_matrix(window: Signal, lattice: TFLattice) -> np.ndarray:
     """Dense synthesis operator: columns are pi(lambda) g in lattice order."""
     from .signals import tf_shift
 
-    group = window.group
     cols = [
         tf_shift(window, t, s).values for t, s in lattice.points()
     ]
@@ -81,3 +81,59 @@ def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
         atom = tf_shift(system.window, t, s).values
         out += np.vdot(atom, f.values) * atom
     return Signal(f.group, out)
+
+
+def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:
+    """Additive closure of seed (already closed or arbitrary) and extra generators."""
+    seen = set(seed)
+    seen.add(group.zero())
+    frontier = list(seen)
+    gens = list(extra)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.add(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _reduced_generators(group: GroupSpec, elements) -> tuple[GroupElement, ...]:
+    """Greedy small generating set for a subgroup given as an element list."""
+    gens: list[GroupElement] = []
+    span: set[GroupElement] = {group.zero()}
+    for e in sorted(elements):
+        if e not in span:
+            gens.append(e)
+            span = _closure(group, span, [e])
+    return tuple(gens)
+
+
+def subgroups_by_closure(group: GroupSpec) -> list[Subgroup]:
+    """Every subgroup, by breadth-first closure over GroupElement objects.
+
+    Brute force: each found subgroup is closed again under every element it
+    misses.  Sorted by (order, sorted elements) with greedy generators, the
+    contract of groups.all_subgroups.
+    """
+    triv = frozenset([group.zero()])
+    found = {triv}
+    queue = [triv]
+    all_elems = list(group.elements())
+    while queue:
+        current = queue.pop()
+        for x in all_elems:
+            if x not in current:
+                bigger = frozenset(_closure(group, current, [x]))
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
+    out = [
+        Subgroup(group, _reduced_generators(group, e), [group.index(x) for x in sorted(e)])
+        for e in found
+    ]
+    out.sort(key=lambda h: (h.order, h.elements))
+    return out

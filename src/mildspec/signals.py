@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 from .errors import GroupMismatchError, SupportViolation
 from .groups import (
-    GroupElement,
     GroupSpec,
     QuotientSpec,
     Subgroup,
@@ -176,10 +174,6 @@ class WeightedComb:
     def to_signal(self) -> Signal:
         return comb_to_signal(self)
 
-    def items(self) -> Iterator[tuple[GroupElement, complex]]:
-        for e, w in zip(self.lattice.elements, self.weights):
-            yield e, complex(w)
-
     def __repr__(self) -> str:
         return f"WeightedComb(on {self.lattice!r})"
 
@@ -229,6 +223,14 @@ def translate(f: Signal, t) -> Signal:
     t = f.group.check(t)
     rolled = np.roll(f.grid(), shift=t.coords, axis=tuple(range(f.group.ndim)))
     return Signal(f.group, rolled.reshape(-1))
+
+
+def _translate_sum(f: Signal, lattice: Subgroup) -> np.ndarray:
+    """sum over t in the lattice of T_t f, accumulated in element order."""
+    out = np.zeros(f.group.order, dtype=np.complex128)
+    for t in lattice.coords_array:
+        out += translate(f, t).values
+    return out
 
 
 def modulate(f: Signal, s) -> Signal:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .mild import (
     refining_comb_sequence,
     support,
 )
-from .signals import Signal, dirac, finite_gaussian, random_signal, translate
+from .signals import Signal, _translate_sum, dirac, dirac_comb, finite_gaussian, random_signal
 
 __all__ = [
     "Check",
@@ -123,14 +124,16 @@ def _rel(delta: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(delta))) / (scale if scale > 0 else 1.0)
 
 
-def _subgroups_for(G: GroupSpec) -> list:
-    subs = all_subgroups(G)
+@lru_cache(maxsize=8)
+def _subgroups_for(G: GroupSpec) -> tuple:
+    # shared by the suites of one verify run, so the enumeration runs once
+    subs = tuple(all_subgroups(G))
     if len(subs) > 24:
         # keep runtime bounded on groups with rich subgroup lattices
         step = len(subs) // 24 + 1
         keep = subs[::step]
         if subs[-1] not in keep:
-            keep.append(subs[-1])
+            keep += (subs[-1],)
         return keep
     return subs
 
@@ -159,7 +162,7 @@ def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None) ->
     subs = _subgroups_for(G)
     checks.append(_flag(
         "annihilator order duality",
-        all(len(H.elements) * len(annihilator(H).elements) == n for H in subs),
+        all(H.order * annihilator(H).order == n for H in subs),
     ))
     checks.append(_flag(
         "biduality",
@@ -168,10 +171,10 @@ def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None) ->
     ok = True
     for H in subs:
         Q = quotient(G, H)
-        if Q.size * len(H.elements) != n:
+        if Q.size * H.order != n:
             ok = False
         counts = np.bincount(Q.coset_map, minlength=Q.size)
-        if not np.all(counts == len(H.elements)):
+        if not np.all(counts == H.order):
             ok = False
     checks.append(_flag("quotient partitions the group", ok))
     return checks
@@ -239,7 +242,7 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
             comb = comb_ft(H)
             if comb.lattice != Hp:
                 comb_ok = False
-            if float(np.max(np.abs(comb.weights - len(H.elements)))) > 1e-9:
+            if float(np.max(np.abs(comb.weights - H.order))) > 1e-9:
                 comb_ok = False
         except SupportViolation:
             comb_ok = False
@@ -380,7 +383,7 @@ def verify_mild(
         period = (p,) + tuple(G.moduli[1:])
         H = grid_subgroup(G, period)
         base = random_signal(G, rng)
-        per = Signal(G, _periodic_from(base, H))
+        per = Signal(G, _translate_sum(base, H))
         rep = periodize_analysis(per, period)
         checks.append(_check("periodic spectrum leakage", rep.leakage, 1e-10, tolerance))
         checks.append(_check(
@@ -392,29 +395,13 @@ def verify_mild(
         except NotPeriodic:
             checks.append(_flag("aperiodic input rejected", True))
 
-    subs = _subgroups_for(G)
-    ok = True
-    for H in subs:
-        comb_hat = dft(Signal(G, _comb_values(G, H)))
-        if support(comb_hat) != frozenset(annihilator(H).elements):
-            ok = False
-    checks.append(_flag("comb spectrum sits on the annihilator", ok))
+    checks.append(_flag(
+        "comb spectrum sits on the annihilator",
+        all(support(dft(dirac_comb(H))) == annihilator(H).element_set for H in _subgroups_for(G)),
+    ))
 
     checks.append(_info("uniform bound over the sequence", seq.uniform_bound))
     return checks
-
-
-def _comb_values(G: GroupSpec, H) -> np.ndarray:
-    values = np.zeros(G.order, dtype=np.complex128)
-    values[H.indices] = 1.0
-    return values
-
-
-def _periodic_from(base: Signal, H) -> np.ndarray:
-    out = np.zeros(base.group.order, dtype=np.complex128)
-    for t in H.elements:
-        out += translate(base, t).values
-    return out
 
 
 def verify_approx(
@@ -511,20 +498,17 @@ def run_suite(
     tolerance: float | None = None,
 ) -> RunReport:
     t0 = time.perf_counter()
-    if suite == "group":
-        checks = verify_group(G, seed, tolerance)
-    elif suite == "fourier":
-        checks = verify_fourier(G, seed, tolerance)
-    elif suite == "gabor":
-        checks = verify_gabor(G, a, b, seed, tolerance)
-    elif suite == "mild":
-        checks = verify_mild(G, a, b, seed, tolerance)
-    elif suite == "approx":
-        checks = verify_approx(G, step, seed, tolerance)
-    elif suite == "all":
-        checks = verify_all(G, a, b, step, seed, tolerance)
-    else:
+    suites = {
+        "group": lambda: verify_group(G, seed, tolerance),
+        "fourier": lambda: verify_fourier(G, seed, tolerance),
+        "gabor": lambda: verify_gabor(G, a, b, seed, tolerance),
+        "mild": lambda: verify_mild(G, a, b, seed, tolerance),
+        "approx": lambda: verify_approx(G, step, seed, tolerance),
+        "all": lambda: verify_all(G, a, b, step, seed, tolerance),
+    }
+    if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}")
+    checks = suites[suite]()
     params = {
         "suite": suite,
         "group": G.to_json(),

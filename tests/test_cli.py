@@ -145,6 +145,17 @@ class TestExitCodes:
         proc = run_cli("restrict", src, "--lattice", "5", "--out", tmp_path / "x.json")
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize(
+        "group,size", [("24", 8), ([True, 4], 4), ([24.0], 24)], ids=["string", "bool", "float"]
+    )
+    def test_non_integer_group_is_schema_error(self, tmp_path, group, size):
+        # each file would load as a coerced group of this size if it were accepted
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"group": group, "values": [[1.0, 0.0]] * size}))
+        proc = run_cli("dft", bad, "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert "bad 'group'" in proc.stderr
+
     def test_group_override_mismatch(self, tmp_path, rng):
         G = GroupSpec((8,))
         src = tmp_path / "f.json"

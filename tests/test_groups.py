@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
     GroupMismatchError,
@@ -15,6 +18,7 @@ from mildspec import (
     subgroup_generated,
     trivial_subgroup,
 )
+from mildspec import reference
 
 
 class TestGroupSpec:
@@ -147,6 +151,9 @@ class TestSubgroups:
         assert list(H.indices) == [0, 2, 4, 6]
         assert H.mask.sum() == 4
         assert H.position(G.element(4)) == 2
+        assert H.contains(G.element(6)) and not H.contains(G.element(3))
+        with pytest.raises(GroupMismatchError):
+            H.position(G.element(3))
 
     def test_subgroup_json_roundtrip(self):
         G = GroupSpec((4, 6))
@@ -228,10 +235,12 @@ class TestQuotient:
 class TestAllSubgroups:
     @pytest.mark.parametrize(
         "moduli,count",
-        [((6,), 4), ((7,), 2), ((2, 2), 5), ((4, 6), 16), ((36,), 9), ((24,), 8)],
+        [((6,), 4), ((7,), 2), ((2, 2), 5), ((4, 6), 16), ((36,), 9), ((24,), 8),
+         ((16, 16), 83)],
     )
     def test_counts(self, moduli, count):
-        # counts cross-checked against brute-force closure enumeration
+        # counts cross-checked against brute-force closure enumeration; the
+        # Z16 x Z16 count is from Hampejs, Holighaus, Toth & Wiesmeyr (J. Numbers 2014)
         assert len(all_subgroups(GroupSpec(moduli))) == count
 
     def test_each_is_closed(self):
@@ -251,3 +260,61 @@ class TestAllSubgroups:
         G = GroupSpec((12,))
         orders = sorted(H.order for H in all_subgroups(G))
         assert orders == [1, 2, 3, 4, 6, 12]
+
+
+def _same_subgroup_lists(fast, oracle):
+    assert len(fast) == len(oracle)
+    for H, R in zip(fast, oracle):
+        assert_array_equal(H.indices, R.indices)
+        assert H.generators == R.generators
+
+
+def _oracle_coset_map(G, H):
+    """Position of each element's coset, cosets ordered by their lex-min member."""
+    reps = [min(G.add(x, h) for h in H.elements) for x in G.elements()]
+    order = {r: i for i, r in enumerate(sorted(set(reps)))}
+    return [order[r] for r in reps]
+
+
+class TestAgainstClosureOracle:
+    @pytest.mark.parametrize(
+        "moduli", [(1,), (24,), (64,), (4, 8), (6, 6), (2, 4, 8), (3, 3, 3)]
+    )
+    def test_matches_object_closure(self, moduli):
+        G = GroupSpec(moduli)
+        fast = all_subgroups(G)
+        oracle = reference.subgroups_by_closure(G)
+        _same_subgroup_lists(fast, oracle)
+        by_elements = {R.element_set: R for R in oracle}
+        for H, R in zip(fast, oracle):
+            assert H.axis_steps == R.axis_steps
+            assert H.elements == R.elements
+            A = annihilator(H)
+            perp = by_elements[frozenset(
+                s for s in G.elements()
+                if all(abs(character(G, s, h) - 1.0) < 1e-9 for h in R.generators)
+            )]
+            assert_array_equal(A.indices, perp.indices)
+            assert A.generators == perp.generators
+            assert quotient(G, H).coset_map.tolist() == _oracle_coset_map(G, R)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 64
+        )
+    )
+    def test_random_groups_match_object_closure(self, moduli):
+        G = GroupSpec(tuple(moduli))
+        _same_subgroup_lists(all_subgroups(G), reference.subgroups_by_closure(G))
+
+    def test_generated_subgroup_matches_closure(self):
+        G = GroupSpec((4, 6))
+        H = subgroup_generated(G, [(1, 2), (2, 3)])
+        elements = reference._closure(G, [G.zero()], H.generators)
+        assert H.elements == tuple(sorted(elements))
+
+    def test_large_grid_subgroup_indices(self):
+        H = grid_subgroup(GroupSpec((65536,)), 2)
+        assert_array_equal(H.indices, np.arange(0, 65536, 2))
+        assert H.axis_steps == (2,)
