@@ -2,24 +2,34 @@
 
 The STFT with window g is V_g f(t, s) = <f, M_s T_t g> = sum_x f(x)
 conj(chi_s(x) g(x - t)); each fixed t needs one FFT of the windowed signal.
-Against the canonical Gaussian window g0 it yields the two norms
+Rows are produced a block of about 2^20 cells at a time, the shifted
+windows read as views of one wrap-padded copy of conj g.  Against the
+canonical Gaussian window g0 this yields the two norms
 
     s0_norm(f)       = sum_{t,s} |V_g0 f(t,s)| / ||g0||_2^2
     s0prime_norm(f)  = max_{t,s} |pair(f, M_s T_t g0)| = max_{t,s} |V_g0 f(t, -s)|,
 
 the second because the bilinear pairing flips the sign of the frequency
 relative to the conjugating inner product; the grids coincide, so the max
-is taken over |V_g0 f| directly.
+is taken over |V_g0 f| directly.  Both reduce block by block, so neither
+holds the |G| x |G| grid; stft() still returns the full grid.
 
 A Gabor system is the window's orbit under a separable time-frequency
 lattice aZ x bZ (per-axis steps dividing the moduli).  Analysis restricted
 to the lattice folds the windowed signal to one period per axis before the
 FFT; synthesis is the exact adjoint.  The frame operator S f = sum_lambda
-<f, pi(lambda) g> pi(lambda) g is assembled densely and eigendecomposed at
-desk scale, giving frame bounds (A, B) as the extreme eigenvalues and the
-canonical dual window S^{-1} g.  Useful constants under the counting
-convention: the full lattice a = b = 1 gives S = |G| ||g||_2^2 Id, and
-Moyal's identity reads sum_{t,s} |V_g f|^2 = |G| ||g||_2^2 ||f||_2^2.
+<f, pi(lambda) g> pi(lambda) g couples x only with x + PZ, P = N/b the
+annihilator step of bZ (the Walnut form).  Grouping x = r + kP by its
+residue r in Z_P splits S into prod P_j Hermitian blocks of size
+prod b_j,
+
+    M_r[k, k'] = prod P_j * sum_{t in aZ} g(r + kP - t) conj g(r + k'P - t),
+
+so the frame bounds (A, B) are the extreme block eigenvalues and the
+canonical dual window S^{-1} g comes from one batched block solve.  Useful
+constants under the counting convention: the full lattice a = b = 1 gives
+S = |G| ||g||_2^2 Id, and Moyal's identity reads sum_{t,s} |V_g f|^2 =
+|G| ||g||_2^2 ||f||_2^2.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupMismatchError, NotAFrame
 from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
@@ -151,36 +162,58 @@ class CoefficientArray:
         return f"CoefficientArray({self.coeffs.shape} on {self.lattice!r})"
 
 
-def _shift_index_table(group: GroupSpec, shifts: np.ndarray) -> np.ndarray:
-    """Canonical index of (x - t) for each shift row t, each column x."""
-    return group._index_rows(group._coords[None, :, :] - shifts[:, None, :])
+# cells of one STFT row block: bounds the working set of every STFT route
+_STFT_BLOCK_CELLS = 1 << 20
 
 
-def stft(f: Signal, window: Signal) -> STFTGrid:
-    """Full STFT grid, one FFT per time shift, a block of rows at a time."""
+def _stft_rows(f: Signal, window: Signal) -> Iterator[tuple[int, np.ndarray]]:
+    """STFT rows in blocks: yields (start, V[start:start + m]) with m * |G| <= 2^20.
+
+    Row t needs conj g(x - t) at every x.  All of these are windows of one
+    copy of conj g wrap-padded by N - 1 per axis: the window at offset
+    N - 1 - t reads conj g(x - t), so a block of rows is one indexed read of
+    a sliding-window view.
+    """
     if f.group != window.group:
         raise GroupMismatchError("signal and window live on different groups")
     group = f.group
-    n = group.order
-    out = np.empty((n, n), dtype=np.complex128)
-    chunk = max(1, (1 << 20) // max(n, 1))
+    n, moduli = group.order, group.moduli
+    padded = np.pad(np.conj(window.grid()), [(m - 1, 0) for m in moduli], mode="wrap")
+    views = sliding_window_view(padded, moduli)
+    offsets = (np.array(moduli) - 1) - group._coords
+    fgrid = f.grid()
     axes = tuple(range(1, group.ndim + 1))
+    chunk = max(1, _STFT_BLOCK_CELLS // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        table = _shift_index_table(group, group._coords[start:stop])
-        windowed = f.values[None, :] * np.conj(window.values[table])
-        block = np.fft.fftn(
-            windowed.reshape((stop - start,) + group.moduli), axes=axes
-        )
-        out[start:stop] = block.reshape(stop - start, n)
-    return STFTGrid(group, window, out)
+        rows = views[tuple(offsets[start:stop].T)]
+        rows *= fgrid
+        yield start, np.fft.fftn(rows, axes=axes).reshape(stop - start, n)
+
+
+def _stft_abs_sum(f: Signal, window: Signal) -> float:
+    """sum_{t,s} |V_g f(t, s)|, one row block at a time."""
+    return float(sum(np.sum(np.abs(rows)) for _, rows in _stft_rows(f, window)))
+
+
+def _stft_abs_max(f: Signal, window: Signal) -> float:
+    """max_{t,s} |V_g f(t, s)|, one row block at a time."""
+    return max(float(np.max(np.abs(rows))) for _, rows in _stft_rows(f, window))
+
+
+def stft(f: Signal, window: Signal) -> STFTGrid:
+    """Full STFT grid, filled from the row-block kernel."""
+    n = f.group.order
+    out = np.empty((n, n), dtype=np.complex128)
+    for start, rows in _stft_rows(f, window):
+        out[start:start + rows.shape[0]] = rows
+    return STFTGrid(f.group, window, out)
 
 
 def s0_norm(f: Signal) -> float:
     """Concentration norm against the Gaussian window: sum |V_g0 f| / ||g0||_2^2."""
     g0 = finite_gaussian(f.group)
-    grid = stft(f, g0)
-    return float(np.sum(np.abs(grid.values)) / (g0.norm2**2))
+    return _stft_abs_sum(f, g0) / (g0.norm2**2)
 
 
 def s0prime_norm(sigma: Signal) -> float:
@@ -189,9 +222,7 @@ def s0prime_norm(sigma: Signal) -> float:
     Equals max over (t, s) of |pair(sigma, M_s T_t g0)|; the bilinear pairing
     only reflects the frequency axis, which leaves the max unchanged.
     """
-    g0 = finite_gaussian(sigma.group)
-    grid = stft(sigma, g0)
-    return grid.max_modulus
+    return _stft_abs_max(sigma, finite_gaussian(sigma.group))
 
 
 def _interleaved_shape(moduli, freq_steps):
@@ -201,32 +232,41 @@ def _interleaved_shape(moduli, freq_steps):
     return tuple(shape)
 
 
-def _lattice_analysis(batch: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
-    """Lattice-restricted STFT of a batch (B, |G|) with the given window.
+def _lattice_rows(batch: np.ndarray, window: Signal, lattice: TFLattice) -> Iterator[np.ndarray]:
+    """Lattice-restricted STFT of a batch (B, |G|), one (B, nf) row per time point.
 
-    Returns (B, nt, nf).  Per time point the windowed signal is folded to one
-    period per axis (the aliasing identity), then one small FFT produces all
-    lattice frequencies.
+    Per time point the windowed signal is folded to one period per axis (the
+    aliasing identity), then one small FFT produces all lattice frequencies.
     """
     group = lattice.group
     moduli = group.moduli
     b_steps = lattice.freq_steps
-    folded_shape = tuple(n // b for n, b in zip(moduli, b_steps))
-    nf = math.prod(folded_shape)
-    times = lattice.time_lattice.coords_array
+    nf = math.prod(n // b for n, b in zip(moduli, b_steps))
     B = batch.shape[0]
     roll_axes = tuple(range(group.ndim))
     sum_axes = tuple(1 + 2 * j for j in range(group.ndim))
     inter = (B,) + _interleaved_shape(moduli, b_steps)
     fft_axes = tuple(range(1, group.ndim + 1))
     wgrid = window.grid()
-    out = np.empty((B, len(times), nf), dtype=np.complex128)
-    for ti, t in enumerate(times):
+    for t in lattice.time_lattice.coords_array:
         shifted = np.roll(wgrid, shift=t, axis=roll_axes)
         prod = batch.reshape((B,) + moduli) * np.conj(shifted)[None]
         folded = prod.reshape(inter).sum(axis=sum_axes)
-        out[:, ti, :] = np.fft.fftn(folded, axes=fft_axes).reshape(B, nf)
+        yield np.fft.fftn(folded, axes=fft_axes).reshape(B, nf)
+
+
+def _lattice_analysis(batch: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
+    """Lattice-restricted STFT of a batch (B, |G|), shape (B, nt, nf)."""
+    shape = (batch.shape[0], lattice.time_lattice.order, lattice.freq_lattice.order)
+    out = np.empty(shape, dtype=np.complex128)
+    for ti, row in enumerate(_lattice_rows(batch, window, lattice)):
+        out[:, ti, :] = row
     return out
+
+
+def _lattice_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> float:
+    """max |lattice STFT| of one signal, one time point at a time."""
+    return max(float(np.max(np.abs(row))) for row in _lattice_rows(values[None], window, lattice))
 
 
 def _lattice_synthesis(coeff_batch: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
@@ -250,10 +290,37 @@ def _lattice_synthesis(coeff_batch: np.ndarray, window: Signal, lattice: TFLatti
     return out.reshape(B, group.order)
 
 
+def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:
+    """The Hermitian blocks M_r of the frame operator, shape (prod P, B, B).
+
+    M_r[k, k'] = prod P * C_m(r + kP) with m = k' - k mod b, where
+    C_m(x) = sum_{t in aZ} g(x - t) conj g(x + mP - t) is the aZ-periodization
+    of g * conj(T_{-mP} g) and so depends on x only modulo a.
+    """
+    group = lattice.group
+    moduli, a, b = group.moduli, lattice.time_steps, lattice.freq_steps
+    P = np.array([n // bj for n, bj in zip(moduli, b)])
+    g = window.grid()
+    k = np.indices(b).reshape(group.ndim, -1).T
+    r = np.indices(tuple(P)).reshape(group.ndim, -1).T
+    per_shape = tuple(x for n, aj in zip(moduli, a) for x in (n // aj, aj))
+    per_axes = tuple(range(0, 2 * group.ndim, 2))
+    C = np.empty((len(k), math.prod(a)), dtype=np.complex128)
+    for i, m in enumerate(k):
+        h = g * np.conj(np.roll(g, shift=tuple(-m * P), axis=tuple(range(group.ndim))))
+        C[i] = h.reshape(per_shape).sum(axis=per_axes).reshape(-1)
+    m = (k[None, :, :] - k[:, None, :]) % np.array(b)
+    m_idx = np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)), b)
+    u = (r[:, None, :] + k[None, :, :] * P) % np.array(a)
+    u_idx = np.ravel_multi_index(tuple(np.moveaxis(u, -1, 0)), a)
+    blocks = math.prod(P) * C[m_idx[None, :, :], u_idx[:, :, None]]
+    return (blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2
+
+
 class GaborSystem:
     """Window plus lattice, with lazily computed frame data.
 
-    The frame operator matrix, its eigendecomposition (frame bounds) and the
+    The frame operator blocks, their eigenvalues (frame bounds) and the
     canonical dual window are computed once on first use behind a lock, so
     concurrent readers see a single consistent result.
     """
@@ -264,7 +331,7 @@ class GaborSystem:
         self.window = window
         self.lattice = lattice
         self._lock = threading.Lock()
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._frame: tuple[np.ndarray, float, float] | None = None
         self._dual: Signal | None = None
 
     @property
@@ -291,33 +358,20 @@ class GaborSystem:
         """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g."""
         return self.synthesize(self.analyze(f))
 
-    def _frame_matrix(self) -> np.ndarray:
-        n = self.group.order
-        S = np.empty((n, n), dtype=np.complex128)
-        chunk = max(1, min(64, n))
-        eye = np.eye(n, dtype=np.complex128)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            block = _lattice_synthesis(
-                _lattice_analysis(eye[start:stop], self.window, self.lattice),
-                self.window,
-                self.lattice,
-            )
-            S[:, start:stop] = block.T
-        return (S + S.conj().T) / 2
-
-    def _ensure_eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def _frame_data(self) -> tuple[np.ndarray, float, float]:
+        """Frame operator blocks and the bounds (A, B), built once."""
         with self._lock:
-            if self._eig is None:
-                w, V = np.linalg.eigh(self._frame_matrix())
-                self._eig = (w, V)
-        return self._eig
+            if self._frame is None:
+                blocks = _frame_blocks(self.window, self.lattice)
+                w = np.linalg.eigvalsh(blocks)
+                self._frame = (blocks, float(w[:, 0].min()), float(w[:, -1].max()))
+        return self._frame
 
     @property
     def frame_bounds(self) -> tuple[float, float]:
         """(A, B): smallest and largest eigenvalue of the frame operator."""
-        w, _ = self._ensure_eig()
-        return float(w[0]), float(w[-1])
+        _, a, b = self._frame_data()
+        return a, b
 
     @property
     def is_frame(self) -> bool:
@@ -326,7 +380,7 @@ class GaborSystem:
 
     @property
     def canonical_dual(self) -> Signal:
-        """S^{-1} g, computed through the eigendecomposition.
+        """S^{-1} g, by one solve per frame operator block.
 
         Raises NotAFrame when the lower bound is numerically zero, which is
         guaranteed whenever the lattice redundancy is below one.
@@ -334,12 +388,17 @@ class GaborSystem:
         with self._lock:
             if self._dual is not None:
                 return self._dual
-        w, V = self._ensure_eig()
-        a, b = float(w[0]), float(w[-1])
+        blocks, a, b = self._frame_data()
         if not (b > 0 and a > FRAME_TOL * b):
             raise NotAFrame(a)
-        coeffs = V.conj().T @ self.window.values
-        dual = Signal(self.group, V @ (coeffs / w))
+        # the window as (b_1, P_1, ..., b_d, P_d), then P axes first: rows are the blocks
+        d = self.group.ndim
+        perm = tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2))
+        inter = _interleaved_shape(self.group.moduli, self.lattice.freq_steps)
+        rhs = self.window.values.reshape(inter).transpose(perm)
+        solved = np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))
+        values = solved.reshape(rhs.shape).transpose(np.argsort(perm)).reshape(-1)
+        dual = Signal(self.group, values)
         with self._lock:
             self._dual = dual
         return dual

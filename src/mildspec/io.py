@@ -9,13 +9,16 @@ Sequences:     {"group": [...], "members": [values, ...], "limit": values}
 Reports:       serialized with sorted keys and no timestamps, so fixed-seed
                reruns are byte-identical.
 
-Malformed input raises SchemaError.
+Malformed input raises SchemaError, which names the field, row or element:
+non-finite values, and in CSV a coordinate out of range or an element given
+twice or not at all.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,43 @@ def _parse_pairs(data, what: str) -> np.ndarray:
         raise SchemaError(f"{what} must be a list of [re, im] pairs") from exc
     if arr.size == 0:
         raise SchemaError(f"{what} must be non-empty")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"{what}: entry {bad[0]} is not finite")
     return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
+    """Strict CSV read: coordinates in range, finite values, every element exactly once."""
+    values = np.empty(group.order, dtype=np.complex128)
+    seen = np.zeros(group.order, dtype=bool)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                coords = tuple(int(row[f"i{j}"]) for j in range(group.ndim))
+                re, im = float(row["re"]), float(row["im"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}: bad CSV row {row}") from exc
+            where = f"{path}: line {reader.line_num}"
+            for j, (c, n) in enumerate(zip(coords, group.moduli)):
+                if not 0 <= c < n:
+                    raise SchemaError(f"{where}: i{j}={c} is outside [0, {n})")
+            for name, v in (("re", re), ("im", im)):
+                if not math.isfinite(v):
+                    raise SchemaError(f"{where}: '{name}' is not finite")
+            i = group.index(coords)
+            if seen[i]:
+                raise SchemaError(f"{where}: element {coords} is given twice")
+            seen[i] = True
+            values[i] = complex(re, im)
+    missing = np.flatnonzero(~seen)
+    if missing.size:
+        raise SchemaError(
+            f"{path}: element {tuple(group._coords[missing[0]].tolist())} has no row "
+            f"({missing.size} of {group.order} elements missing)"
+        )
+    return Signal(group, values)
 
 
 def _load_json(path) -> dict:
@@ -77,19 +116,7 @@ def load_signal(path, group: GroupSpec | None = None) -> Signal:
     if path.suffix.lower() == ".csv":
         if group is None:
             raise SchemaError(f"{path}: CSV signals need an explicit group")
-        values = np.zeros(group.order, dtype=np.complex128)
-        seen = 0
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                try:
-                    coords = tuple(int(row[f"i{j}"]) for j in range(group.ndim))
-                    values[group.index(coords)] = float(row["re"]) + 1j * float(row["im"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"{path}: bad CSV row {row}") from exc
-                seen += 1
-        if seen != group.order:
-            raise SchemaError(f"{path}: expected {group.order} rows, got {seen}")
-        return Signal(group, values)
+        return _load_csv_signal(path, group)
     data = _load_json(path)
     file_group = _group_from(data, path)
     if group is not None and group != file_group:
@@ -100,7 +127,7 @@ def load_signal(path, group: GroupSpec | None = None) -> Signal:
         )
     if "values" not in data:
         raise SchemaError(f"{path}: missing 'values'")
-    values = _parse_pairs(data["values"], "'values'")
+    values = _parse_pairs(data["values"], f"{path}: 'values'")
     if values.size != file_group.order:
         raise SchemaError(
             f"{path}: {values.size} values for a group of order {file_group.order}"
@@ -131,7 +158,7 @@ def load_coefficients(path) -> CoefficientArray:
                             tuple(int(x) for x in np.atleast_1d(lat["b"])))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad lattice steps ({exc})") from exc
-    coeffs = _parse_pairs(data.get("coeffs", []), "'coeffs'")
+    coeffs = _parse_pairs(data.get("coeffs", []), f"{path}: 'coeffs'")
     if coeffs.size != lattice.size:
         raise SchemaError(
             f"{path}: {coeffs.size} coefficients for a lattice of size {lattice.size}"
@@ -160,13 +187,13 @@ def load_sequence(path) -> tuple[list[Signal], Signal | None]:
         raise SchemaError(f"{path}: 'members' must be a non-empty list")
     members = []
     for i, vals in enumerate(members_raw):
-        values = _parse_pairs(vals, f"member {i}")
+        values = _parse_pairs(vals, f"{path}: member {i}")
         if values.size != group.order:
             raise SchemaError(f"{path}: member {i} has {values.size} values")
         members.append(Signal(group, values))
     limit = None
     if "limit" in data:
-        values = _parse_pairs(data["limit"], "'limit'")
+        values = _parse_pairs(data["limit"], f"{path}: 'limit'")
         if values.size != group.order:
             raise SchemaError(f"{path}: limit has {values.size} values")
         limit = Signal(group, values)

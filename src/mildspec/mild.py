@@ -12,6 +12,14 @@ candidate limit sigma0:
 The three vanish together, and along refining comb sequences they decrease
 together; their measured ratios are reported, never asserted.
 
+The default probe set (Gaussian atoms M_s T_t g0 on a coarse net, plus every
+point mass) needs no STFT per probe: |V_g0| is covariant under
+time-frequency shifts, so every atom has the norm s0_norm(g0), and
+|V_g0 delta_x(t, s)| = g0(x - t) gives every point mass the norm
+|G| ||g0||_1 / ||g0||_2^2.  With these two constants d_pair is one matrix
+product over the atoms plus max |sigma - sigma0| over the point masses.
+Probe sets passed by the caller are normed one STFT each.
+
 The module also certifies structural facts: the support of a signal, comb
 form for measures on a lattice, and the periodicity law saying a signal is
 pZ-periodic iff its spectrum lives on the annihilator (N/p)Z, with comb
@@ -29,7 +37,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, NotPeriodic
 from .fourier import dft
-from .gabor import GaborSystem, _lattice_analysis, stft
+from .gabor import GaborSystem, _lattice_abs_max, _stft_abs_max, s0_norm, s0prime_norm
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -46,7 +54,6 @@ from .signals import (
     dirac_comb,
     finite_gaussian,
     signal_to_comb,
-    tf_shift,
     translate,
 )
 
@@ -139,45 +146,55 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
     return PeriodicReport(H, spectrum, one_period, weight_residual, leakage)
 
 
-def default_probes(group: GroupSpec) -> list[Signal]:
-    """Gaussian atoms on a coarse time-frequency net, plus every point mass."""
+def _default_atoms(group: GroupSpec) -> np.ndarray:
+    """Gaussian atoms M_s T_t g0 on the coarse net of default_probes, one per row."""
     g0 = finite_gaussian(group)
     step = tuple(max(n // 4, 1) for n in group.moduli)
-    net_axes = [range(0, n, s) for n, s in zip(group.moduli, step)]
-    probes = [
-        tf_shift(g0, t, s)
-        for t in itertools.product(*net_axes)
-        for s in itertools.product(*net_axes)
-    ]
+    net = np.array(list(itertools.product(
+        *(range(0, n, s) for n, s in zip(group.moduli, step))
+    )), dtype=np.int64)
+    shifted = np.stack([translate(g0, t).values for t in net])
+    chars = _character_block(group, net, group._coords)
+    return (shifted[:, None, :] * chars[None, :, :]).reshape(-1, group.order)
+
+
+def _default_probe_norms(group: GroupSpec) -> tuple[float, float]:
+    """s0_norm of every default Gaussian atom and of every point mass."""
+    g0 = finite_gaussian(group)
+    return s0_norm(g0), group.order * g0.norm1 / g0.norm2**2
+
+
+def default_probes(group: GroupSpec) -> list[Signal]:
+    """Gaussian atoms on a coarse time-frequency net, plus every point mass."""
+    probes = [Signal(group, row) for row in _default_atoms(group)]
     probes.extend(dirac(group, x) for x in group.elements())
     return probes
 
 
-def _deviation_pairing(delta: np.ndarray, probes, norms) -> float:
-    best = 0.0
-    for p, n in zip(probes, norms):
-        val = abs(np.sum(delta * p.values)) / (1.0 + n)
-        if val > best:
-            best = val
-    return float(best)
-
-
-def mild_deviation_pairing(sigma: Signal, sigma0: Signal, probes=None) -> float:
-    """max over probes of |pair(sigma - sigma0, f)| / (1 + s0_norm(f))."""
-    from .gabor import s0_norm
-
-    if sigma.group != sigma0.group:
-        raise GroupMismatchError("signals live on different groups")
+def _pairing_deviations(deltas: np.ndarray, group: GroupSpec, probes) -> np.ndarray:
+    """d_pair of each row of deltas (members, |G|); probes None means the defaults."""
     if probes is None:
-        probes = default_probes(sigma.group)
+        atom_norm, point_norm = _default_probe_norms(group)
+        atoms = np.abs(deltas @ _default_atoms(group).T).max(axis=1) / (1.0 + atom_norm)
+        points = np.abs(deltas).max(axis=1) / (1.0 + point_norm)
+        return np.maximum(atoms, points)
     probes = list(probes)
     if not probes:
         raise ValueError("the probe set must be non-empty")
     for p in probes:
-        if p.group != sigma.group:
+        if p.group != group:
             raise GroupMismatchError("probe lives on a different group")
-    norms = [s0_norm(p) for p in probes]
-    return _deviation_pairing(sigma.values - sigma0.values, probes, norms)
+    values = np.array([p.values for p in probes])
+    norms = np.array([s0_norm(p) for p in probes])
+    return (np.abs(deltas @ values.T) / (1.0 + norms)).max(axis=1)
+
+
+def mild_deviation_pairing(sigma: Signal, sigma0: Signal, probes=None) -> float:
+    """max over probes of |pair(sigma - sigma0, f)| / (1 + s0_norm(f))."""
+    if sigma.group != sigma0.group:
+        raise GroupMismatchError("signals live on different groups")
+    delta = (sigma.values - sigma0.values)[None, :]
+    return float(_pairing_deviations(delta, sigma.group, probes)[0])
 
 
 def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = None) -> float:
@@ -186,7 +203,7 @@ def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = N
         raise GroupMismatchError("signals live on different groups")
     if window is None:
         window = finite_gaussian(sigma.group)
-    return stft(sigma - sigma0, window).max_modulus
+    return _stft_abs_max(sigma - sigma0, window)
 
 
 def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> float:
@@ -195,11 +212,8 @@ def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> 
         raise GroupMismatchError("signals live on different groups")
     if system.group != sigma.group:
         raise GroupMismatchError("system lives on a different group")
-    delta = sigma - sigma0
-    coeffs = _lattice_analysis(
-        delta.values[None, :], system.canonical_dual, system.lattice
-    )[0]
-    return float(np.max(np.abs(coeffs)))
+    delta = sigma.values - sigma0.values
+    return _lattice_abs_max(delta, system.canonical_dual, system.lattice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +232,6 @@ class DistributionSequence:
     @cached_property
     def uniform_bound(self) -> float:
         """max s0prime_norm over the members (uniform boundedness certificate)."""
-        from .gabor import s0prime_norm
-
         return max((s0prime_norm(m) for m in self.members), default=0.0)
 
     def __len__(self) -> int:
@@ -251,30 +263,24 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Evaluate all three deviation metrics for every member of a sequence.
 
-    Probe norms are computed once and shared across members.
+    d_pair is evaluated for all members at once; without probes it uses the
+    closed-form norms of the default probes.
     """
-    from .gabor import s0_norm
-
     group = sequence.group
     if system.group != group:
         raise GroupMismatchError("system lives on a different group")
     if window is None:
         window = finite_gaussian(group)
-    if probes is None:
-        probes = default_probes(group)
-    probes = list(probes)
-    if not probes:
-        raise ValueError("the probe set must be non-empty")
-    norms = [s0_norm(p) for p in probes]
+    deltas = np.array(
+        [m.values - sequence.limit.values for m in sequence.members], dtype=np.complex128
+    ).reshape(len(sequence.members), group.order)
+    d_pair = [float(v) for v in _pairing_deviations(deltas, group, probes)]
     dual = system.canonical_dual
 
-    d_pair, d_stft, d_coeff = [], [], []
-    for member in sequence.members:
-        delta = member - sequence.limit
-        d_pair.append(_deviation_pairing(delta.values, probes, norms))
-        d_stft.append(stft(delta, window).max_modulus)
-        coeffs = _lattice_analysis(delta.values[None, :], dual, system.lattice)[0]
-        d_coeff.append(float(np.max(np.abs(coeffs))))
+    d_stft, d_coeff = [], []
+    for delta in deltas:
+        d_stft.append(_stft_abs_max(Signal(group, delta), window))
+        d_coeff.append(_lattice_abs_max(delta, dual, system.lattice))
 
     ratios: dict[str, float] = {}
     for name, series in (("pair", d_pair), ("coeff", d_coeff)):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .fourier import COUNTING, FourierConvention
-from .gabor import GaborSystem, TFLattice
+from .gabor import GaborSystem, TFLattice, _lattice_analysis, _lattice_synthesis
 from .groups import GroupElement, GroupSpec, Subgroup, _character_block
 from .signals import Signal
 
@@ -22,6 +22,7 @@ __all__ = [
     "stft_direct",
     "synthesis_matrix",
     "frame_apply_direct",
+    "frame_matrix_dense",
     "subgroups_by_closure",
 ]
 
@@ -81,6 +82,23 @@ def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
         atom = tf_shift(system.window, t, s).values
         out += np.vdot(atom, f.values) * atom
     return Signal(f.group, out)
+
+
+def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
+    """Dense |G| x |G| frame operator, synthesis of the analysis of each unit vector."""
+    n = system.group.order
+    S = np.empty((n, n), dtype=np.complex128)
+    chunk = max(1, min(64, n))
+    eye = np.eye(n, dtype=np.complex128)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = _lattice_synthesis(
+            _lattice_analysis(eye[start:stop], system.window, system.lattice),
+            system.window,
+            system.lattice,
+        )
+        S[:, start:stop] = block.T
+    return (S + S.conj().T) / 2
 
 
 def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:

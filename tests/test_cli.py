@@ -55,6 +55,32 @@ class TestVerifyCommand:
         assert all(c["passed"] for c in report["checks"])
 
 
+class TestVerifyCoverage:
+    def test_subgroup_coverage_is_reported(self):
+        from mildspec.verify import run_suite
+
+        for suite in ("group", "fourier"):
+            full = run_suite(suite, GroupSpec((24,)), None, None, None).checks
+            rich = run_suite(suite, GroupSpec((16, 16)), None, None, None).checks
+            assert [c.residual for c in full if c.name == "subgroups checked"] == [1.0]
+            # every fourth of the 83 subgroups of Z16xZ16, plus the last: 22
+            assert [c.residual for c in rich if c.name == "subgroups checked"] == [22 / 83]
+
+    def test_gabor_oracles_run_or_report_their_skip(self):
+        from mildspec.verify import verify_gabor
+
+        small = {c.name: c for c in verify_gabor(GroupSpec((64,)), 2, 2)}
+        assert small["structured frame operator matches dense oracle"].passed
+        assert small["short-time transform matches defining sum"].passed
+        assert not any("skipped" in name for name in small)
+        large = {c.name: c for c in verify_gabor(GroupSpec((256,)), 2, 2)}
+        assert large["direct-sum oracle skipped: group order"].residual == 256
+        assert large["dense frame oracle skipped: group order"].residual == 256
+        assert large["least-squares check skipped: synthesis cells"].residual == 256 * 128 * 128
+        assert "structured frame operator matches dense oracle" not in large
+        assert all(c.threshold is None for n, c in large.items() if "skipped" in n)
+
+
 class TestTransformCommands:
     def test_dft_roundtrip_through_files(self, tmp_path, rng):
         G = GroupSpec((24,))
@@ -162,6 +188,64 @@ class TestExitCodes:
         io.save_signal(src, random_signal(G, rng))
         proc = run_cli("dft", src, "--group", "12", "--out", tmp_path / "x.json")
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(0, 1), (1, 2), (2, 3), (5, 4)], "line 5: i0=5 is outside [0, 4)"),
+            ([(0, 1), (1, 2), (1, 3), (3, 4)], "line 4: element (1,) is given twice"),
+            ([(0, 1), (1, 2), (3, 4)], "element (2,) has no row"),
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], "element (3,) is given twice"),
+            ([(0, 1), (1, "nan"), (2, 3), (3, 4)], "line 3: 're' is not finite"),
+            ([(0, 1), (1, 2), (2, "-inf"), (3, 4)], "line 4: 're' is not finite"),
+        ],
+        ids=["out-of-range", "duplicate", "missing", "extra-row", "nan", "inf"],
+    )
+    def test_strict_csv_signal(self, tmp_path, rows, message):
+        src = tmp_path / "f.csv"
+        src.write_text("i0,re,im\n" + "".join(f"{i},{re},0\n" for i, re in rows))
+        proc = run_cli("dft", src, "--group", "4", "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert message in proc.stderr
+
+    def test_csv_rows_in_any_order_load(self, tmp_path):
+        src = tmp_path / "f.csv"
+        src.write_text("i0,i1,re,im\n" + "".join(
+            f"{i},{j},{i + 10 * j},{-j}\n" for j in range(3) for i in range(2)
+        ))
+        f = io.load_signal(src, group=GroupSpec((2, 3)))
+        assert f.values.tolist() == [i + 10 * j - 1j * j for i in range(2) for j in range(3)]
+
+    def test_non_finite_signal_json_is_schema_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"group": [4], "values": [[1, 0], [NaN, 0], [1, 0], [1, 0]]}')
+        proc = run_cli("dft", bad, "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert "'values': entry 1 is not finite" in proc.stderr
+
+    def test_non_finite_coefficients_are_schema_error(self, tmp_path, rng):
+        src = tmp_path / "f.json"
+        coeffs = tmp_path / "c.json"
+        io.save_signal(src, random_signal(GroupSpec((8,)), rng))
+        assert run_cli("gabor", "analyze", src, "--a", "2", "--b", "2",
+                       "--out", coeffs).returncode == 0
+        data = json.loads(coeffs.read_text())
+        data["coeffs"][5][1] = float("inf")
+        coeffs.write_text(json.dumps(data))
+        proc = run_cli("gabor", "synth", coeffs, "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert "'coeffs': entry 5 is not finite" in proc.stderr
+
+    def test_non_finite_sequence_member_is_schema_error(self, tmp_path):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({
+            "group": [2],
+            "members": [[[1, 0], [0, 0]], [[1, 0], [float("nan"), 0]]],
+            "limit": [[1, 0], [0, 0]],
+        }))
+        proc = run_cli("mild-converge", seq)
+        assert proc.returncode == 3
+        assert "member 1: entry 1 is not finite" in proc.stderr
 
     def test_unknown_demo_is_usage_error(self):
         assert run_cli("demo", "nonsense").returncode == 2

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mildspec import (
@@ -331,3 +335,160 @@ class TestLattice:
         assert pts[0][0].coords == (0,) and pts[0][1].coords == (0,)
         # frequency runs fastest
         assert pts[1][0].coords == (0,) and pts[1][1].coords == (4,)
+
+
+def _dense_frame_data(system):
+    S = reference.frame_matrix_dense(system)
+    eig = np.linalg.eigvalsh(S)
+    return eig[0], eig[-1], S
+
+
+def _assert_blocks_match_dense(system, tol=1e-12):
+    A, B = system.frame_bounds
+    dense_A, dense_B, S = _dense_frame_data(system)
+    assert abs(A - dense_A) <= tol * dense_B
+    assert abs(B - dense_B) <= tol * dense_B
+    if system.is_frame:
+        dual = system.canonical_dual.values
+        dense_dual = np.linalg.solve(S, system.window.values)
+        assert np.max(np.abs(dual - dense_dual)) <= tol * np.max(np.abs(dense_dual))
+    else:
+        with pytest.raises(NotAFrame):
+            system.canonical_dual
+
+
+# (moduli, a, b): 1-D, 2-D and 3-D groups, unequal per-axis steps, the full
+# lattice, and undersampled or critical lattices that are not frames
+BLOCK_CASES = [
+    ((256,), 2, 2),
+    ((16, 32), 2, 2),
+    ((12, 18), (2, 3), (3, 2)),
+    ((2, 4, 8), (1, 2, 2), (2, 1, 4)),
+    ((6, 10), (3, 5), (2, 1)),
+    ((8,), 1, 1),
+    ((4, 6), 1, 1),
+    ((12,), 3, 4),
+    ((16,), 8, 8),
+    ((4, 8), (2, 2), (2, 4)),
+]
+
+
+class TestStructuredFrameOperator:
+    @pytest.mark.parametrize("moduli,a,b", BLOCK_CASES, ids=lambda v: str(v))
+    def test_bounds_and_dual_match_dense_oracle(self, moduli, a, b):
+        G = GroupSpec(moduli)
+        _assert_blocks_match_dense(GaborSystem(finite_gaussian(G), TFLattice(G, a, b)))
+
+    @pytest.mark.parametrize("moduli,a,b", BLOCK_CASES[:6], ids=lambda v: str(v))
+    def test_random_window_matches_dense_oracle(self, rng, moduli, a, b):
+        G = GroupSpec(moduli)
+        _assert_blocks_match_dense(GaborSystem(random_signal(G, rng), TFLattice(G, a, b)))
+
+    @pytest.mark.parametrize("moduli,a,b", BLOCK_CASES[2:6], ids=lambda v: str(v))
+    def test_apply_frame_matches_atom_sum(self, rng, moduli, a, b):
+        G = GroupSpec(moduli)
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, a, b))
+        f = random_signal(G, rng)
+        fast = system.apply_frame(f).values
+        slow = reference.frame_apply_direct(system, f).values
+        assert np.max(np.abs(fast - slow)) < 1e-10 * np.max(np.abs(slow))
+
+    def test_undersampled_raises_not_a_frame_before_solving(self):
+        # a singular block would make the solve fail; the bound test runs first
+        G = GroupSpec((4, 8))
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, (4, 4), (2, 4)))
+        assert system.lattice.redundancy < 1
+        with pytest.raises(NotAFrame):
+            system.canonical_dual
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(st.data())
+    def test_random_groups_and_lattices_match_dense_oracle(self, data):
+        moduli = data.draw(
+            st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+                lambda m: math.prod(m) <= 64
+            ),
+            label="moduli",
+        )
+        divisors = [[q for q in range(1, n + 1) if n % q == 0] for n in moduli]
+        a = tuple(data.draw(st.sampled_from(d), label="a") for d in divisors)
+        b = tuple(data.draw(st.sampled_from(d), label="b") for d in divisors)
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        G = GroupSpec(tuple(moduli))
+        window = random_signal(G, np.random.default_rng(seed))
+        _assert_blocks_match_dense(GaborSystem(window, TFLattice(G, a, b)), tol=1e-10)
+
+    def test_no_dense_matrix_is_allocated(self):
+        # the dense operator on Z4096 would be 256 MiB; the blocks are 2 x 2
+        G = GroupSpec((4096,))
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        tracemalloc.start()
+        try:
+            system.frame_bounds
+            system.canonical_dual
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * G.order**2 / 64
+
+
+def _numpy_stft_rows(f, g, rows):
+    """Rows of V_g f from numpy alone: FFT of f times the rolled conjugate window."""
+    axes = tuple(range(f.group.ndim))
+    out = []
+    for t in rows:
+        shift = f.group.element_at(int(t)).coords
+        windowed = f.grid() * np.conj(np.roll(g.grid(), shift, axis=axes))
+        out.append(np.fft.fftn(windowed).reshape(-1))
+    return np.array(out)
+
+
+class TestStreamedSTFT:
+    @pytest.mark.parametrize("moduli", [(12,), (4, 6), (2, 3, 4)], ids=str)
+    def test_reductions_match_full_grid_and_direct_sum(self, rng, moduli):
+        from mildspec import mild_deviation_stft
+
+        G = GroupSpec(moduli)
+        g0 = finite_gaussian(G)
+        f, h, w = random_signal(G, rng), random_signal(G, rng), random_signal(G, rng)
+        full = np.abs(stft(f, g0).values)
+        direct = np.abs(reference.stft_direct(f, g0))
+        scale = g0.norm2**2
+        for grid in (full, direct):
+            assert abs(s0_norm(f) - grid.sum() / scale) < 1e-12 * s0_norm(f)
+            assert abs(s0prime_norm(f) - grid.max()) < 1e-12 * grid.max()
+        dev = np.abs(reference.stft_direct(f - h, w)).max()
+        assert abs(mild_deviation_stft(f, h, window=w) - dev) < 1e-12 * dev
+        assert abs(mild_deviation_stft(f, h, window=w)
+                   - np.abs(stft(f - h, w).values).max()) < 1e-12 * dev
+
+    @pytest.mark.parametrize("moduli", [(2048,), (32, 64)], ids=str)
+    def test_grid_spanning_several_row_blocks(self, rng, moduli):
+        # |G| = 2048 rows of 2048 cells come in four blocks of 512 rows
+        G = GroupSpec(moduli)
+        g0 = finite_gaussian(G)
+        f = random_signal(G, rng)
+        V = stft(f, g0).values
+        rows = [0, 511, 512, 1023, 1500, 2047]
+        want = _numpy_stft_rows(f, g0, rows)
+        assert np.max(np.abs(V[rows] - want)) < 1e-12 * np.max(np.abs(want))
+        full_sum = float(np.sum(np.abs(V)))
+        assert abs(s0_norm(f) * g0.norm2**2 - full_sum) < 1e-12 * full_sum
+        assert s0prime_norm(f) == float(np.max(np.abs(V)))
+
+    def test_norms_never_hold_the_full_grid(self, rng):
+        # the Z4096 grid is 256 MiB; a row block is 16 MiB
+        from mildspec import mild_deviation_stft
+
+        G = GroupSpec((4096,))
+        f, h = random_signal(G, rng), random_signal(G, rng)
+        finite_gaussian(G)
+        tracemalloc.start()
+        try:
+            s0_norm(f)
+            s0prime_norm(f)
+            mild_deviation_stft(f, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * G.order**2 / 4

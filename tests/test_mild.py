@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +17,7 @@ from mildspec import (
     TFLattice,
     comb_characterization,
     convergence_report,
+    default_probes,
     dirac,
     dirac_comb,
     finite_gaussian,
@@ -294,3 +298,75 @@ class TestStationaryUnderLimitShift:
         d0 = mild_deviation_stft(sigma, sigma0)
         d1 = mild_deviation_stft(translate(sigma, u), translate(sigma0, u))
         assert abs(d0 - d1) < 1e-10
+
+
+# groups whose default probes are normed one STFT each in the tests below
+PROBE_GROUPS = [(24,), (4, 6), (2, 4, 8), (12, 18)]
+
+
+class TestDefaultProbes:
+    def test_atoms_are_shifted_gaussians_in_net_order(self):
+        G = GroupSpec((8, 12))
+        g0 = finite_gaussian(G)
+        probes = default_probes(G)
+        net = list(itertools.product(range(0, 8, 2), range(0, 12, 3)))
+        atoms = [tf_shift(g0, t, s) for t in net for s in net]
+        assert len(probes) == len(atoms) + G.order
+        for p, q in zip(probes, atoms):
+            assert np.array_equal(p.values, q.values)
+        for p, x in zip(probes[len(atoms):], G.elements()):
+            assert np.array_equal(p.values, dirac(G, x).values)
+
+    @pytest.mark.parametrize("moduli", PROBE_GROUPS, ids=str)
+    def test_closed_form_norms_match_explicit_stfts(self, moduli):
+        from mildspec import s0_norm
+        from mildspec.mild import _default_probe_norms
+
+        G = GroupSpec(moduli)
+        atom_norm, point_norm = _default_probe_norms(G)
+        probes = default_probes(G)
+        n_atoms = len(probes) - G.order
+        for p in probes[:n_atoms]:
+            assert abs(s0_norm(p) - atom_norm) < 1e-12 * atom_norm
+        for p in probes[n_atoms:]:
+            assert abs(s0_norm(p) - point_norm) < 1e-12 * point_norm
+
+    @pytest.mark.parametrize("moduli", PROBE_GROUPS[:3], ids=str)
+    def test_report_with_default_probes_matches_explicit_probes(self, moduli):
+        G = GroupSpec(moduli)
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 1, 1))
+        seq = refining_comb_sequence(G)
+        implicit = convergence_report(seq, system)
+        explicit = convergence_report(seq, system, probes=default_probes(G))
+        assert_allclose(implicit.d_pair, explicit.d_pair, rtol=1e-12, atol=1e-15)
+        assert implicit.d_stft == explicit.d_stft
+        assert implicit.d_coeff == explicit.d_coeff
+
+    def test_pairing_deviation_with_default_probes_matches_explicit(self, rng):
+        G = GroupSpec((4, 6))
+        sigma, sigma0 = random_signal(G, rng), random_signal(G, rng)
+        got = mild_deviation_pairing(sigma, sigma0)
+        expect = mild_deviation_pairing(sigma, sigma0, probes=default_probes(G))
+        assert abs(got - expect) < 1e-12 * expect
+
+    def test_explicit_probe_on_another_group_is_rejected(self, rng):
+        G = GroupSpec((8,))
+        seq = refining_comb_sequence(G)
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        with pytest.raises(GroupMismatchError):
+            convergence_report(seq, system, probes=[dirac(GroupSpec((4,)), 0)])
+
+    def test_report_never_holds_a_full_grid(self, rng):
+        # the Z4096 STFT grid is 256 MiB, the dense frame operator as large
+        G = GroupSpec((4096,))
+        limit = random_signal(G, rng)
+        seq = DistributionSequence(G, (limit + random_signal(G, rng), limit), limit)
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        tracemalloc.start()
+        try:
+            report = convergence_report(seq, system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.d_stft[-1] == 0.0
+        assert peak < 16 * G.order**2 / 4
