@@ -28,6 +28,7 @@ from .approx import (
     tensor_extension,
 )
 from .errors import (
+    DomainError,
     GroupMismatchError,
     NotAFrame,
     NotPeriodic,

@@ -16,10 +16,13 @@ the constant one, which keeps the partition exact in that degenerate case.
 
 Semidiscrete extension turns lattice samples c into sum_lambda c_lambda
 T_lambda phi, equivalently the convolution of the weighted comb with phi.
-The default computation is the direct translate sum, which makes restriction
-back to the lattice exact (off-lattice bump values are exact zeros) whenever
-supp(phi) meets the lattice only at 0 and phi(0) = 1; the FFT convolution
-route is available as a cross-check.
+The default computation is the direct double sum, taken over whichever
+index set is shorter: the lattice (c_lambda T_lambda phi) or supp(phi)
+(phi(p) T_p of the weighted comb).  Either way restriction back to the
+lattice is exact (every other term is an exact zero there) whenever supp(phi)
+meets the lattice only at 0 and phi(0) = 1; the FFT convolution route is
+available as a cross-check.  The partition check sums the lattice
+translates of the mother bump in O(|G|) per coset.
 """
 
 from __future__ import annotations
@@ -129,13 +132,22 @@ def make_bupu(group: GroupSpec, lattice: Subgroup, shape: str = "triangle") -> B
     return BUPU(group, lattice, shape, mother, residual)
 
 
+def _weighted_translates(f: Signal, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] T_{points[k]} f, accumulated in the given order."""
+    out = np.zeros(f.group.order, dtype=np.complex128)
+    for t, w in zip(points, weights):
+        out += w * translate(f, t).values
+    return out
+
+
 def semidiscrete_extension(
     samples: SampleArray, phi: Signal, method: str = "direct"
 ) -> Signal:
     """sum_lambda c_lambda T_lambda phi, the comb-with-phi convolution.
 
-    method "direct" accumulates translates (exact at lattice points when phi
-    interpolates); "fft" multiplies transforms under the counting convention.
+    method "direct" accumulates translates over the lattice or over supp(phi),
+    whichever is shorter (exact at lattice points when phi interpolates);
+    "fft" multiplies transforms under the counting convention.
     A window with phi(0) != 1 voids the interpolation contract and triggers
     a warning.
     """
@@ -148,9 +160,13 @@ def semidiscrete_extension(
             stacklevel=2,
         )
     if method == "direct":
-        out = np.zeros(phi.group.order, dtype=np.complex128)
-        for lam, c in zip(lattice.coords_array, samples.samples):
-            out += c * translate(phi, lam).values
+        # the same double sum over whichever index set is shorter
+        support = np.flatnonzero(phi.values)
+        if lattice.order <= support.size:
+            out = _weighted_translates(phi, lattice.coords_array, samples.samples)
+        else:
+            comb = comb_to_signal(WeightedComb(lattice, samples.samples))
+            out = _weighted_translates(comb, phi.group._coords[support], phi.values[support])
         return Signal(phi.group, out)
     if method == "fft":
         comb = comb_to_signal(WeightedComb(lattice, samples.samples))

@@ -14,7 +14,14 @@ import numpy as np
 
 from . import io
 from .approx import BUPU_SHAPES, SampleArray, quasi_interpolate, semidiscrete_extension, make_bupu
-from .errors import GroupMismatchError, NotAFrame, NotPeriodic, SchemaError, SupportViolation
+from .errors import (
+    DomainError,
+    GroupMismatchError,
+    NotAFrame,
+    NotPeriodic,
+    SchemaError,
+    SupportViolation,
+)
 from .fourier import UNITARY, dft, idft, poisson_check, restriction, weil_map
 from .gabor import GaborSystem, TFLattice, stft
 from .groups import GroupSpec, all_subgroups, annihilator, grid_subgroup
@@ -473,7 +480,7 @@ def main(argv=None) -> int:
     except GroupMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SupportViolation, NotPeriodic, NotAFrame) as exc:
+    except (SupportViolation, NotPeriodic, NotAFrame, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -11,6 +11,11 @@ class SchemaError(ValueError):
     """An input file does not match the documented schema."""
 
 
+class DomainError(ValueError):
+    """A well-formed request outside what the library computes, such as a
+    group too large to enumerate its subgroups."""
+
+
 class SupportViolation(Exception):
     """A signal carries mass off the lattice it was claimed to live on."""
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import DomainError, GroupMismatchError
 
 __all__ = [
     "GroupSpec",
@@ -471,7 +471,7 @@ def all_subgroups(group: GroupSpec, max_order: int = 4096) -> list[Subgroup]:
     keyed by their index bytes; the desk-scale bound on |G| stays.
     """
     if group.order > max_order:
-        raise ValueError(
+        raise DomainError(
             f"group order {group.order} exceeds the enumeration bound {max_order}"
         )
     trivial = np.zeros(1, dtype=np.intp)

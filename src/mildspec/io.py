@@ -6,8 +6,16 @@ Signal CSV:    header i0,...,i{d-1},re,im; one row per element.  CSV carries no
 Coefficients:  {"group": [...], "lattice": {"a": [...], "b": [...]},
                 "coeffs": [[re, im], ...]}  (time-major flat order)
 Sequences:     {"group": [...], "members": [values, ...], "limit": values}
+STFT CSV:      header t0,...,s0,...,re,im; t-major rows over the full grid.
 Reports:       serialized with sorted keys and no timestamps, so fixed-seed
                reruns are byte-identical.
+
+Writers stream from arrays: complex values are written as [re, im] pairs
+in chunks straight to the file handle, and CSV rows are formatted in blocks
+from precomputed coordinate strings, never through GroupElement objects or
+per-pair Python lists.  The bytes are exactly those of
+json.dump(sort_keys=True, indent=2) and csv.writer (float.__repr__ numbers,
+"\r\n" row terminators); the tests hold the writers to those encoders.
 
 Malformed input raises SchemaError, which names the field, row or element:
 non-finite values, and in CSV a coordinate out of range or an element given
@@ -40,21 +48,49 @@ __all__ = [
 ]
 
 
-def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
+# pairs or rows formatted per write; bounds the text held in memory at once
+_CHUNK = 4096
+
+
+def _pair_chunks(values: np.ndarray):
+    """Text of a top-level JSON field's list of [re, im] pairs.
+
+    Matches json.dump(indent=2) on [[float(v.real), float(v.imag)], ...]:
+    numbers by float.__repr__ (as %r), one number per line.
+    """
+    if values.size == 0:
+        yield "[]"
+        return
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    pair = "    [\n      %r,\n      %r\n    ]"
+    yield "[\n"
+    for start in range(0, values.size, _CHUNK):
+        n = min(_CHUNK, values.size - start)
+        if start:
+            yield ",\n"
+        yield ",\n".join([pair] * n) % tuple(flat[2 * start:2 * (start + n)].tolist())
+    yield "\n  ]"
 
 
 def _parse_pairs(data, what: str) -> np.ndarray:
     try:
-        arr = np.array([[float(re), float(im)] for re, im in data])
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what} must be a list of [re, im] pairs") from exc
     if arr.size == 0:
         raise SchemaError(f"{what} must be non-empty")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise SchemaError(f"{what} must be a list of [re, im] pairs")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise SchemaError(f"{what}: entry {bad[0]} is not finite")
-    return arr[:, 0] + 1j * arr[:, 1]
+    # a bit-exact view: re + 1j * im would turn a -0.0 real part into 0.0
+    return np.ascontiguousarray(arr).view(np.complex128).reshape(-1)
+
+
+def _coord_strings(group: GroupSpec) -> list[str]:
+    """Comma-joined coordinates of every element, canonical order."""
+    return [",".join(map(str, row)) for row in group._coords.tolist()]
 
 
 def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
@@ -137,14 +173,17 @@ def load_signal(path, group: GroupSpec | None = None) -> Signal:
 
 def save_signal(path, signal: Signal) -> None:
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"i{j}" for j in range(signal.group.ndim)] + ["re", "im"])
-            for e, v in zip(signal.group.elements(), signal.values):
-                writer.writerow(list(e.coords) + [repr(float(v.real)), repr(float(v.imag))])
+    if path.suffix.lower() != ".csv":
+        write_json(path, {"group": signal.group.to_json(), "values": signal.values})
         return
-    write_json(path, {"group": signal.group.to_json(), "values": _complex_pairs(signal.values)})
+    coords = _coord_strings(signal.group)
+    flat = signal.values.view(np.float64)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join([f"i{j}" for j in range(signal.group.ndim)] + ["re", "im"]) + "\r\n")
+        for start in range(0, len(coords), _CHUNK):
+            block = coords[start:start + _CHUNK]
+            template = "".join([f"{c},%r,%r\r\n" for c in block])
+            fh.write(template % tuple(flat[2 * start:2 * (start + len(block))].tolist()))
 
 
 def load_coefficients(path) -> CoefficientArray:
@@ -173,7 +212,7 @@ def save_coefficients(path, coeffs: CoefficientArray) -> None:
         {
             "group": lat.group.to_json(),
             "lattice": {"a": list(lat.time_steps), "b": list(lat.freq_steps)},
-            "coeffs": _complex_pairs(coeffs.ravel()),
+            "coeffs": coeffs.ravel(),
         },
     )
 
@@ -201,29 +240,46 @@ def load_sequence(path) -> tuple[list[Signal], Signal | None]:
 
 
 def save_stft_grid(path, grid: STFTGrid) -> None:
-    """CSV rows t-coords, s-coords, re, im; t-major order."""
+    """CSV rows t-coords, s-coords, re, im; t-major order, one write per t."""
     group = grid.group
+    coords = _coord_strings(group)
+    tails = [f",{c},%r,%r\r\n" for c in coords]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"t{j}" for j in range(group.ndim)]
-            + [f"s{j}" for j in range(group.ndim)]
-            + ["re", "im"]
+        fh.write(
+            ",".join([f"t{j}" for j in range(group.ndim)]
+                     + [f"s{j}" for j in range(group.ndim)] + ["re", "im"])
+            + "\r\n"
         )
-        for ti, t in enumerate(group.elements()):
-            row_vals = grid.values[ti]
-            for si, s in enumerate(group.elements()):
-                v = row_vals[si]
-                writer.writerow(
-                    list(t.coords) + list(s.coords)
-                    + [repr(float(v.real)), repr(float(v.imag))]
-                )
+        for t, row in zip(coords, grid.values):
+            template = t + t.join(tails)
+            fh.write(template % tuple(row.view(np.float64).tolist()))
 
 
 def write_json(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, fixed indentation, newline at EOF."""
+    """Deterministic JSON: sorted keys, fixed indentation, newline at EOF.
+
+    Top-level values that are NumPy arrays are complex value lists and are
+    written as [re, im] pairs, streamed in chunks; everything else goes
+    through json.  Non-finite numbers raise ValueError, as allow_nan=False.
+    """
+    arrays = {k for k, v in payload.items() if isinstance(v, np.ndarray)}
+    for key in arrays:
+        if not np.isfinite(payload[key]).all():
+            raise ValueError(f"Out of range float values are not JSON compliant in {key!r}")
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        if not arrays:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        else:
+            sep = "{\n  "
+            for key in sorted(payload):
+                fh.write(sep + json.dumps(key) + ": ")
+                sep = ",\n  "
+                if key in arrays:
+                    fh.writelines(_pair_chunks(payload[key]))
+                else:
+                    text = json.dumps(payload[key], sort_keys=True, indent=2, allow_nan=False)
+                    fh.write(text.replace("\n", "\n  "))
+            fh.write("\n}")
         fh.write("\n")
 
 

@@ -115,7 +115,9 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
          compose, so generator invariance settles the whole lattice.  The
          tolerance is tol * (1 + max|f|); failure raises NotPeriodic.
       2. The spectrum is supported on annihilator(H) = (N/p)Z; off-lattice
-         leakage above tol raises SupportViolation.
+         leakage above tol * (1 + max|fhat|), the frequency-side twin of
+         check 1, raises SupportViolation.  The reported leakage is the
+         absolute off-lattice maximum.
       3. The comb weights equal |H| * F(n), where F is the one-period DFT
          F(n) = sum over t in the box [0, p) of f(t) conj(chi_{s(n)}(t)),
          s(n) = (N_j/p_j) n_j, computed by direct summation.  The |H| factor
@@ -133,7 +135,7 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
     perp = annihilator(H)
     fhat = dft(f)
     leakage = float(np.max(np.abs(fhat.values) * ~perp.mask))
-    spectrum = signal_to_comb(fhat, perp, eps=tol)
+    spectrum = signal_to_comb(fhat, perp, eps=tol * (1.0 + fhat.norm_inf))
 
     box = list(itertools.product(*(range(p) for p in steps)))
     box_coords = np.array(box, dtype=np.int64)

@@ -14,7 +14,7 @@ import numpy as np
 from .fourier import COUNTING, FourierConvention
 from .gabor import GaborSystem, TFLattice, _lattice_analysis, _lattice_synthesis
 from .groups import GroupElement, GroupSpec, Subgroup, _character_block
-from .signals import Signal
+from .signals import Signal, translate
 
 __all__ = [
     "naive_dft",
@@ -24,6 +24,7 @@ __all__ = [
     "frame_apply_direct",
     "frame_matrix_dense",
     "subgroups_by_closure",
+    "translate_sum_direct",
 ]
 
 
@@ -154,4 +155,12 @@ def subgroups_by_closure(group: GroupSpec) -> list[Subgroup]:
         for e in found
     ]
     out.sort(key=lambda h: (h.order, h.elements))
+    return out
+
+
+def translate_sum_direct(f: Signal, lattice: Subgroup) -> np.ndarray:
+    """sum over t in the lattice of T_t f, one translate per lattice point."""
+    out = np.zeros(f.group.order, dtype=np.complex128)
+    for t in lattice.coords_array:
+        out += translate(f, t).values
     return out

@@ -226,11 +226,20 @@ def translate(f: Signal, t) -> Signal:
 
 
 def _translate_sum(f: Signal, lattice: Subgroup) -> np.ndarray:
-    """sum over t in the lattice of T_t f, accumulated in element order."""
-    out = np.zeros(f.group.order, dtype=np.complex128)
-    for t in lattice.coords_array:
-        out += translate(f, t).values
-    return out
+    """sum over t in a grid lattice of T_t f, in O(|G|).
+
+    The sum is constant on each coset x + H and equals the sum of f over
+    it.  For H = a_1 Z x ... x a_d Z every axis splits as (N_j/a_j, a_j):
+    summing the N_j/a_j axes gives the coset totals, which are tiled back.
+    reference.translate_sum_direct is the one-translate-per-point oracle.
+    """
+    steps = lattice.axis_steps
+    if steps is None:
+        raise GroupMismatchError("translate sums need a per-axis grid lattice")
+    split = [m for n, a in zip(f.group.moduli, steps) for m in (n // a, a)]
+    blocks = f.values.reshape(split)
+    totals = blocks.sum(axis=tuple(range(0, len(split), 2)), keepdims=True)
+    return np.broadcast_to(totals, blocks.shape).reshape(-1)
 
 
 def modulate(f: Signal, s) -> Signal:

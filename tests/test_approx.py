@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -111,6 +113,44 @@ class TestSemidiscreteExtension:
         with pytest.warns(UserWarning):
             fast = semidiscrete_extension(samples, phi, method="fft")
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12
+
+    @pytest.mark.parametrize("shape", BUPU_SHAPES)
+    @pytest.mark.parametrize("moduli, steps", [
+        ((24,), (2,)),  # 12 lattice points, 2 to 5 bump points: sum over supp(phi)
+        ((24,), (8,)),  # 3 lattice points, 8 to 24 bump points: sum over the lattice
+        ((8, 6), (2, 3)),  # 8 lattice points, 6 to 30 bump points: either
+    ])
+    def test_direct_matches_fft_on_either_index_set(self, rng, shape, moduli, steps):
+        G = GroupSpec(moduli)
+        lam = grid_subgroup(G, steps)
+        phi = make_bupu(G, lam, shape).mother
+        c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
+        samples = SampleArray(lam, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            direct = semidiscrete_extension(samples, phi, method="direct")
+            fast = semidiscrete_extension(samples, phi, method="fft")
+        assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
+        if shape != "bspline2":
+            # interpolating bumps: lattice samples come back bit for bit
+            assert_array_equal(direct.values[lam.indices], c)
+
+    @pytest.mark.parametrize("support_size", [3, 30])
+    def test_diagonal_lattice_either_index_set(self, rng, support_size):
+        G = GroupSpec((6, 6))
+        lam = subgroup_generated(G, [(1, 1)])  # 6 points, not a grid
+        vals = np.zeros(36)
+        off = np.flatnonzero(~lam.mask)
+        vals[0] = 1.0
+        vals[rng.choice(off, support_size - 1, replace=False)] = rng.standard_normal(
+            support_size - 1)
+        phi = Signal(G, vals)
+        c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
+        samples = SampleArray(lam, c)
+        direct = semidiscrete_extension(samples, phi, method="direct")
+        fast = semidiscrete_extension(samples, phi, method="fft")
+        assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
+        assert_array_equal(direct.values[lam.indices], c)
 
     def test_warns_when_center_value_off(self):
         G = GroupSpec((8,))

@@ -247,6 +247,12 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "member 1: entry 1 is not finite" in proc.stderr
 
+    def test_group_over_enumeration_bound_is_domain_rejection(self):
+        proc = run_cli("verify", "group", "--group", "8192")
+        assert proc.returncode == 1
+        assert "exceeds the enumeration bound 4096" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_demo_is_usage_error(self):
         assert run_cli("demo", "nonsense").returncode == 2
 

@@ -34,6 +34,8 @@ from mildspec import (
     tf_shift,
     translate,
 )
+from mildspec import reference
+from mildspec.signals import _translate_sum
 
 
 class TestSupport:
@@ -134,6 +136,39 @@ class TestPeriodization:
         assert report.leakage <= 1e-10
         assert report.weight_residual <= 1e-10
         assert report.period_lattice.order == 4
+
+
+class TestPeriodizationTolerance:
+    """Leakage is held to tol * (1 + max|fhat|), the twin of the periodicity check."""
+
+    def test_scaled_exactly_periodic_signal_passes(self, rng):
+        G = GroupSpec((3000,))
+        block = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        f = Signal(G, 1e3 * np.tile(block, 1000))
+        report = periodize_analysis(f, 3)
+        assert report.period_lattice.order == 1000
+        assert report.weight_residual <= 1e-10 * (1 + np.max(np.abs(report.spectrum.weights)))
+
+    def test_genuine_off_lattice_component_still_raises(self):
+        # 1e-9 chi_1 barely moves under translation by 3 (below the periodicity
+        # tolerance) but puts 3e-6 on frequency 1, off the annihilator 1000Z
+        G = GroupSpec((3000,))
+        f = Signal(G, 1.0 + 1e-9 * pure_frequency(G, G.element(1)).values)
+        with pytest.raises(SupportViolation, match="at \\(1,\\)"):
+            periodize_analysis(f, 3)
+
+    def test_z4096_periodic_signal_of_verify_mild_passes(self):
+        # the period-2 signal verify_mild builds on Z4096 at seed 1
+        G = GroupSpec((4096,))
+        H = grid_subgroup(G, 2)
+        base = random_signal(G, np.random.default_rng(1))
+        # summed one translate at a time, its FFT leaks 1.3e-10 off the comb
+        report = periodize_analysis(Signal(G, reference.translate_sum_direct(base, H)), 2)
+        assert 1e-10 < report.leakage <= 1e-10 * np.max(np.abs(report.spectrum.weights))
+        # summed per coset it is exactly periodic and clears the verify thresholds
+        report = periodize_analysis(Signal(G, _translate_sum(base, H)), 2)
+        assert report.leakage <= 1e-10
+        assert report.weight_residual <= 1e-10
 
 
 class TestDeviations:

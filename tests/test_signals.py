@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
+    GroupMismatchError,
     GroupSpec,
     Signal,
     SupportViolation,
@@ -23,6 +24,8 @@ from mildspec import (
     translate,
     trivial_subgroup,
 )
+from mildspec import reference
+from mildspec.signals import _translate_sum
 
 
 class TestSignalBasics:
@@ -158,6 +161,31 @@ class TestShifts:
         f = Signal(G, np.ones(4))
         with pytest.raises(ValueError):
             translate(f, H.element((1, 2)))
+
+
+class TestTranslateSum:
+    @pytest.mark.parametrize("moduli, steps", [
+        ((12,), (3,)), ((12,), (1,)), ((12,), (12,)),
+        ((4, 6), (2, 3)), ((4, 6), (4, 1)),
+        ((2, 3, 4), (1, 3, 2)), ((2, 3, 4), (2, 3, 4)),
+    ])
+    def test_matches_one_translate_per_point(self, rng, moduli, steps):
+        G = GroupSpec(moduli)
+        H = grid_subgroup(G, steps)
+        f = random_signal(G, rng)
+        assert_allclose(_translate_sum(f, H), reference.translate_sum_direct(f, H),
+                        rtol=0, atol=1e-13)
+
+    def test_result_is_exactly_periodic(self, rng):
+        G = GroupSpec((12, 8))
+        out = _translate_sum(random_signal(G, rng), grid_subgroup(G, (3, 4))).reshape(12, 8)
+        assert_array_equal(out, np.tile(out[:3, :4], (4, 2)))
+
+    def test_non_grid_lattice_rejected(self, rng):
+        G = GroupSpec((6, 6))
+        H = subgroup_generated(G, [(1, 1)])
+        with pytest.raises(GroupMismatchError, match="grid lattice"):
+            _translate_sum(random_signal(G, rng), H)
 
 
 class TestFiniteGaussian:
