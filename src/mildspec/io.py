@@ -93,6 +93,15 @@ def _coord_strings(group: GroupSpec) -> list[str]:
     return [",".join(map(str, row)) for row in group._coords.tolist()]
 
 
+def _write_rows(fh, prefix: str, coords: list[str], flat: np.ndarray) -> None:
+    """One CSV block: prefix, coordinates, re, im per row, as csv.writer writes it.
+
+    flat holds the interleaved re, im of one value per coordinate string.
+    """
+    template = "".join([f"{prefix}{c},%r,%r\r\n" for c in coords])
+    fh.write(template % tuple(flat.tolist()))
+
+
 def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
     """Strict CSV read: coordinates in range, finite values, every element exactly once."""
     values = np.empty(group.order, dtype=np.complex128)
@@ -181,9 +190,8 @@ def save_signal(path, signal: Signal) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"i{j}" for j in range(signal.group.ndim)] + ["re", "im"]) + "\r\n")
         for start in range(0, len(coords), _CHUNK):
-            block = coords[start:start + _CHUNK]
-            template = "".join([f"{c},%r,%r\r\n" for c in block])
-            fh.write(template % tuple(flat[2 * start:2 * (start + len(block))].tolist()))
+            stop = start + _CHUNK
+            _write_rows(fh, "", coords[start:stop], flat[2 * start:2 * stop])
 
 
 def load_coefficients(path) -> CoefficientArray:
@@ -243,7 +251,6 @@ def save_stft_grid(path, grid: STFTGrid) -> None:
     """CSV rows t-coords, s-coords, re, im; t-major order, one write per t."""
     group = grid.group
     coords = _coord_strings(group)
-    tails = [f",{c},%r,%r\r\n" for c in coords]
     with open(path, "w", newline="") as fh:
         fh.write(
             ",".join([f"t{j}" for j in range(group.ndim)]
@@ -251,36 +258,32 @@ def save_stft_grid(path, grid: STFTGrid) -> None:
             + "\r\n"
         )
         for t, row in zip(coords, grid.values):
-            template = t + t.join(tails)
-            fh.write(template % tuple(row.view(np.float64).tolist()))
+            _write_rows(fh, t + ",", coords, row.view(np.float64))
 
 
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, fixed indentation, newline at EOF.
 
-    Top-level values that are NumPy arrays are complex value lists and are
-    written as [re, im] pairs, streamed in chunks; everything else goes
-    through json.  Non-finite numbers raise ValueError, as allow_nan=False.
+    Top-level complex NumPy arrays are written as [re, im] pairs, streamed
+    in chunks; every other value goes through json, so any other array
+    raises TypeError there.  Non-finite numbers raise ValueError, as
+    allow_nan=False.
     """
-    arrays = {k for k, v in payload.items() if isinstance(v, np.ndarray)}
-    for key in arrays:
+    pairs = {k for k, v in payload.items() if isinstance(v, np.ndarray) and np.iscomplexobj(v)}
+    for key in pairs:
         if not np.isfinite(payload[key]).all():
             raise ValueError(f"Out of range float values are not JSON compliant in {key!r}")
     with open(path, "w") as fh:
-        if not arrays:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        else:
-            sep = "{\n  "
-            for key in sorted(payload):
-                fh.write(sep + json.dumps(key) + ": ")
-                sep = ",\n  "
-                if key in arrays:
-                    fh.writelines(_pair_chunks(payload[key]))
-                else:
-                    text = json.dumps(payload[key], sort_keys=True, indent=2, allow_nan=False)
-                    fh.write(text.replace("\n", "\n  "))
-            fh.write("\n}")
-        fh.write("\n")
+        sep = "{\n  "
+        for key in sorted(payload):
+            fh.write(sep + json.dumps(key) + ": ")
+            sep = ",\n  "
+            if key in pairs:
+                fh.writelines(_pair_chunks(payload[key]))
+            else:
+                text = json.dumps(payload[key], sort_keys=True, indent=2, allow_nan=False)
+                fh.write(text.replace("\n", "\n  "))
+        fh.write("\n}\n" if payload else "{}\n")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

@@ -99,6 +99,16 @@ class TestJSONWriter:
         io.write_json(tmp_path / "r.json", payload)
         assert (tmp_path / "r.json").read_text() == json_oracle(payload)
 
+    def test_empty_payload(self, tmp_path):
+        io.write_json(tmp_path / "e.json", {})
+        assert (tmp_path / "e.json").read_text() == json_oracle({})
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_non_complex_array_is_rejected(self, tmp_path, dtype):
+        # only complex arrays are pair lists; others must not pass as [x, 0.0]
+        with pytest.raises(TypeError):
+            io.write_json(tmp_path / "x.json", {"moduli": np.array([4, 6], dtype=dtype)})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_raises(self, tmp_path, bad):
         values = np.array([1.0, bad, 2.0], dtype=np.complex128)
