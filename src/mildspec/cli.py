@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed check or domain error, 2 usage error,
-3 malformed input file, 4 group mismatch.  Reports and output files are
-deterministic for a fixed seed so runs can be diffed byte for byte.
+3 malformed or unreadable input file, 4 group mismatch; main() maps
+exceptions to codes through one table, _EXIT_CODES.  Reports and output
+files are deterministic for a fixed seed so runs can be diffed byte for
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -22,7 +25,7 @@ from .errors import (
     SchemaError,
     SupportViolation,
 )
-from .fourier import UNITARY, dft, idft, poisson_check, restriction, weil_map
+from .fourier import COUNTING, UNITARY, dft, idft, poisson_check, restriction, weil_map
 from .gabor import GaborSystem, TFLattice, stft
 from .groups import GroupSpec, all_subgroups, annihilator, grid_subgroup
 from .mild import (
@@ -52,6 +55,14 @@ def _steps_type(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad lattice steps {text!r}") from exc
 
 
+def _tolerance_type(text: str) -> float:
+    value = float(text)
+    # inf would pass every check and nan fail every one
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _ab_type(text: str) -> dict:
     """Parse 'a=2,b=2' (axis values may be joined with 'x': a=2x4)."""
     out = {}
@@ -72,25 +83,12 @@ def _default_ab(G: GroupSpec) -> tuple[int, ...]:
     # keep every axis strictly oversampled: a = b at exactly sqrt(n) lattice
     # points per sample is the critical density, where the Gaussian system
     # can be singular, so small even axes get only one coarsened direction
-    out = []
-    for m in G.moduli:
-        if m % 2 == 0 and m >= 8:
-            out.append(2)
-        else:
-            out.append(1)
-    return tuple(out)
+    return tuple(2 if m % 2 == 0 and m >= 8 else 1 for m in G.moduli)
 
 
 def _default_step(G: GroupSpec) -> tuple[int, ...]:
-    out = []
-    for m in G.moduli:
-        step = 1
-        for cand in (8, 4, 2):
-            if m % cand == 0 and cand < m:
-                step = cand
-                break
-        out.append(step)
-    return tuple(out)
+    # the largest of 8, 4, 2 that divides the modulus and is below it, else 1
+    return tuple(next((c for c in (8, 4, 2) if m % c == 0 and c < m), 1) for m in G.moduli)
 
 
 def _fit_steps(G: GroupSpec, steps: tuple[int, ...] | None, fallback) -> tuple[int, ...]:
@@ -125,12 +123,8 @@ def cmd_verify(args) -> int:
 
 def cmd_dft(args) -> int:
     f = io.load_signal(args.input, group=args.group)
-    convention = UNITARY if args.unitary else None
-    if convention is None:
-        out = idft(f) if args.inverse else dft(f)
-    else:
-        out = idft(f, convention=convention) if args.inverse else dft(f, convention=convention)
-    io.save_signal(args.out, out)
+    transform = idft if args.inverse else dft
+    io.save_signal(args.out, transform(f, convention=UNITARY if args.unitary else COUNTING))
     print(f"wrote {args.out}")
     return 0
 
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_steps_type, default=None, help="frequency step per axis")
     p.add_argument("--lattice", type=_steps_type, default=None,
                    help="sampling step per axis for the approx suite")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance_type, default=None,
                    help="override every numeric threshold")
     p.add_argument("--report", "--out", dest="report", default=None,
                    help="write the run report as JSON")
@@ -469,26 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception type -> exit code, first match wins: the library's error types
+# derive from ValueError, so they come before it
+_EXIT_CODES = (
+    (SchemaError, 3),
+    (GroupMismatchError, 4),
+    ((SupportViolation, NotPeriodic, NotAFrame, DomainError), 1),
+    (OSError, 3),
+    (ValueError, 2),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except Exception as exc:
+        code = next((c for types, c in _EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GroupMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (SupportViolation, NotPeriodic, NotAFrame, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,19 @@
 """Short-time Fourier transform, concentration norms, and Gabor frames.
 
 The STFT with window g is V_g f(t, s) = <f, M_s T_t g> = sum_x f(x)
-conj(chi_s(x) g(x - t)); each fixed t needs one FFT of the windowed signal.
-Rows are produced a block of about 2^20 cells at a time, the shifted
-windows read as views of one wrap-padded copy of conj g.  Against the
-canonical Gaussian window g0 this yields the two norms
+conj(chi_s(x) g(x - t)).  One kernel computes it on a separable
+time-frequency lattice aZ x bZ (per-axis steps dividing the moduli): for
+each time point t in aZ the windowed signal f(x) conj g(x - t) is folded
+over PZ, P = N/b the annihilator step of bZ, and one FFT of size prod P
+gives V_g f(t, s) at every s in bZ (the aliasing identity).  The shifted
+windows of a block of time points are one indexed read of a sliding-window
+view of a wrap-padded copy of conj g, and every kernel works in blocks of
+at most _BLOCK_CELLS cells.  Synthesis is the exact adjoint: per time point
+an inverse FFT gives the tone on one period, whose periodic extension is
+multiplied by g(x - t).
+
+The full STFT grid is the lattice a = b = 1, where nothing is folded.
+Against the canonical Gaussian window g0 it yields the two norms
 
     s0_norm(f)       = sum_{t,s} |V_g0 f(t,s)| / ||g0||_2^2
     s0prime_norm(f)  = max_{t,s} |pair(f, M_s T_t g0)| = max_{t,s} |V_g0 f(t, -s)|,
@@ -14,20 +23,16 @@ relative to the conjugating inner product; the grids coincide, so the max
 is taken over |V_g0 f| directly.  Both reduce block by block, so neither
 holds the |G| x |G| grid; stft() still returns the full grid.
 
-A Gabor system is the window's orbit under a separable time-frequency
-lattice aZ x bZ (per-axis steps dividing the moduli).  Analysis restricted
-to the lattice folds the windowed signal to one period per axis before the
-FFT; synthesis is the exact adjoint.  The frame operator S f = sum_lambda
-<f, pi(lambda) g> pi(lambda) g couples x only with x + PZ, P = N/b the
-annihilator step of bZ (the Walnut form).  Grouping x = r + kP by its
-residue r in Z_P splits S into prod P_j Hermitian blocks of size
-prod b_j,
+The frame operator S f = sum_lambda <f, pi(lambda) g> pi(lambda) g
+couples x only with x + PZ (the Walnut form).  Grouping x = r + kP by its
+residue r in Z_P splits S into prod P_j Hermitian blocks of size prod b_j,
 
     M_r[k, k'] = prod P_j * sum_{t in aZ} g(r + kP - t) conj g(r + k'P - t),
 
-so the frame bounds (A, B) are the extreme block eigenvalues and the
-canonical dual window S^{-1} g comes from one batched block solve.  Useful
-constants under the counting convention: the full lattice a = b = 1 gives
+whose entries come from the same shifted-window read and an aZ fold.  The
+frame bounds (A, B) are the extreme block eigenvalues and the canonical
+dual window S^{-1} g comes from one batched block solve.  Useful constants
+under the counting convention: the full lattice a = b = 1 gives
 S = |G| ||g||_2^2 Id, and Moyal's identity reads sum_{t,s} |V_g f|^2 =
 |G| ||g||_2^2 ||f||_2^2.
 """
@@ -38,14 +43,14 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupMismatchError, NotAFrame
 from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
-from .signals import Signal, finite_gaussian
+from .signals import Signal, _coset_shape, _fold, finite_gaussian
 
 __all__ = [
     "TFLattice",
@@ -162,58 +167,114 @@ class CoefficientArray:
         return f"CoefficientArray({self.coeffs.shape} on {self.lattice!r})"
 
 
-# cells of one STFT row block: bounds the working set of every STFT route
-_STFT_BLOCK_CELLS = 1 << 20
+# cells of one block of every time-frequency kernel: bounds their working set
+_BLOCK_CELLS = 1 << 16
 
 
-def _stft_rows(f: Signal, window: Signal) -> Iterator[tuple[int, np.ndarray]]:
-    """STFT rows in blocks: yields (start, V[start:start + m]) with m * |G| <= 2^20.
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of rows, each block at most _BLOCK_CELLS cells of the given width."""
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
-    Row t needs conj g(x - t) at every x.  All of these are windows of one
-    copy of conj g wrap-padded by N - 1 per axis: the window at offset
-    N - 1 - t reads conj g(x - t), so a block of rows is one indexed read of
-    a sliding-window view.
+
+def _shifted_conj(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Reader of conj g(x - t) for a block of time points t (rows of coordinates).
+
+    Every shift of g is a window of one copy of conj g wrap-padded by N - 1
+    per axis: the window at offset (N - 1 - t) mod N reads conj g(x - t), so
+    a block of shifts is one indexed read of a sliding-window view.  The
+    read returns a new array of shape (len(t),) + moduli.
     """
-    if f.group != window.group:
-        raise GroupMismatchError("signal and window live on different groups")
-    group = f.group
-    n, moduli = group.order, group.moduli
-    padded = np.pad(np.conj(window.grid()), [(m - 1, 0) for m in moduli], mode="wrap")
-    views = sliding_window_view(padded, moduli)
-    offsets = (np.array(moduli) - 1) - group._coords
-    fgrid = f.grid()
+    moduli = np.array(grid.shape)
+    padded = np.pad(np.conj(grid), [(n - 1, 0) for n in grid.shape], mode="wrap")
+    views = sliding_window_view(padded, grid.shape)
+    return lambda times: views[tuple(((moduli - 1 - times) % moduli).T)]
+
+
+def _periods(lattice: TFLattice) -> tuple[int, ...]:
+    """P = N / b per axis: the steps of the annihilator of the frequency lattice bZ."""
+    return tuple(n // b for n, b in zip(lattice.group.moduli, lattice.freq_steps))
+
+
+def _tf_rows(
+    values: np.ndarray, window: Signal, lattice: TFLattice
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Lattice STFT of a signal's values, one block of time points at a time.
+
+    Yields (block, V) with V[i, k] = V_g f(t_i, s_k) for the time points
+    t_i of the block and every lattice frequency s_k, both in element order.
+    Each windowed signal is folded over PZ (the aliasing identity), so one
+    FFT of size prod P gives all lattice frequencies; on the full lattice
+    nothing is folded.
+    """
+    group = lattice.group
+    if window.group != group:
+        raise GroupMismatchError("window and lattice live on different groups")
+    read = _shifted_conj(window.grid())
+    fgrid = values.reshape(group.moduli)
+    times = lattice.time_lattice.coords_array
+    periods = _periods(lattice)
     axes = tuple(range(1, group.ndim + 1))
-    chunk = max(1, _STFT_BLOCK_CELLS // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = views[tuple(offsets[start:stop].T)]
-        rows *= fgrid
-        yield start, np.fft.fftn(rows, axes=axes).reshape(stop - start, n)
+    for block in _row_blocks(len(times), group.order):
+        windowed = read(times[block])
+        np.multiply(fgrid, windowed, out=windowed)
+        folded = _fold(windowed, periods)
+        yield block, np.fft.fftn(folded, axes=axes).reshape(len(folded), -1)
 
 
-def _stft_abs_sum(f: Signal, window: Signal) -> float:
-    """sum_{t,s} |V_g f(t, s)|, one row block at a time."""
-    return float(sum(np.sum(np.abs(rows)) for _, rows in _stft_rows(f, window)))
+def _tf_analysis(values: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
+    """The whole lattice STFT, shape (time points, frequency points)."""
+    out = np.empty((lattice.time_lattice.order, lattice.freq_lattice.order), dtype=np.complex128)
+    for block, rows in _tf_rows(values, window, lattice):
+        out[block] = rows
+    return out
 
 
-def _stft_abs_max(f: Signal, window: Signal) -> float:
-    """max_{t,s} |V_g f(t, s)|, one row block at a time."""
-    return max(float(np.max(np.abs(rows))) for _, rows in _stft_rows(f, window))
+def _tf_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> float:
+    """max |lattice STFT|, one block at a time."""
+    return max(float(np.max(np.abs(rows))) for _, rows in _tf_rows(values, window, lattice))
+
+
+def _tf_synthesis(coeffs: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
+    """Adjoint of _tf_rows: sum_{t,s} c(t, s) M_s T_t g for coefficients (nt, nf).
+
+    Per time point the inverse FFT of size prod P is the tone on one period;
+    its periodic extension times g(x - t) is the sum over the frequencies.
+    """
+    group = lattice.group
+    if window.group != group:
+        raise GroupMismatchError("window and lattice live on different groups")
+    read = _shifted_conj(np.conj(window.grid()))
+    times = lattice.time_lattice.coords_array
+    periods = _periods(lattice)
+    axes = tuple(range(1, group.ndim + 1))
+    split, scale = _coset_shape(group.moduli, periods), math.prod(periods)
+    # a tone on one period broadcasts over the N/P axes of the split: its periodic extension
+    tone_shape = tuple(x for p in periods for x in (1, p))
+    out = np.zeros(group.order, dtype=np.complex128)
+    for block in _row_blocks(len(times), group.order):
+        tones = np.fft.ifftn(coeffs[block].reshape((-1,) + periods), axes=axes) * scale
+        m = len(tones)
+        terms = read(times[block]).reshape((m,) + split)
+        np.multiply(tones.reshape((m,) + tone_shape), terms, out=terms)
+        terms = terms.reshape(m, -1)
+        # the running sum enters the first term: terms add up in time order whatever the block size
+        terms[0] += out
+        out = terms.sum(axis=0)
+    return out
 
 
 def stft(f: Signal, window: Signal) -> STFTGrid:
-    """Full STFT grid, filled from the row-block kernel."""
-    n = f.group.order
-    out = np.empty((n, n), dtype=np.complex128)
-    for start, rows in _stft_rows(f, window):
-        out[start:start + rows.shape[0]] = rows
-    return STFTGrid(f.group, window, out)
+    """Full STFT grid: the lattice STFT on the full lattice a = b = 1."""
+    return STFTGrid(f.group, window, _tf_analysis(f.values, window, TFLattice(f.group, 1, 1)))
 
 
 def s0_norm(f: Signal) -> float:
     """Concentration norm against the Gaussian window: sum |V_g0 f| / ||g0||_2^2."""
     g0 = finite_gaussian(f.group)
-    return _stft_abs_sum(f, g0) / (g0.norm2**2)
+    rows = _tf_rows(f.values, g0, TFLattice(f.group, 1, 1))
+    return float(sum(np.sum(np.abs(v)) for _, v in rows)) / (g0.norm2**2)
 
 
 def s0prime_norm(sigma: Signal) -> float:
@@ -222,93 +283,28 @@ def s0prime_norm(sigma: Signal) -> float:
     Equals max over (t, s) of |pair(sigma, M_s T_t g0)|; the bilinear pairing
     only reflects the frequency axis, which leaves the max unchanged.
     """
-    return _stft_abs_max(sigma, finite_gaussian(sigma.group))
-
-
-def _interleaved_shape(moduli, freq_steps):
-    shape = []
-    for n, b in zip(moduli, freq_steps):
-        shape.extend((b, n // b))
-    return tuple(shape)
-
-
-def _lattice_rows(batch: np.ndarray, window: Signal, lattice: TFLattice) -> Iterator[np.ndarray]:
-    """Lattice-restricted STFT of a batch (B, |G|), one (B, nf) row per time point.
-
-    Per time point the windowed signal is folded to one period per axis (the
-    aliasing identity), then one small FFT produces all lattice frequencies.
-    """
-    group = lattice.group
-    moduli = group.moduli
-    b_steps = lattice.freq_steps
-    nf = math.prod(n // b for n, b in zip(moduli, b_steps))
-    B = batch.shape[0]
-    roll_axes = tuple(range(group.ndim))
-    sum_axes = tuple(1 + 2 * j for j in range(group.ndim))
-    inter = (B,) + _interleaved_shape(moduli, b_steps)
-    fft_axes = tuple(range(1, group.ndim + 1))
-    wgrid = window.grid()
-    for t in lattice.time_lattice.coords_array:
-        shifted = np.roll(wgrid, shift=t, axis=roll_axes)
-        prod = batch.reshape((B,) + moduli) * np.conj(shifted)[None]
-        folded = prod.reshape(inter).sum(axis=sum_axes)
-        yield np.fft.fftn(folded, axes=fft_axes).reshape(B, nf)
-
-
-def _lattice_analysis(batch: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
-    """Lattice-restricted STFT of a batch (B, |G|), shape (B, nt, nf)."""
-    shape = (batch.shape[0], lattice.time_lattice.order, lattice.freq_lattice.order)
-    out = np.empty(shape, dtype=np.complex128)
-    for ti, row in enumerate(_lattice_rows(batch, window, lattice)):
-        out[:, ti, :] = row
-    return out
-
-
-def _lattice_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> float:
-    """max |lattice STFT| of one signal, one time point at a time."""
-    return max(float(np.max(np.abs(row))) for row in _lattice_rows(values[None], window, lattice))
-
-
-def _lattice_synthesis(coeff_batch: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
-    """Adjoint of _lattice_analysis: (B, nt, nf) -> (B, |G|)."""
-    group = lattice.group
-    moduli = group.moduli
-    b_steps = lattice.freq_steps
-    folded_shape = tuple(n // b for n, b in zip(moduli, b_steps))
-    scale = math.prod(folded_shape)
-    times = lattice.time_lattice.coords_array
-    B = coeff_batch.shape[0]
-    roll_axes = tuple(range(group.ndim))
-    fft_axes = tuple(range(1, group.ndim + 1))
-    wgrid = window.grid()
-    out = np.zeros((B,) + moduli, dtype=np.complex128)
-    for ti, t in enumerate(times):
-        c = coeff_batch[:, ti, :].reshape((B,) + folded_shape)
-        tone = np.fft.ifftn(c, axes=fft_axes) * scale
-        tone_full = np.tile(tone, (1,) + b_steps)
-        out += tone_full * np.roll(wgrid, shift=t, axis=roll_axes)[None]
-    return out.reshape(B, group.order)
+    return _tf_abs_max(sigma.values, finite_gaussian(sigma.group), TFLattice(sigma.group, 1, 1))
 
 
 def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:
     """The Hermitian blocks M_r of the frame operator, shape (prod P, B, B).
 
     M_r[k, k'] = prod P * C_m(r + kP) with m = k' - k mod b, where
-    C_m(x) = sum_{t in aZ} g(x - t) conj g(x + mP - t) is the aZ-periodization
-    of g * conj(T_{-mP} g) and so depends on x only modulo a.
+    C_m(x) = sum_{t in aZ} g(x - t) conj g(x + mP - t) is the aZ-fold of
+    g * conj(T_{-mP} g) and so depends on x only modulo a.
     """
     group = lattice.group
-    moduli, a, b = group.moduli, lattice.time_steps, lattice.freq_steps
-    P = np.array([n // bj for n, bj in zip(moduli, b)])
+    a, b = lattice.time_steps, lattice.freq_steps
+    P = np.array(_periods(lattice))
     g = window.grid()
+    read = _shifted_conj(g)
     k = np.indices(b).reshape(group.ndim, -1).T
     r = np.indices(tuple(P)).reshape(group.ndim, -1).T
-    per_shape = tuple(x for n, aj in zip(moduli, a) for x in (n // aj, aj))
-    per_axes = tuple(range(0, 2 * group.ndim, 2))
     C = np.empty((len(k), math.prod(a)), dtype=np.complex128)
-    for i, m in enumerate(k):
-        h = g * np.conj(np.roll(g, shift=tuple(-m * P), axis=tuple(range(group.ndim))))
-        C[i] = h.reshape(per_shape).sum(axis=per_axes).reshape(-1)
+    for block in _row_blocks(len(k), group.order):
+        h = read(-k[block] * P)
+        np.multiply(g, h, out=h)
+        C[block] = _fold(h, a).reshape(len(h), -1)
     m = (k[None, :, :] - k[:, None, :]) % np.array(b)
     m_idx = np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)), b)
     u = (r[:, None, :] + k[None, :, :] * P) % np.array(a)
@@ -343,16 +339,14 @@ class GaborSystem:
         if f.group != self.group:
             raise GroupMismatchError("signal lives on a different group")
         w = self.window if window is None else window
-        coeffs = _lattice_analysis(f.values[None, :], w, self.lattice)[0]
-        return CoefficientArray(self.lattice, coeffs)
+        return CoefficientArray(self.lattice, _tf_analysis(f.values, w, self.lattice))
 
     def synthesize(self, coeffs: CoefficientArray, window: Signal | None = None) -> Signal:
         """Weighted sum of lattice shifts of a window (default: the system's)."""
         if coeffs.lattice != self.lattice:
             raise GroupMismatchError("coefficients belong to a different lattice")
         w = self.window if window is None else window
-        vals = _lattice_synthesis(coeffs.coeffs[None, :, :], w, self.lattice)[0]
-        return Signal(self.group, vals)
+        return Signal(self.group, _tf_synthesis(coeffs.coeffs, w, self.lattice))
 
     def apply_frame(self, f: Signal) -> Signal:
         """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g."""
@@ -394,7 +388,7 @@ class GaborSystem:
         # the window as (b_1, P_1, ..., b_d, P_d), then P axes first: rows are the blocks
         d = self.group.ndim
         perm = tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2))
-        inter = _interleaved_shape(self.group.moduli, self.lattice.freq_steps)
+        inter = _coset_shape(self.group.moduli, _periods(self.lattice))
         rhs = self.window.values.reshape(inter).transpose(perm)
         solved = np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))
         values = solved.reshape(rhs.shape).transpose(np.argsort(perm)).reshape(-1)

@@ -18,8 +18,8 @@ json.dump(sort_keys=True, indent=2) and csv.writer (float.__repr__ numbers,
 "\r\n" row terminators); the tests hold the writers to those encoders.
 
 Malformed input raises SchemaError, which names the field, row or element:
-non-finite values, and in CSV a coordinate out of range or an element given
-twice or not at all.
+non-finite values, strings or booleans where a JSON number belongs, and in
+CSV a coordinate out of range or an element given twice or not at all.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import GroupMismatchError, SchemaError
 from .gabor import CoefficientArray, STFTGrid, TFLattice
 from .groups import GroupSpec
 from .signals import Signal
@@ -50,6 +50,8 @@ __all__ = [
 
 # pairs or rows formatted per write; bounds the text held in memory at once
 _CHUNK = 4096
+# the types json gives numbers; bool, a subclass of int, is left out on purpose
+_NUMBER_TYPES = {int, float}
 
 
 def _pair_chunks(values: np.ndarray):
@@ -81,6 +83,10 @@ def _parse_pairs(data, what: str) -> np.ndarray:
         raise SchemaError(f"{what} must be non-empty")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise SchemaError(f"{what} must be a list of [re, im] pairs")
+    # np.asarray reads "1.5" and true as numbers; JSON numbers parse to int or float
+    if not {type(v) for pair in data for v in pair} <= _NUMBER_TYPES:
+        i = next(i for i, pair in enumerate(data) if not {type(v) for v in pair} <= _NUMBER_TYPES)
+        raise SchemaError(f"{what}: entry {i} is {json.dumps(data[i])}, not a pair of numbers")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise SchemaError(f"{what}: entry {bad[0]} is not finite")
@@ -165,8 +171,6 @@ def load_signal(path, group: GroupSpec | None = None) -> Signal:
     data = _load_json(path)
     file_group = _group_from(data, path)
     if group is not None and group != file_group:
-        from .errors import GroupMismatchError
-
         raise GroupMismatchError(
             f"{path}: file group {file_group.moduli} does not match requested {group.moduli}"
         )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, NotPeriodic
 from .fourier import dft
-from .gabor import GaborSystem, _lattice_abs_max, _stft_abs_max, s0_norm, s0prime_norm
+from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm, s0prime_norm
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -205,7 +205,7 @@ def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = N
         raise GroupMismatchError("signals live on different groups")
     if window is None:
         window = finite_gaussian(sigma.group)
-    return _stft_abs_max(sigma - sigma0, window)
+    return _tf_abs_max((sigma - sigma0).values, window, TFLattice(sigma.group, 1, 1))
 
 
 def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> float:
@@ -214,8 +214,7 @@ def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> 
         raise GroupMismatchError("signals live on different groups")
     if system.group != sigma.group:
         raise GroupMismatchError("system lives on a different group")
-    delta = sigma.values - sigma0.values
-    return _lattice_abs_max(delta, system.canonical_dual, system.lattice)
+    return _tf_abs_max(sigma.values - sigma0.values, system.canonical_dual, system.lattice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +277,9 @@ def convergence_report(
     ).reshape(len(sequence.members), group.order)
     d_pair = [float(v) for v in _pairing_deviations(deltas, group, probes)]
     dual = system.canonical_dual
-
-    d_stft, d_coeff = [], []
-    for delta in deltas:
-        d_stft.append(_stft_abs_max(Signal(group, delta), window))
-        d_coeff.append(_lattice_abs_max(delta, dual, system.lattice))
+    plane = TFLattice(group, 1, 1)
+    d_stft = [_tf_abs_max(delta, window, plane) for delta in deltas]
+    d_coeff = [_tf_abs_max(delta, dual, system.lattice) for delta in deltas]
 
     ratios: dict[str, float] = {}
     for name, series in (("pair", d_pair), ("coeff", d_coeff)):

@@ -1,8 +1,9 @@
 """Slow reference implementations used as oracles.
 
 Everything here is written from the defining sums, with exact integer
-character phases and no FFT shortcuts; the fast paths are tested against
-these at small sizes and the runtime verify suites reuse them.
+character phases and no FFT shortcuts, and none of it calls the kernels it
+checks; the fast paths are tested against these at small sizes and the
+runtime verify suites reuse them.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 import numpy as np
 
 from .fourier import COUNTING, FourierConvention
-from .gabor import GaborSystem, TFLattice, _lattice_analysis, _lattice_synthesis
+from .gabor import GaborSystem, TFLattice
 from .groups import GroupElement, GroupSpec, Subgroup, _character_block
-from .signals import Signal, translate
+from .signals import Signal, tf_shift, translate
 
 __all__ = [
     "naive_dft",
@@ -65,19 +66,15 @@ def stft_direct(f: Signal, window: Signal) -> np.ndarray:
 
 
 def synthesis_matrix(window: Signal, lattice: TFLattice) -> np.ndarray:
-    """Dense synthesis operator: columns are pi(lambda) g in lattice order."""
-    from .signals import tf_shift
-
-    cols = [
-        tf_shift(window, t, s).values for t, s in lattice.points()
-    ]
-    return np.array(cols, dtype=np.complex128).T
+    """Dense synthesis operator: columns are pi(lambda) g = M_s T_t g in lattice order."""
+    group = lattice.group
+    shifted = np.stack([translate(window, t).values for t in lattice.time_lattice.coords_array])
+    chars = _character_block(group, lattice.freq_lattice.coords_array, group._coords)
+    return (shifted[:, None, :] * chars[None, :, :]).reshape(lattice.size, group.order).T
 
 
 def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
     """Frame operator straight from the definition, one atom at a time."""
-    from .signals import tf_shift
-
     out = np.zeros(f.group.order, dtype=np.complex128)
     for t, s in system.lattice.points():
         atom = tf_shift(system.window, t, s).values
@@ -86,19 +83,9 @@ def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
 
 
 def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
-    """Dense |G| x |G| frame operator, synthesis of the analysis of each unit vector."""
-    n = system.group.order
-    S = np.empty((n, n), dtype=np.complex128)
-    chunk = max(1, min(64, n))
-    eye = np.eye(n, dtype=np.complex128)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = _lattice_synthesis(
-            _lattice_analysis(eye[start:stop], system.window, system.lattice),
-            system.window,
-            system.lattice,
-        )
-        S[:, start:stop] = block.T
+    """Dense |G| x |G| frame operator S = M M^H, M the synthesis matrix."""
+    M = synthesis_matrix(system.window, system.lattice)
+    S = M @ M.conj().T
     return (S + S.conj().T) / 2
 
 

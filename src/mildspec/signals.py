@@ -225,21 +225,38 @@ def translate(f: Signal, t) -> Signal:
     return Signal(f.group, rolled.reshape(-1))
 
 
+def _coset_shape(moduli, steps) -> tuple[int, ...]:
+    """Each axis N_j split as (N_j / a_j, a_j): lattice index outer, residue mod a_j inner."""
+    return tuple(x for n, a in zip(moduli, steps) for x in (n // a, a))
+
+
+def _fold(values: np.ndarray, steps) -> np.ndarray:
+    """Sum the trailing group axes of values over each coset r + aZ of a grid lattice.
+
+    The result keeps the leading axes and has trailing shape a.  For the
+    lattice {0} (every step equal to its modulus) it is values itself.
+    """
+    steps = tuple(steps)
+    lead = values.ndim - len(steps)
+    moduli = values.shape[lead:]
+    if moduli == steps:
+        return values
+    split = values.reshape(values.shape[:lead] + _coset_shape(moduli, steps))
+    return split.sum(axis=tuple(range(lead, split.ndim, 2)))
+
+
 def _translate_sum(f: Signal, lattice: Subgroup) -> np.ndarray:
     """sum over t in a grid lattice of T_t f, in O(|G|).
 
     The sum is constant on each coset x + H and equals the sum of f over
-    it.  For H = a_1 Z x ... x a_d Z every axis splits as (N_j/a_j, a_j):
-    summing the N_j/a_j axes gives the coset totals, which are tiled back.
+    it: the fold of f over H, tiled back over the group.
     reference.translate_sum_direct is the one-translate-per-point oracle.
     """
     steps = lattice.axis_steps
     if steps is None:
         raise GroupMismatchError("translate sums need a per-axis grid lattice")
-    split = [m for n, a in zip(f.group.moduli, steps) for m in (n // a, a)]
-    blocks = f.values.reshape(split)
-    totals = blocks.sum(axis=tuple(range(0, len(split), 2)), keepdims=True)
-    return np.broadcast_to(totals, blocks.shape).reshape(-1)
+    tiles = tuple(n // a for n, a in zip(f.group.moduli, steps))
+    return np.tile(_fold(f.grid(), steps), tiles).reshape(-1)
 
 
 def modulate(f: Signal, s) -> Signal:

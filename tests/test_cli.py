@@ -253,6 +253,19 @@ class TestExitCodes:
         assert "exceeds the enumeration bound 4096" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_strings_and_booleans_in_pairs_are_schema_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"group": [4], "values": [["1.5", true], [0, "-2"], [1, 0], [1, 0]]}')
+        proc = run_cli("dft", bad, "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert "'values': entry 0 is [\"1.5\", true], not a pair of numbers" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, value):
+        proc = run_cli("verify", "group", "--group", "4", "--tolerance", value)
+        assert proc.returncode == 2
+        assert "tolerance must be finite and >= 0" in proc.stderr
+
     def test_unknown_demo_is_usage_error(self):
         assert run_cli("demo", "nonsense").returncode == 2
 
@@ -359,3 +372,50 @@ class TestApproxCommand:
     def test_dirac_target(self):
         proc = run_cli("approx", "--group", "32", "--lattice", "4", "--target", "dirac")
         assert proc.returncode == 0
+
+
+def _malformed(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    return bad
+
+
+def _signal(tmp_path):
+    src = tmp_path / "f.json"
+    io.save_signal(src, random_signal(GroupSpec((8,)), np.random.default_rng(0)))
+    return src
+
+
+def _overflowing_signal(tmp_path):
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"group": [2], "values": [[1e308, 0], [1e308, 0]]}))
+    return src
+
+
+class TestExitCodeTable:
+    """One case per row of cli._EXIT_CODES, in table order."""
+
+    @pytest.mark.parametrize("make_args, code", [
+        # SchemaError
+        (lambda tmp: ["dft", _malformed(tmp), "--out", tmp / "x.json"], 3),
+        # GroupMismatchError
+        (lambda tmp: ["restrict", _signal(tmp), "--lattice", "5", "--out", tmp / "x.json"], 4),
+        # domain rejections: SupportViolation, NotPeriodic, NotAFrame, DomainError
+        (lambda tmp: ["gabor", "analyze", _signal(tmp), "--a", "4", "--b", "4",
+                      "--out", tmp / "x.json"], 1),
+        # OSError: the input path is a directory
+        (lambda tmp: ["dft", tmp, "--out", tmp / "x.json"], 3),
+        # any other ValueError: the transform overflows to a non-finite signal
+        (lambda tmp: ["dft", _overflowing_signal(tmp), "--out", tmp / "x.json"], 2),
+    ], ids=["schema", "group-mismatch", "domain", "os-error", "value-error"])
+    def test_row(self, tmp_path, make_args, code):
+        proc = run_cli(*make_args(tmp_path))
+        assert proc.returncode == code
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_one_case_per_row(self):
+        from mildspec.cli import _EXIT_CODES
+
+        assert [c for _, c in _EXIT_CODES] == [3, 4, 1, 3, 2]
+

@@ -337,6 +337,21 @@ class TestLattice:
         assert pts[1][0].coords == (0,) and pts[1][1].coords == (4,)
 
 
+def _draw_lattice(data):
+    """A group of order <= 64 with <= 3 axes, divisor steps a and b, and a seeded rng."""
+    moduli = data.draw(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 64
+        ),
+        label="moduli",
+    )
+    divisors = [[q for q in range(1, n + 1) if n % q == 0] for n in moduli]
+    a = tuple(data.draw(st.sampled_from(d), label="a") for d in divisors)
+    b = tuple(data.draw(st.sampled_from(d), label="b") for d in divisors)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    return TFLattice(GroupSpec(tuple(moduli)), a, b), np.random.default_rng(seed)
+
+
 def _dense_frame_data(system):
     S = reference.frame_matrix_dense(system)
     eig = np.linalg.eigvalsh(S)
@@ -404,19 +419,9 @@ class TestStructuredFrameOperator:
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(st.data())
     def test_random_groups_and_lattices_match_dense_oracle(self, data):
-        moduli = data.draw(
-            st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
-                lambda m: math.prod(m) <= 64
-            ),
-            label="moduli",
-        )
-        divisors = [[q for q in range(1, n + 1) if n % q == 0] for n in moduli]
-        a = tuple(data.draw(st.sampled_from(d), label="a") for d in divisors)
-        b = tuple(data.draw(st.sampled_from(d), label="b") for d in divisors)
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        G = GroupSpec(tuple(moduli))
-        window = random_signal(G, np.random.default_rng(seed))
-        _assert_blocks_match_dense(GaborSystem(window, TFLattice(G, a, b)), tol=1e-10)
+        lattice, rng = _draw_lattice(data)
+        window = random_signal(lattice.group, rng)
+        _assert_blocks_match_dense(GaborSystem(window, lattice), tol=1e-10)
 
     def test_no_dense_matrix_is_allocated(self):
         # the dense operator on Z4096 would be 256 MiB; the blocks are 2 x 2
@@ -464,7 +469,8 @@ class TestStreamedSTFT:
 
     @pytest.mark.parametrize("moduli", [(2048,), (32, 64)], ids=str)
     def test_grid_spanning_several_row_blocks(self, rng, moduli):
-        # |G| = 2048 rows of 2048 cells come in four blocks of 512 rows
+        # rows of 2048 cells come in blocks of _BLOCK_CELLS // 2048 = 32 rows,
+        # so rows 511 and 512 (and 1023 and 1024) sit in different blocks
         G = GroupSpec(moduli)
         g0 = finite_gaussian(G)
         f = random_signal(G, rng)
@@ -477,7 +483,7 @@ class TestStreamedSTFT:
         assert s0prime_norm(f) == float(np.max(np.abs(V)))
 
     def test_norms_never_hold_the_full_grid(self, rng):
-        # the Z4096 grid is 256 MiB; a row block is 16 MiB
+        # the Z4096 grid is 256 MiB; a row block is 1 MiB
         from mildspec import mild_deviation_stft
 
         G = GroupSpec((4096,))
@@ -492,3 +498,74 @@ class TestStreamedSTFT:
         finally:
             tracemalloc.stop()
         assert peak < 16 * G.order**2 / 4
+
+
+def _numpy_synthesis_rows(c, g, lattice, rows):
+    """sum over the given time rows of c(t, s) M_s T_t g, from numpy alone.
+
+    Per time point the coefficients sit on the frequency lattice bZ of a
+    zero spectrum; |G| times its inverse FFT is the tone sum_s c(t, s) chi_s.
+    """
+    G = lattice.group
+    axes = tuple(range(G.ndim))
+    on_lattice = tuple(slice(None, None, bj) for bj in lattice.freq_steps)
+    out = np.zeros(G.moduli, dtype=np.complex128)
+    for i in rows:
+        spectrum = np.zeros(G.moduli, dtype=np.complex128)
+        spectrum[on_lattice] = c[i].reshape(spectrum[on_lattice].shape)
+        shift = G.element_at(int(lattice.time_lattice.indices[i])).coords
+        out += np.roll(g.grid(), shift, axis=axes) * G.order * np.fft.ifftn(spectrum)
+    return out.reshape(-1)
+
+
+class TestTimeFrequencyKernels:
+    """Analysis and synthesis held to the synthesis matrix and to plain NumPy rows."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_analysis_and_synthesis_match_synthesis_matrix(self, data):
+        lattice, rng = _draw_lattice(data)
+        G = lattice.group
+        window, f = random_signal(G, rng), random_signal(G, rng)
+        c = rng.standard_normal(lattice.size) + 1j * rng.standard_normal(lattice.size)
+        system = GaborSystem(window, lattice)
+        M = reference.synthesis_matrix(window, lattice)
+        want = M.conj().T @ f.values
+        got = system.analyze(f).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = M @ c
+        got = system.synthesize(CoefficientArray(lattice, c)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("moduli,a,b", [((1024,), 2, 2), ((32, 64), (1, 2), (2, 4))],
+                             ids=str)
+    def test_lattice_spanning_several_row_blocks(self, rng, moduli, a, b):
+        from mildspec.gabor import _BLOCK_CELLS
+
+        G = GroupSpec(moduli)
+        lattice = TFLattice(G, a, b)
+        g, f = random_signal(G, rng), random_signal(G, rng)
+        system = GaborSystem(g, lattice)
+        per_block = _BLOCK_CELLS // G.order
+        nt = lattice.time_lattice.order
+        assert nt >= 4 * per_block
+        # the first and last rows of the first two blocks, and the last row
+        rows = [0, per_block - 1, per_block, 2 * per_block - 1, nt - 1]
+
+        on_lattice = tuple(slice(None, None, bj) for bj in lattice.freq_steps)
+        full = _numpy_stft_rows(f, g, lattice.time_lattice.indices[rows])
+        want = full.reshape((len(rows),) + moduli)[(slice(None),) + on_lattice]
+        got = system.analyze(f).coeffs[rows]
+        assert np.max(np.abs(got - want.reshape(len(rows), -1))) < 1e-12 * np.max(np.abs(want))
+
+        c = np.zeros((nt, lattice.freq_lattice.order), dtype=np.complex128)
+        c[rows] = rng.standard_normal((len(rows), c.shape[1])) + 1j * rng.standard_normal(
+            (len(rows), c.shape[1]))
+        want = _numpy_synthesis_rows(c, g, lattice, rows)
+        got = system.synthesize(CoefficientArray(lattice, c)).values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_frame_blocks_spanning_several_row_blocks(self, rng):
+        # prod b = 256 window shifts of 512 cells are two blocks of _BLOCK_CELLS
+        G = GroupSpec((512,))
+        _assert_blocks_match_dense(GaborSystem(random_signal(G, rng), TFLattice(G, 1, 256)))

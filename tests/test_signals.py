@@ -25,7 +25,7 @@ from mildspec import (
     trivial_subgroup,
 )
 from mildspec import reference
-from mildspec.signals import _translate_sum
+from mildspec.signals import _fold, _translate_sum
 
 
 class TestSignalBasics:
@@ -186,6 +186,23 @@ class TestTranslateSum:
         H = subgroup_generated(G, [(1, 1)])
         with pytest.raises(GroupMismatchError, match="grid lattice"):
             _translate_sum(random_signal(G, rng), H)
+
+
+class TestFold:
+    @pytest.mark.parametrize("moduli, steps", [
+        ((12,), (3,)), ((12,), (1,)), ((4, 6), (2, 3)), ((2, 3, 4), (1, 3, 2)),
+    ])
+    def test_sums_each_coset_with_leading_axes_kept(self, rng, moduli, steps):
+        values = rng.standard_normal((5,) + moduli)
+        want = np.zeros((5,) + steps)
+        for x in np.ndindex(*moduli):
+            r = tuple(xj % a for xj, a in zip(x, steps))
+            want[(slice(None),) + r] += values[(slice(None),) + x]
+        assert_allclose(_fold(values, steps), want, rtol=0, atol=1e-13)
+
+    def test_trivial_lattice_returns_its_input(self, rng):
+        values = rng.standard_normal((3, 4, 6))
+        assert _fold(values, (4, 6)) is values
 
 
 class TestFiniteGaussian:
