@@ -37,7 +37,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .gabor import s0_norm
 from .groups import GroupSpec, Subgroup
-from .signals import Signal, WeightedComb, _translate_sum, comb_to_signal, translate
+from .signals import Signal, WeightedComb, _frozen, _translate_sum, comb_to_signal, translate
 
 __all__ = [
     "BUPU",
@@ -63,13 +63,11 @@ class SampleArray:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
+        arr = _frozen(self.samples).reshape(-1)
         if arr.size != self.lattice.order:
             raise ValueError(
                 f"expected {self.lattice.order} samples, got {arr.size}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
 

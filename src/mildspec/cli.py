@@ -35,7 +35,7 @@ from .mild import (
     refining_comb_sequence,
 )
 from .signals import Signal, _translate_sum, dirac, dirac_comb, finite_gaussian, random_signal
-from .verify import run_suite
+from .verify import _SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run an invariant suite and report residuals")
-    p.add_argument("suite", choices=["group", "fourier", "gabor", "mild", "approx", "all"])
+    p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--group", type=_group_type, required=True,
                    help="comma-separated moduli, e.g. 24 or 4,6")
     p.add_argument("--seed", type=int, default=0)

@@ -20,8 +20,8 @@ multiplies the inverse likewise, making both isometries.
 Sampling is restriction to a subgroup; its adjoint embeds a subgroup signal
 back with zeros.  Periodization is the coset-sum (Weil) map onto a quotient.
 Transforms on subgroups and quotients are indexed through the dualities
-(G/H)^ = annihilator(H) and H^ = G^ / annihilator(H); both are computed by
-direct summation with exact integer character phases.
+(G/H)^ = annihilator(H) and H^ = G^ / annihilator(H), which make both of them
+readings of one group FFT; the direct sums are oracles in ``reference``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .groups import (
     GroupSpec,
     QuotientSpec,
     Subgroup,
-    _character_block,
     annihilator,
     quotient as quotient_of,
 )
@@ -161,29 +160,35 @@ def dft_subgroup(mu: SubgroupSignal, onto: QuotientSpec | None = None) -> Quotie
 
     Every character of H is the restriction of a parent character, and two
     parent frequencies restrict equally iff they differ by an annihilator
-    element; values are indexed by the quotient's representatives.  Direct
-    O(|H|^2) summation with exact phases.
+    element; so the transform is the group FFT of the zero-extended signal,
+    read at the quotient's representatives.
     """
     H = mu.subgroup
     group = H.parent
     if onto is None:
         onto = quotient_of(group, annihilator(H))
-    table = np.conj(_character_block(group, onto.rep_coords, H.coords_array))
-    return QuotientSignal(onto, table @ mu.values)
+    elif onto.subgroup != annihilator(H):
+        raise GroupMismatchError("quotient was not formed from the annihilator of the subgroup")
+    hat = dft(adjoint_restriction(mu, group))
+    return QuotientSignal(onto, hat.values[onto.rep_indices])
 
 
 def dft_quotient(q: QuotientSignal, onto: Subgroup | None = None) -> SubgroupSignal:
     """Transform on a quotient, indexed by the dual identification (G/H)^ = H-perp.
 
-    A frequency s annihilating H is constant on cosets, so evaluating its
-    character at any representative is well defined.  Direct summation.
+    A frequency annihilating H is constant on cosets: the transform is the group
+    FFT of the coset values placed at their representatives, read on H-perp.
     """
     H = q.quotient.subgroup
     group = H.parent
     if onto is None:
         onto = annihilator(H)
-    table = np.conj(_character_block(group, onto.coords_array, q.quotient.rep_coords))
-    return SubgroupSignal(onto, table @ q.values)
+    elif onto != annihilator(H):
+        raise GroupMismatchError("index set is not the annihilator of the quotiented subgroup")
+    placed = np.zeros(group.order, dtype=np.complex128)
+    placed[q.quotient.rep_indices] = q.values
+    hat = dft(Signal(group, placed))
+    return SubgroupSignal(onto, hat.values[onto.indices])
 
 
 class PoissonResult(NamedTuple):

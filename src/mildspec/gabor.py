@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupMismatchError, NotAFrame
 from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
-from .signals import Signal, _coset_shape, _fold, finite_gaussian
+from .signals import Signal, _coset_shape, _fold, _frozen, finite_gaussian
 
 __all__ = [
     "TFLattice",
@@ -123,12 +123,10 @@ class STFTGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = _frozen(self.values)
         n = self.group.order
         if vals.shape != (n, n):
             raise ValueError(f"expected a {n} x {n} grid, got {vals.shape}")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -147,12 +145,11 @@ class CoefficientArray:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = _frozen(self.coeffs)
         shape = (self.lattice.time_lattice.order, self.lattice.freq_lattice.order)
         if arr.size != self.lattice.size:
             raise ValueError(f"expected {self.lattice.size} coefficients, got {arr.size}")
-        arr = arr.reshape(shape).copy()
-        arr.setflags(write=False)
+        arr = arr.reshape(shape)
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -220,14 +217,19 @@ def _tf_rows(
         windowed = read(times[block])
         np.multiply(fgrid, windowed, out=windowed)
         folded = _fold(windowed, periods)
-        yield block, np.fft.fftn(folded, axes=axes).reshape(len(folded), -1)
+        # the FFT runs in place, and no name keeps a block alive into the next read
+        del windowed
+        yield block, np.fft.fftn(folded, axes=axes, out=folded).reshape(len(folded), -1)
+        del folded
 
 
 def _tf_analysis(values: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
-    """The whole lattice STFT, shape (time points, frequency points)."""
+    """The whole lattice STFT, shape (time points, frequency points), read-only."""
     out = np.empty((lattice.time_lattice.order, lattice.freq_lattice.order), dtype=np.complex128)
     for block, rows in _tf_rows(values, window, lattice):
         out[block] = rows
+        del rows
+    out.setflags(write=False)
     return out
 
 

@@ -416,19 +416,24 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
 class QuotientSpec:
     """Quotient G/H with one canonical representative per coset.
 
-    Representatives are the lexicographic minima of their cosets, listed in
-    sorted order; ``coset_map`` sends each canonical parent index to the
-    position of its coset's representative.
+    Representatives are the lexicographic minima of their cosets, stored as
+    their sorted canonical parent indices ``rep_indices``; ``coset_map`` sends
+    each canonical parent index to the position of its coset's
+    representative.  The ``GroupElement`` view is derived on first use.
     """
 
     parent: GroupSpec
     subgroup: Subgroup
-    representatives: tuple[GroupElement, ...]
+    rep_indices: np.ndarray = field(repr=False)
     coset_map: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.representatives)
+        return len(self.rep_indices)
+
+    @cached_property
+    def representatives(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(row) for row in self.parent._coords[self.rep_indices].tolist())
 
     def coset_index(self, x) -> int:
         return int(self.coset_map[self.parent.index(x)])
@@ -436,30 +441,32 @@ class QuotientSpec:
     def coset_rep(self, x) -> GroupElement:
         return self.representatives[self.coset_index(x)]
 
-    @cached_property
-    def rep_coords(self) -> np.ndarray:
-        arr = np.array([r.coords for r in self.representatives], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
     def __repr__(self) -> str:
         return f"QuotientSpec({self.parent!r} / order-{self.subgroup.order} subgroup, {self.size} cosets)"
 
 
 def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
-    """Quotient of the group by a subgroup, with lex-min coset representatives."""
+    """Quotient of the group by a subgroup, with lex-min coset representatives.
+
+    Each element is labelled with the least (row-major, so lex-min) index of
+    its coset: per generator g, label(x) = min(label(x), label(x + 2^k g)) for
+    each 2^k below the exponent lcm(N_j) reaches every multiple of g.
+    """
     if subgroup.parent != group:
         raise GroupMismatchError("subgroup belongs to a different group")
-    coset_map = np.full(group.order, -1, dtype=np.intp)
-    reps: list[GroupElement] = []
-    for i in range(group.order):
-        if coset_map[i] >= 0:
-            continue
-        # scanning in canonical order, the first untouched element is its coset's minimum
-        coset_map[group._index_rows(group._coords[i] + subgroup.coords_array)] = len(reps)
-        reps.append(group.element_at(i))
+    own = np.arange(group.order)
+    label = own
+    for g in subgroup.generators:
+        shift = group._index_rows(group._coords + g.coords)
+        for _ in range((group._char_lcm - 1).bit_length()):
+            label = np.minimum(label, label[shift])
+            shift = shift[shift]
+    is_rep = label == own
+    rep_indices = np.flatnonzero(is_rep)
+    coset_map = (np.cumsum(is_rep) - 1)[label]
+    rep_indices.setflags(write=False)
     coset_map.setflags(write=False)
-    return QuotientSpec(group, subgroup, tuple(reps), coset_map)
+    return QuotientSpec(group, subgroup, rep_indices, coset_map)
 
 
 def all_subgroups(group: GroupSpec, max_order: int = 4096) -> list[Subgroup]:

@@ -13,36 +13,54 @@ import math
 import numpy as np
 
 from .fourier import COUNTING, FourierConvention
-from .gabor import GaborSystem, TFLattice
-from .groups import GroupElement, GroupSpec, Subgroup, _character_block
-from .signals import Signal, tf_shift, translate
+from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice
+from .groups import GroupElement, GroupSpec, QuotientSpec, Subgroup, _character_block
+from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
 __all__ = [
     "naive_dft",
     "naive_idft",
     "stft_direct",
+    "dft_subgroup_direct",
+    "dft_quotient_direct",
     "synthesis_matrix",
     "frame_apply_direct",
+    "frame_matrix",
     "frame_matrix_dense",
     "subgroups_by_closure",
     "translate_sum_direct",
 ]
 
 
-def _dft_matrix(group: GroupSpec) -> np.ndarray:
-    return np.conj(_character_block(group, group._coords, group._coords))
+def _character_sum(
+    group: GroupSpec, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, sign: int = -1
+) -> np.ndarray:
+    """sum_c exp(sign 2 pi i <r, c>) values[c] for each coordinate row r.
+
+    Phases are exact integer residues mod lcm(N_j).  The character table is
+    built one block of rows at a time, at most _BLOCK_CELLS entries at once;
+    values may carry trailing columns, summed alike.
+    """
+    out = np.empty((len(rows),) + values.shape[1:], dtype=np.complex128)
+    step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        table = _character_block(group, rows[start:start + step], cols)
+        out[start:start + step] = (np.conj(table) if sign < 0 else table) @ values
+    return out
 
 
 def naive_dft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
     """O(|G|^2) transform straight from the definition."""
-    out = _dft_matrix(f.group) @ f.values
+    coords = f.group._coords
+    out = _character_sum(f.group, coords, coords, f.values)
     if convention.normalization == "unitary":
         out = out / math.sqrt(f.group.order)
     return Signal(f.group, out)
 
 
 def naive_idft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
-    out = np.conj(_dft_matrix(f.group)) @ f.values
+    coords = f.group._coords
+    out = _character_sum(f.group, coords, coords, f.values, sign=1)
     if convention.normalization == "unitary":
         out = out / math.sqrt(f.group.order)
     else:
@@ -53,16 +71,28 @@ def naive_idft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
 def stft_direct(f: Signal, window: Signal) -> np.ndarray:
     """Full STFT grid by the double sum; O(|G|^3), small groups only."""
     group = f.group
-    n = group.order
-    W = _dft_matrix(group)
-    out = np.empty((n, n), dtype=np.complex128)
     wgrid = window.grid()
     axes = tuple(range(group.ndim))
-    for ti in range(n):
-        t = group.element_at(ti)
-        shifted = np.roll(wgrid, shift=t.coords, axis=axes).reshape(-1)
-        out[ti] = W @ (f.values * np.conj(shifted))
-    return out
+    # column t holds f * conj(T_t g)
+    windowed = np.stack([
+        f.values * np.conj(np.roll(wgrid, shift=t, axis=axes).reshape(-1))
+        for t in group._coords.tolist()
+    ], axis=1)
+    return _character_sum(group, group._coords, group._coords, windowed).T
+
+
+def dft_subgroup_direct(mu: SubgroupSignal, onto: QuotientSpec) -> QuotientSignal:
+    """Transform on H by the defining sum over H, at the representatives of G^/H-perp."""
+    group = mu.subgroup.parent
+    reps = group._coords[onto.rep_indices]
+    return QuotientSignal(onto, _character_sum(group, reps, mu.subgroup.coords_array, mu.values))
+
+
+def dft_quotient_direct(q: QuotientSignal, onto: Subgroup) -> SubgroupSignal:
+    """Transform on G/H by the defining sum over the representatives, at H-perp."""
+    group = onto.parent
+    reps = group._coords[q.quotient.rep_indices]
+    return SubgroupSignal(onto, _character_sum(group, onto.coords_array, reps, q.values))
 
 
 def synthesis_matrix(window: Signal, lattice: TFLattice) -> np.ndarray:
@@ -82,11 +112,15 @@ def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
     return Signal(f.group, out)
 
 
-def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
-    """Dense |G| x |G| frame operator S = M M^H, M the synthesis matrix."""
-    M = synthesis_matrix(system.window, system.lattice)
+def frame_matrix(M: np.ndarray) -> np.ndarray:
+    """Dense |G| x |G| frame operator S = M M^H of a synthesis matrix M."""
     S = M @ M.conj().T
     return (S + S.conj().T) / 2
+
+
+def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
+    """Dense frame operator of a system, from its synthesis matrix."""
+    return frame_matrix(synthesis_matrix(system.window, system.lattice))
 
 
 def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:

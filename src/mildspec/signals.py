@@ -45,16 +45,24 @@ __all__ = [
 ]
 
 
+def _frozen(values) -> np.ndarray:
+    """Read-only C-ordered complex array, copied unless the input is one that owns its data.
+
+    A writeable array, or a view of one, could still change after it is handed over.
+    """
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.flags.writeable or not arr.flags.owndata or not arr.flags.c_contiguous:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _as_values(values, size: int) -> np.ndarray:
-    vals = np.asarray(values, dtype=np.complex128)
-    if vals.ndim != 1:
-        vals = vals.reshape(-1)
+    vals = _frozen(values).reshape(-1)
     if vals.size != size:
         raise ValueError(f"expected {size} values, got {vals.size}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("signal values must be finite")
-    vals = vals.copy()
-    vals.setflags(write=False)
     return vals
 
 

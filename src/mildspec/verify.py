@@ -31,6 +31,7 @@ from .fourier import (
     comb_ft,
     dft,
     dft_quotient,
+    dft_subgroup,
     duality_sampling_periodization,
     idft,
     mild_ft,
@@ -231,19 +232,29 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
     worst_poisson = 0.0
     worst_duality = 0.0
     worst_weil = 0.0
+    worst_direct = 0.0
     comb_ok = True
     for H in subs:
         for _ in range(3):
             h = random_signal(G, rng)
             worst_poisson = max(worst_poisson, poisson_check(h, H).residual)
-        worst_duality = max(worst_duality, duality_sampling_periodization(f, H).residual)
+        duality = duality_sampling_periodization(f, H)
+        worst_duality = max(worst_duality, duality.residual)
         # periodizing along the annihilator then transforming on the quotient
         # must match sampling the transform on H
         Hp = annihilator(H)
+        onto = duality.lhs.quotient
         sampled = restriction(fhat, H)
-        per = weil_map(f, Hp)
+        per = weil_map(f, Hp, onto)
         trans = dft_quotient(per, onto=H)
         worst_weil = max(worst_weil, float(np.max(np.abs(trans.values - sampled.values))))
+        mu = restriction(f, H)
+        worst_direct = max(
+            worst_direct,
+            float(np.max(np.abs(
+                dft_subgroup(mu, onto).values - reference.dft_subgroup_direct(mu, onto).values))),
+            float(np.max(np.abs(trans.values - reference.dft_quotient_direct(per, H).values))),
+        )
         try:
             comb = comb_ft(H)
             if comb.lattice != Hp:
@@ -258,6 +269,9 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
         "sampling-periodization duality", worst_duality / scale, 1e-10, tolerance))
     checks.append(_check(
         "periodize-then-transform equals sample-transform", worst_weil / scale, 1e-10, tolerance))
+    checks.append(_check(
+        "subgroup and quotient transforms match direct sums",
+        worst_direct / scale, 1e-10, tolerance))
     checks.append(_flag("comb transforms to dual comb", comb_ok))
 
     g0 = finite_gaussian(G)
@@ -324,8 +338,14 @@ def verify_gabor(
         return checks
 
     gd = system.canonical_dual
+    cells = G.order * lattice.size
+    # one dense synthesis matrix serves the frame oracle and the least-squares check
+    M = (
+        reference.synthesis_matrix(g0, lattice)
+        if G.order <= _ORACLE_MAX_ORDER or cells <= 1 << 19 else None
+    )
     if G.order <= _ORACLE_MAX_ORDER:
-        S = reference.frame_matrix_dense(system)
+        S = reference.frame_matrix(M)
         eig = np.linalg.eigvalsh(S)
         dense_dual = np.linalg.solve(S, g0.values)
         checks.append(_check(
@@ -348,10 +368,8 @@ def verify_gabor(
         worst = max(worst, _rel(back.values - x.values, x.values))
     checks.append(_check("expansion reconstructs", worst, 1e-9, tolerance))
 
-    cells = G.order * lattice.size
     if cells <= 1 << 19:
         c = system.analyze(h, window=gd)
-        M = reference.synthesis_matrix(g0, lattice)
         lsq, *_ = np.linalg.lstsq(M, h.values, rcond=None)
         checks.append(_check(
             "canonical coefficients have minimal norm",
@@ -489,6 +507,16 @@ def verify_approx(
     return checks
 
 
+# one entry per suite, all called alike; verify_all runs them in this order
+_SUITES = {
+    "group": lambda G, a, b, step, seed, tol: verify_group(G, seed, tol),
+    "fourier": lambda G, a, b, step, seed, tol: verify_fourier(G, seed, tol),
+    "gabor": lambda G, a, b, step, seed, tol: verify_gabor(G, a, b, seed, tol),
+    "mild": lambda G, a, b, step, seed, tol: verify_mild(G, a, b, seed, tol),
+    "approx": lambda G, a, b, step, seed, tol: verify_approx(G, step, seed, tol),
+}
+
+
 def verify_all(
     G: GroupSpec,
     a,
@@ -497,17 +525,11 @@ def verify_all(
     seed: int = 0,
     tolerance: float | None = None,
 ) -> list[Check]:
-    checks: list[Check] = []
-    for prefix, found in (
-        ("group", verify_group(G, seed, tolerance)),
-        ("fourier", verify_fourier(G, seed, tolerance)),
-        ("gabor", verify_gabor(G, a, b, seed, tolerance)),
-        ("mild", verify_mild(G, a, b, seed, tolerance)),
-        ("approx", verify_approx(G, step, seed, tolerance)),
-    ):
-        for c in found:
-            checks.append(Check(f"{prefix}: {c.name}", c.residual, c.threshold, c.passed))
-    return checks
+    return [
+        Check(f"{prefix}: {c.name}", c.residual, c.threshold, c.passed)
+        for prefix, suite in _SUITES.items()
+        for c in suite(G, a, b, step, seed, tolerance)
+    ]
 
 
 def run_suite(
@@ -520,17 +542,10 @@ def run_suite(
     tolerance: float | None = None,
 ) -> RunReport:
     t0 = time.perf_counter()
-    suites = {
-        "group": lambda: verify_group(G, seed, tolerance),
-        "fourier": lambda: verify_fourier(G, seed, tolerance),
-        "gabor": lambda: verify_gabor(G, a, b, seed, tolerance),
-        "mild": lambda: verify_mild(G, a, b, seed, tolerance),
-        "approx": lambda: verify_approx(G, step, seed, tolerance),
-        "all": lambda: verify_all(G, a, b, step, seed, tolerance),
-    }
+    suites = {**_SUITES, "all": verify_all}
     if suite not in suites:
         raise ValueError(f"unknown suite {suite!r}")
-    checks = suites[suite]()
+    checks = suites[suite](G, a, b, step, seed, tolerance)
     params = {
         "suite": suite,
         "group": G.to_json(),

@@ -66,6 +66,26 @@ class TestVerifyCoverage:
             # every fourth of the 83 subgroups of Z16xZ16, plus the last: 22
             assert [c.residual for c in rich if c.name == "subgroups checked"] == [22 / 83]
 
+    def test_all_runs_each_suite_in_turn(self):
+        from mildspec.verify import run_suite
+
+        G = GroupSpec((8,))
+        whole = run_suite("all", G, 2, 2, 2, seed=3).checks
+        parts = [
+            (f"{suite}: {c.name}", c.residual, c.threshold, c.passed)
+            for suite in ("group", "fourier", "gabor", "mild", "approx")
+            for c in run_suite(suite, G, 2, 2, 2, seed=3).checks
+        ]
+        assert [(c.name, c.residual, c.threshold, c.passed) for c in whole] == parts
+
+    def test_subgroup_transforms_checked_on_every_subgroup(self):
+        from mildspec.verify import verify_fourier
+
+        checks = {c.name: c for c in verify_fourier(GroupSpec((4, 6)), seed=2)}
+        assert checks["subgroups checked"].residual == 1.0
+        assert checks["subgroup and quotient transforms match direct sums"].passed
+        assert not any("skipped" in name for name in checks)
+
     def test_gabor_oracles_run_or_report_their_skip(self):
         from mildspec.verify import verify_gabor
 

@@ -13,6 +13,7 @@ from mildspec import (
     GroupSpec,
     NotAFrame,
     Signal,
+    STFTGrid,
     TFLattice,
     canonical_dual,
     dft,
@@ -275,6 +276,34 @@ class TestCoefficients:
         for j in range(null.shape[1]):
             h = null[:, j]
             assert np.linalg.norm(c) <= np.linalg.norm(c + h) + 1e-10
+
+    def test_containers_copy_only_what_others_could_write(self):
+        G = GroupSpec((8,))
+        lat = TFLattice(G, 2, 2)
+        writeable = np.zeros((4, 4), dtype=complex)
+        c = CoefficientArray(lat, writeable)
+        writeable[0, 0] = 1.0
+        assert c.coeffs[0, 0] == 0 and not c.coeffs.flags.writeable
+        frozen = np.zeros((4, 4), dtype=complex)
+        frozen.setflags(write=False)
+        assert np.shares_memory(CoefficientArray(lat, frozen).coeffs, frozen)
+        # a read-only view does not own its data: its base may still change
+        view = np.zeros((8, 8), dtype=complex)[:, :]
+        view.setflags(write=False)
+        assert not np.shares_memory(STFTGrid(G, finite_gaussian(G), view).values, view)
+
+    def test_stft_holds_one_grid(self):
+        # the Z512 grid is 4 MiB; a copy on construction would double the peak
+        G = GroupSpec((512,))
+        f, g = random_signal(G, np.random.default_rng(0)), finite_gaussian(G)
+        tracemalloc.start()
+        try:
+            V = stft(f, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert V.values.shape == (512, 512)
+        assert peak < 1.5 * 16 * G.order**2
 
     def test_coefficient_array_validates_size(self):
         G = GroupSpec((8,))

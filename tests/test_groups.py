@@ -12,11 +12,16 @@ from mildspec import (
     annihilator,
     character,
     character_vector,
+    dft_quotient,
+    dft_subgroup,
     full_subgroup,
     grid_subgroup,
     quotient,
+    random_signal,
+    restriction,
     subgroup_generated,
     trivial_subgroup,
+    weil_map,
 )
 from mildspec import reference
 
@@ -231,6 +236,14 @@ class TestQuotient:
         Q = quotient(G, H)
         assert [r.coords[0] for r in Q.representatives] == [0, 1, 2]
 
+    def test_large_quotient_by_order_two_subgroup(self):
+        G = GroupSpec((65536,))
+        H = grid_subgroup(G, 32768)
+        Q = quotient(G, H)
+        assert_array_equal(Q.rep_indices, np.arange(32768))
+        assert_array_equal(Q.coset_map, np.arange(65536) % 32768)
+        assert Q.representatives[-1] == G.element(32767)
+
 
 class TestAllSubgroups:
     @pytest.mark.parametrize(
@@ -307,6 +320,28 @@ class TestAgainstClosureOracle:
     def test_random_groups_match_object_closure(self, moduli):
         G = GroupSpec(tuple(moduli))
         _same_subgroup_lists(all_subgroups(G), reference.subgroups_by_closure(G))
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 64
+        )
+    )
+    def test_random_quotients_and_transforms_match_oracles(self, moduli):
+        G = GroupSpec(tuple(moduli))
+        f = random_signal(G, np.random.default_rng(math.prod(moduli)))
+        for H in all_subgroups(G):
+            assert quotient(G, H).coset_map.tolist() == _oracle_coset_map(G, H)
+            perp = annihilator(H)
+            onto = quotient(G, perp)
+            mu = restriction(f, H)
+            assert_allclose(
+                dft_subgroup(mu, onto).values,
+                reference.dft_subgroup_direct(mu, onto).values, rtol=0, atol=1e-12 * H.order)
+            q = weil_map(f, perp, onto)
+            assert_allclose(
+                dft_quotient(q, H).values,
+                reference.dft_quotient_direct(q, H).values, rtol=0, atol=1e-12 * G.order)
 
     def test_generated_subgroup_matches_closure(self):
         G = GroupSpec((4, 6))
