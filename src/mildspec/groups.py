@@ -463,6 +463,8 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
             shift = shift[shift]
     is_rep = label == own
     rep_indices = np.flatnonzero(is_rep)
+    if np.any(label[subgroup.indices]) or len(rep_indices) * subgroup.order != group.order:
+        raise GroupMismatchError("subgroup generators do not generate its elements")
     coset_map = (np.cumsum(is_rep) - 1)[label]
     rep_indices.setflags(write=False)
     coset_map.setflags(write=False)

@@ -42,7 +42,7 @@ def _character_sum(
     values may carry trailing columns, summed alike.
     """
     out = np.empty((len(rows),) + values.shape[1:], dtype=np.complex128)
-    step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+    step = max(1, _BLOCK_CELLS // len(cols))
     for start in range(0, len(rows), step):
         table = _character_block(group, rows[start:start + step], cols)
         out[start:start + step] = (np.conj(table) if sign < 0 else table) @ values

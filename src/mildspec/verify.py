@@ -242,8 +242,8 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
         worst_duality = max(worst_duality, duality.residual)
         # periodizing along the annihilator then transforming on the quotient
         # must match sampling the transform on H
-        Hp = annihilator(H)
         onto = duality.lhs.quotient
+        Hp = onto.subgroup
         sampled = restriction(fhat, H)
         per = weil_map(f, Hp, onto)
         trans = dft_quotient(per, onto=H)

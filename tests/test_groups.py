@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mildspec import (
     GroupMismatchError,
     GroupSpec,
+    Subgroup,
     all_subgroups,
     annihilator,
     character,
@@ -235,6 +236,14 @@ class TestQuotient:
         H = grid_subgroup(G, 3)
         Q = quotient(G, H)
         assert [r.coords[0] for r in Q.representatives] == [0, 1, 2]
+
+    def test_generators_must_generate_the_elements(self):
+        # the labels follow the generators, so they must span the stored elements
+        G = GroupSpec((8,))
+        with pytest.raises(GroupMismatchError):
+            quotient(G, Subgroup(G, (), [0, 4]))
+        with pytest.raises(GroupMismatchError):
+            quotient(G, Subgroup(G, (G.element(2),), [0, 4]))
 
     def test_large_quotient_by_order_two_subgroup(self):
         G = GroupSpec((65536,))
