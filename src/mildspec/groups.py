@@ -450,7 +450,7 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
 
     Each element is labelled with the least (row-major, so lex-min) index of
     its coset: per generator g, label(x) = min(label(x), label(x + 2^k g)) for
-    each 2^k below the exponent lcm(N_j) reaches every multiple of g.
+    each 2^k below the order of g reaches every multiple of g.
     """
     if subgroup.parent != group:
         raise GroupMismatchError("subgroup belongs to a different group")
@@ -458,7 +458,8 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
     label = own
     for g in subgroup.generators:
         shift = group._index_rows(group._coords + g.coords)
-        for _ in range((group._char_lcm - 1).bit_length()):
+        g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g.coords)))
+        for _ in range((g_order - 1).bit_length()):
             label = np.minimum(label, label[shift])
             shift = shift[shift]
     is_rep = label == own
