@@ -22,6 +22,8 @@ back with zeros.  Periodization is the coset-sum (Weil) map onto a quotient.
 Transforms on subgroups and quotients are indexed through the dualities
 (G/H)^ = annihilator(H) and H^ = G^ / annihilator(H), which make both of them
 readings of one group FFT; the direct sums are oracles in ``reference``.
+Each ``Subgroup`` computes its annihilator and its quotient once, so every
+transform on either side of a duality lands on the same index objects.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import (
-    GroupSpec,
-    QuotientSpec,
-    Subgroup,
-    annihilator,
-    quotient as quotient_of,
-)
+from .groups import GroupSpec, Subgroup, annihilator, quotient as quotient_of
 from .signals import (
     QuotientSignal,
     Signal,
@@ -138,57 +134,45 @@ def adjoint_restriction(mu: SubgroupSignal, group: GroupSpec) -> Signal:
     return Signal(group, vals)
 
 
-def weil_map(f: Signal, subgroup: Subgroup, onto: QuotientSpec | None = None) -> QuotientSignal:
-    """Coset sums: (T_H f)(x + H) = sum_{h in H} f(x + h).
+def weil_map(f: Signal, subgroup: Subgroup) -> QuotientSignal:
+    """Coset sums on quotient(G, H): (T_H f)(x + H) = sum_{h in H} f(x + h).
 
     The sum runs over each coset in canonical order, so the result does not
-    depend on which representatives the quotient happens to list.
+    depend on which representatives the quotient (computed once per H) lists.
     """
-    if subgroup.parent != f.group:
-        raise GroupMismatchError("subgroup belongs to a different group")
-    if onto is None:
-        onto = quotient_of(f.group, subgroup)
-    elif onto.subgroup != subgroup:
-        raise GroupMismatchError("quotient was formed from a different subgroup")
+    onto = quotient_of(f.group, subgroup)
     out = np.zeros(onto.size, dtype=np.complex128)
     np.add.at(out, onto.coset_map, f.values)
     return QuotientSignal(onto, out)
 
 
-def dft_subgroup(mu: SubgroupSignal, onto: QuotientSpec | None = None) -> QuotientSignal:
+def dft_subgroup(mu: SubgroupSignal) -> QuotientSignal:
     """Transform on a subgroup, indexed by the dual identification H^ = G^/H-perp.
 
     Every character of H is the restriction of a parent character, and two
     parent frequencies restrict equally iff they differ by an annihilator
     element; so the transform is the group FFT of the zero-extended signal,
-    read at the quotient's representatives.
+    read at the representatives of G^/H-perp, which H computes once.
     """
-    H = mu.subgroup
-    group = H.parent
-    if onto is None:
-        onto = quotient_of(group, annihilator(H))
-    elif onto.subgroup != annihilator(H):
-        raise GroupMismatchError("quotient was not formed from the annihilator of the subgroup")
+    group = mu.subgroup.parent
+    onto = quotient_of(group, annihilator(mu.subgroup))
     hat = dft(adjoint_restriction(mu, group))
     return QuotientSignal(onto, hat.values[onto.rep_indices])
 
 
-def dft_quotient(q: QuotientSignal, onto: Subgroup | None = None) -> SubgroupSignal:
+def dft_quotient(q: QuotientSignal) -> SubgroupSignal:
     """Transform on a quotient, indexed by the dual identification (G/H)^ = H-perp.
 
     A frequency annihilating H is constant on cosets: the transform is the group
-    FFT of the coset values placed at their representatives, read on H-perp.
+    FFT of the coset values at their representatives, read on H-perp, which H
+    computes once.
     """
-    H = q.quotient.subgroup
-    group = H.parent
-    if onto is None:
-        onto = annihilator(H)
-    elif onto != annihilator(H):
-        raise GroupMismatchError("index set is not the annihilator of the quotiented subgroup")
-    placed = np.zeros(group.order, dtype=np.complex128)
-    placed[q.quotient.rep_indices] = q.values
-    hat = dft(Signal(group, placed))
-    return SubgroupSignal(onto, hat.values[onto.indices])
+    Q = q.quotient
+    perp = annihilator(Q.subgroup)
+    placed = np.zeros(Q.parent.order, dtype=np.complex128)
+    placed[Q.rep_indices] = q.values
+    hat = dft(Signal(Q.parent, placed))
+    return SubgroupSignal(perp, hat.values[perp.indices])
 
 
 class PoissonResult(NamedTuple):
@@ -203,9 +187,7 @@ def poisson_check(f: Signal, subgroup: Subgroup) -> PoissonResult:
     The constant |H|/|G| = 1/|H-perp| is forced by the counting convention;
     summing character orthogonality over H-perp proves the identity exactly.
     """
-    if subgroup.parent != f.group:
-        raise GroupMismatchError("subgroup belongs to a different group")
-    lhs = complex(np.sum(f.values[subgroup.indices]))
+    lhs = complex(np.sum(restriction(f, subgroup).values))
     fhat = dft(f)
     perp = annihilator(subgroup)
     rhs = complex(
@@ -227,10 +209,9 @@ def duality_sampling_periodization(f: Signal, subgroup: Subgroup) -> DualityResu
     shared quotient G^/H-perp; returns both sides and the max abs residual.
     """
     perp = annihilator(subgroup)
-    onto = quotient_of(f.group, perp)
-    lhs = weil_map(dft(f), perp, onto)
-    sampled = dft_subgroup(restriction(f, subgroup), onto)
-    rhs = QuotientSignal(onto, perp.order * sampled.values)
+    lhs = weil_map(dft(f), perp)
+    sampled = dft_subgroup(restriction(f, subgroup))
+    rhs = QuotientSignal(lhs.quotient, perp.order * sampled.values)
     residual = float(np.max(np.abs(lhs.values - rhs.values)))
     return DualityResult(lhs, rhs, residual)
 

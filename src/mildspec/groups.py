@@ -231,8 +231,8 @@ class Subgroup:
 
     ``indices`` is the only element store.  Row-major index order equals
     lexicographic coordinate order, so it lists the elements in sorted order;
-    the membership mask, the coordinate rows and the ``GroupElement`` views
-    are derived from it on first use.
+    the membership mask, the coordinate rows, the ``GroupElement`` views, the
+    annihilator and the quotient are derived from it on first use.
     """
 
     parent: GroupSpec
@@ -305,6 +305,38 @@ class Subgroup:
     def from_json(data) -> "Subgroup":
         group = GroupSpec.from_json(data["group"])
         return subgroup_generated(group, data.get("generators", []))
+
+    @cached_property
+    def _annihilator(self) -> "Subgroup":
+        group = self.parent
+        if not np.array_equal(subgroup_generated(group, self.generators).indices, self.indices):
+            raise GroupMismatchError("subgroup generators do not generate its elements")
+        L = group._char_lcm
+        gens = self.generators if self.generators else (group.zero(),)
+        gcoords = np.array([g.coords for g in gens], dtype=np.int64)
+        phases = (group._coords * group._char_weights) @ gcoords.T % L
+        indices = np.flatnonzero(np.all(phases == 0, axis=1))
+        return Subgroup(group, _reduced_generators(group, indices), indices)
+
+    @cached_property
+    def _quotient(self) -> "QuotientSpec":
+        group = self.parent
+        own = np.arange(group.order)
+        label = own
+        for g in self.generators:
+            shift = group._index_rows(group._coords + g.coords)
+            g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g.coords)))
+            for _ in range((g_order - 1).bit_length()):
+                label = np.minimum(label, label[shift])
+                shift = shift[shift]
+        is_rep = label == own
+        rep_indices = np.flatnonzero(is_rep)
+        if np.any(label[self.indices]) or len(rep_indices) * self.order != group.order:
+            raise GroupMismatchError("subgroup generators do not generate its elements")
+        coset_map = (np.cumsum(is_rep) - 1)[label]
+        rep_indices.setflags(write=False)
+        coset_map.setflags(write=False)
+        return QuotientSpec(self, rep_indices, coset_map)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
@@ -402,14 +434,9 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
     Membership is decided in integer arithmetic: s annihilates H iff
     lcm | sum_j s_j h_j (lcm / N_j) for every generator h.  The result
     satisfies |H| * |annihilator(H)| = |G| and annihilator(annihilator(H)) = H.
+    Computed once per subgroup, from its own generators, checked to span it.
     """
-    group = subgroup.parent
-    L = group._char_lcm
-    gens = subgroup.generators if subgroup.generators else (group.zero(),)
-    gcoords = np.array([g.coords for g in gens], dtype=np.int64)
-    phases = (group._coords * group._char_weights) @ gcoords.T % L
-    indices = np.flatnonzero(np.all(phases == 0, axis=1))
-    return Subgroup(group, _reduced_generators(group, indices), indices)
+    return subgroup._annihilator
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,10 +449,13 @@ class QuotientSpec:
     representative.  The ``GroupElement`` view is derived on first use.
     """
 
-    parent: GroupSpec
     subgroup: Subgroup
     rep_indices: np.ndarray = field(repr=False)
     coset_map: np.ndarray = field(repr=False)
+
+    @property
+    def parent(self) -> GroupSpec:
+        return self.subgroup.parent
 
     @property
     def size(self) -> int:
@@ -450,29 +480,17 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
 
     Each element is labelled with the least (row-major, so lex-min) index of
     its coset: per generator g, label(x) = min(label(x), label(x + 2^k g)) for
-    each 2^k below the order of g reaches every multiple of g.
+    each 2^k below the order of g reaches every multiple of g.  Computed once per subgroup.
     """
     if subgroup.parent != group:
         raise GroupMismatchError("subgroup belongs to a different group")
-    own = np.arange(group.order)
-    label = own
-    for g in subgroup.generators:
-        shift = group._index_rows(group._coords + g.coords)
-        g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g.coords)))
-        for _ in range((g_order - 1).bit_length()):
-            label = np.minimum(label, label[shift])
-            shift = shift[shift]
-    is_rep = label == own
-    rep_indices = np.flatnonzero(is_rep)
-    if np.any(label[subgroup.indices]) or len(rep_indices) * subgroup.order != group.order:
-        raise GroupMismatchError("subgroup generators do not generate its elements")
-    coset_map = (np.cumsum(is_rep) - 1)[label]
-    rep_indices.setflags(write=False)
-    coset_map.setflags(write=False)
-    return QuotientSpec(group, subgroup, rep_indices, coset_map)
+    return subgroup._quotient
 
 
-def all_subgroups(group: GroupSpec, max_order: int = 4096) -> list[Subgroup]:
+_ENUMERATION_MAX_ORDER = 4096
+
+
+def all_subgroups(group: GroupSpec) -> list[Subgroup]:
     """Every subgroup, sorted by order and then by sorted element list.
 
     Every subgroup is a join of cyclic subgroups, so a breadth-first search
@@ -480,9 +498,9 @@ def all_subgroups(group: GroupSpec, max_order: int = 4096) -> list[Subgroup]:
     generator per distinct cyclic subgroup reaches them all.  Subgroups are
     keyed by their index bytes; the desk-scale bound on |G| stays.
     """
-    if group.order > max_order:
+    if group.order > _ENUMERATION_MAX_ORDER:
         raise DomainError(
-            f"group order {group.order} exceeds the enumeration bound {max_order}"
+            f"group order {group.order} exceeds the enumeration bound {_ENUMERATION_MAX_ORDER}"
         )
     trivial = np.zeros(1, dtype=np.intp)
     cyclic: dict[bytes, np.ndarray] = {}

@@ -245,14 +245,14 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
         onto = duality.lhs.quotient
         Hp = onto.subgroup
         sampled = restriction(fhat, H)
-        per = weil_map(f, Hp, onto)
-        trans = dft_quotient(per, onto=H)
+        per = weil_map(f, Hp)
+        trans = dft_quotient(per)
         worst_weil = max(worst_weil, float(np.max(np.abs(trans.values - sampled.values))))
         mu = restriction(f, H)
         worst_direct = max(
             worst_direct,
             float(np.max(np.abs(
-                dft_subgroup(mu, onto).values - reference.dft_subgroup_direct(mu, onto).values))),
+                dft_subgroup(mu).values - reference.dft_subgroup_direct(mu, onto).values))),
             float(np.max(np.abs(trans.values - reference.dft_quotient_direct(per, H).values))),
         )
         try:

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
-    GroupMismatchError,
     GroupSpec,
     Signal,
     SupportViolation,
@@ -315,28 +314,6 @@ class TestSubgroupQuotientTransforms:
         # transforming the periodization samples the transform on the annihilator
         expect = restriction(dft(f), annihilator(H))
         assert_allclose(back.values, expect.values, atol=1e-11)
-
-    def test_subgroup_transform_rejects_quotient_of_another_subgroup(self, rng):
-        G = GroupSpec((12,))
-        H = grid_subgroup(G, 3)
-        mu = restriction(random_signal(G, rng), H)
-        # the quotient by H itself instead of by its annihilator 4Z
-        with pytest.raises(GroupMismatchError):
-            dft_subgroup(mu, quotient(G, H))
-        with pytest.raises(GroupMismatchError):
-            dft_subgroup(mu, quotient(GroupSpec((4, 3)), full_subgroup(GroupSpec((4, 3)))))
-
-    def test_quotient_transform_rejects_another_annihilator(self, rng):
-        G = GroupSpec((4, 6))
-        H = grid_subgroup(G, (2, 3))
-        q = weil_map(random_signal(G, rng), H)
-        # same order as annihilator(H) = 2Z x 2Z, but not it
-        wrong = grid_subgroup(G, (4, 1))
-        assert wrong.order == annihilator(H).order
-        with pytest.raises(GroupMismatchError):
-            dft_quotient(q, onto=wrong)
-        with pytest.raises(GroupMismatchError):
-            dft_quotient(q, onto=H)
 
     def test_full_subgroup_transform_holds_no_table(self, rng):
         # a character table on Z4096 would be 256 MiB

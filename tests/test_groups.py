@@ -191,7 +191,17 @@ class TestAnnihilator:
     def test_biduality_exact(self, moduli):
         G = GroupSpec(moduli)
         for H in all_subgroups(G):
-            assert annihilator(annihilator(H)) == H
+            # built from the generators of H-perp, not handed back as H
+            again = annihilator(annihilator(H))
+            assert again == H and again is not H
+
+    def test_computed_once_per_subgroup(self, rng):
+        G = GroupSpec((4, 6))
+        H = grid_subgroup(G, (2, 3))
+        assert annihilator(H) is annihilator(H)
+        assert quotient(G, H) is quotient(G, H)
+        f = random_signal(G, rng)
+        assert dft_subgroup(restriction(f, H)).quotient is weil_map(f, annihilator(H)).quotient
 
     def test_characters_actually_annihilate(self):
         G = GroupSpec((4, 6))
@@ -238,12 +248,15 @@ class TestQuotient:
         assert [r.coords[0] for r in Q.representatives] == [0, 1, 2]
 
     def test_generators_must_generate_the_elements(self):
-        # the labels follow the generators, so they must span the stored elements
+        # quotient labels and annihilator phases follow the generators, so
+        # they must span the stored elements; [0, 3] is not even a subgroup
         G = GroupSpec((8,))
-        with pytest.raises(GroupMismatchError):
-            quotient(G, Subgroup(G, (), [0, 4]))
-        with pytest.raises(GroupMismatchError):
-            quotient(G, Subgroup(G, (G.element(2),), [0, 4]))
+        for generators, indices in [((), [0, 4]), ((2,), [0, 4]), ((3,), [0, 3])]:
+            H = Subgroup(G, tuple(G.element(g) for g in generators), indices)
+            with pytest.raises(GroupMismatchError, match="do not generate its elements"):
+                quotient(G, H)
+            with pytest.raises(GroupMismatchError, match="do not generate its elements"):
+                annihilator(H)
 
     def test_large_quotient_by_order_two_subgroup(self):
         G = GroupSpec((65536,))
@@ -345,11 +358,11 @@ class TestAgainstClosureOracle:
             onto = quotient(G, perp)
             mu = restriction(f, H)
             assert_allclose(
-                dft_subgroup(mu, onto).values,
+                dft_subgroup(mu).values,
                 reference.dft_subgroup_direct(mu, onto).values, rtol=0, atol=1e-12 * H.order)
-            q = weil_map(f, perp, onto)
+            q = weil_map(f, perp)
             assert_allclose(
-                dft_quotient(q, H).values,
+                dft_quotient(q).values,
                 reference.dft_quotient_direct(q, H).values, rtol=0, atol=1e-12 * G.order)
 
     def test_generated_subgroup_matches_closure(self):
