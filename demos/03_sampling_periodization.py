@@ -47,8 +47,8 @@ for sub in all_subgroups(G):
     comb = comb_ft(sub)
     hat = dft(dirac_comb(sub)).values
     target = sub.order * dirac_comb(annihilator(sub)).values
-    print(f"  |H| = {sub.order:3d} -> weights {comb.weights[0].real:5.1f} "
-          f"on {comb.lattice.order:3d} points, residual {np.max(np.abs(hat - target)):.2e}")
+    print(f"  |H| = {sub.order:3d} -> weights {comb.values[0].real:5.1f} "
+          f"on {comb.subgroup.order:3d} points, residual {np.max(np.abs(hat - target)):.2e}")
 print()
 
 g = finite_gaussian(G)

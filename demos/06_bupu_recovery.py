@@ -11,7 +11,7 @@ import numpy as np
 from mildspec import (
     BUPU_SHAPES,
     GroupSpec,
-    SampleArray,
+    SubgroupSignal,
     finite_gaussian,
     grid_subgroup,
     make_bupu,
@@ -33,7 +33,7 @@ print()
 rng = np.random.default_rng(3)
 c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
 phi = make_bupu(G, lam, "triangle").mother
-ext = semidiscrete_extension(SampleArray(lam, c), phi)
+ext = semidiscrete_extension(SubgroupSignal(lam, c), phi)
 defect = np.max(np.abs(ext.values[lam.indices] - c))
 print(f"triangle extension returns its samples exactly: max defect {defect:.1e}")
 print()

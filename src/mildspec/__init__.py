@@ -19,7 +19,6 @@ from .approx import (
     BUPU,
     BUPU_SHAPES,
     QuasiResult,
-    SampleArray,
     SamplingBound,
     make_bupu,
     quasi_interpolate,
@@ -58,7 +57,6 @@ from .gabor import (
     FRAME_TOL,
     CoefficientArray,
     GaborSystem,
-    STFTGrid,
     TFLattice,
     canonical_dual,
     frame_bounds,
@@ -88,7 +86,6 @@ from .mild import (
     ConvergenceReport,
     DistributionSequence,
     PeriodicReport,
-    comb_characterization,
     convergence_report,
     default_probes,
     mild_deviation_coeff,
@@ -102,8 +99,6 @@ from .signals import (
     QuotientSignal,
     Signal,
     SubgroupSignal,
-    WeightedComb,
-    comb_to_signal,
     dirac,
     dirac_comb,
     finite_gaussian,

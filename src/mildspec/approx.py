@@ -14,15 +14,16 @@ literally the translates.  Three shapes are provided per axis and tensorized:
 An axis whose step equals its modulus carries a single coset; its profile is
 the constant one, which keeps the partition exact in that degenerate case.
 
-Semidiscrete extension turns lattice samples c into sum_lambda c_lambda
-T_lambda phi, equivalently the convolution of the weighted comb with phi.
-The default computation is the direct double sum, taken over whichever
-index set is shorter: the lattice (c_lambda T_lambda phi) or supp(phi)
-(phi(p) T_p of the weighted comb).  Either way restriction back to the
-lattice is exact (every other term is an exact zero there) whenever supp(phi)
-meets the lattice only at 0 and phi(0) = 1; the FFT convolution route is
-available as a cross-check.  The partition check sums the lattice
-translates of the mother bump in O(|G|) per coset.
+Semidiscrete extension turns lattice samples c, a SubgroupSignal on the
+lattice, into sum_lambda c_lambda T_lambda phi, equivalently the convolution
+of the weighted comb with phi.  The default computation is the direct
+double sum, taken over whichever index set is shorter: the lattice
+(c_lambda T_lambda phi) or supp(phi) (phi(p) T_p of the weighted comb).
+Either way restriction back to the lattice is exact (every other term is an
+exact zero there) whenever supp(phi) meets the lattice only at 0 and
+phi(0) = 1; the FFT convolution route is available as a cross-check.  The
+partition check sums the lattice translates of the mother bump in O(|G|)
+per coset.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroupMismatchError
+from .fourier import adjoint_restriction, restriction
 from .gabor import s0_norm
 from .groups import GroupSpec, Subgroup
-from .signals import Signal, WeightedComb, _frozen, _translate_sum, comb_to_signal, translate
+from .signals import Signal, SubgroupSignal, _translate_sum, translate
 
 __all__ = [
     "BUPU",
-    "SampleArray",
     "make_bupu",
     "semidiscrete_extension",
     "tensor_extension",
@@ -53,22 +54,6 @@ __all__ = [
 ]
 
 BUPU_SHAPES = ("triangle", "bspline2", "indicator")
-
-
-@dataclass(frozen=True, eq=False)
-class SampleArray:
-    """Values attached to the points of a lattice, in element order."""
-
-    lattice: Subgroup
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.samples).reshape(-1)
-        if arr.size != self.lattice.order:
-            raise ValueError(
-                f"expected {self.lattice.order} samples, got {arr.size}"
-            )
-        object.__setattr__(self, "samples", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +124,7 @@ def _weighted_translates(f: Signal, points: np.ndarray, weights: np.ndarray) -> 
 
 
 def semidiscrete_extension(
-    samples: SampleArray, phi: Signal, method: str = "direct"
+    samples: SubgroupSignal, phi: Signal, method: str = "direct"
 ) -> Signal:
     """sum_lambda c_lambda T_lambda phi, the comb-with-phi convolution.
 
@@ -149,7 +134,7 @@ def semidiscrete_extension(
     A window with phi(0) != 1 voids the interpolation contract and triggers
     a warning.
     """
-    lattice = samples.lattice
+    lattice = samples.subgroup
     if lattice.parent != phi.group:
         raise GroupMismatchError("samples and window live on different groups")
     if abs(phi.values[0] - 1.0) > 1e-12:
@@ -161,13 +146,13 @@ def semidiscrete_extension(
         # the same double sum over whichever index set is shorter
         support = np.flatnonzero(phi.values)
         if lattice.order <= support.size:
-            out = _weighted_translates(phi, lattice.coords_array, samples.samples)
+            out = _weighted_translates(phi, lattice.coords_array, samples.values)
         else:
-            comb = comb_to_signal(WeightedComb(lattice, samples.samples))
+            comb = adjoint_restriction(samples)
             out = _weighted_translates(comb, phi.group._coords[support], phi.values[support])
         return Signal(phi.group, out)
     if method == "fft":
-        comb = comb_to_signal(WeightedComb(lattice, samples.samples))
+        comb = adjoint_restriction(samples)
         spec = np.fft.fftn(comb.grid()) * np.fft.fftn(phi.grid())
         return Signal(phi.group, np.fft.ifftn(spec).reshape(-1))
     raise ValueError(f"unknown method {method!r}; choose 'direct' or 'fft'")
@@ -216,9 +201,8 @@ class QuasiResult(NamedTuple):
 def quasi_interpolate(f: Signal, lattice: Subgroup, shape: str = "triangle") -> QuasiResult:
     """sum_lambda f(lambda) bump_lambda and its sup-norm error against f."""
     bupu = make_bupu(f.group, lattice, shape)
-    samples = SampleArray(lattice, f.values[lattice.indices])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        approx = semidiscrete_extension(samples, bupu.mother, method="direct")
+        approx = semidiscrete_extension(restriction(f, lattice), bupu.mother, method="direct")
     err = float(np.max(np.abs(approx.values - f.values)))
     return QuasiResult(approx, err)

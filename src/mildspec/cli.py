@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed check or domain error, 2 usage error,
-3 malformed or unreadable input file, 4 group mismatch; main() maps
-exceptions to codes through one table, _EXIT_CODES.  Reports and output
-files are deterministic for a fixed seed so runs can be diffed byte for
-byte.
+Exit codes: 0 success, 1 failed check or domain error (an overflowing
+result among them), 2 usage error, 3 malformed or unreadable input file,
+4 group mismatch; main() maps exceptions to codes through one table,
+_EXIT_CODES.  Reports and output files are deterministic for a fixed seed
+so runs can be diffed byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io
-from .approx import BUPU_SHAPES, SampleArray, quasi_interpolate, semidiscrete_extension, make_bupu
+from .approx import BUPU_SHAPES, quasi_interpolate, semidiscrete_extension, make_bupu
 from .errors import (
     DomainError,
     GroupMismatchError,
@@ -34,7 +34,15 @@ from .mild import (
     periodize_analysis,
     refining_comb_sequence,
 )
-from .signals import Signal, _translate_sum, dirac, dirac_comb, finite_gaussian, random_signal
+from .signals import (
+    Signal,
+    SubgroupSignal,
+    _translate_sum,
+    dirac,
+    dirac_comb,
+    finite_gaussian,
+    random_signal,
+)
 from .verify import _SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -194,7 +202,7 @@ def cmd_extend(args) -> int:
             f"{args.input}: sample grid {coarse.group.moduli} does not match "
             f"step {steps} on {G.moduli} (expected {expected})"
         )
-    samples = SampleArray(H, coarse.values)
+    samples = SubgroupSignal(H, coarse.values)
     bupu = make_bupu(G, H, shape=args.shape)
     io.save_signal(args.out, semidiscrete_extension(samples, bupu.mother))
     print(f"wrote {args.out}")
@@ -310,7 +318,7 @@ def _demo_poisson(args) -> int:
 def _demo_periodic_spectrum(args) -> int:
     G = args.group or GroupSpec((12,))
     p = args.period
-    if any(m % p != 0 for m in G.moduli):
+    if p < 1 or any(m % p != 0 for m in G.moduli):
         raise GroupMismatchError(f"period {p} does not divide moduli {G.moduli}")
     rng = np.random.default_rng(args.seed)
     period = tuple(p for _ in G.moduli)
@@ -477,7 +485,9 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # no NumPy warning: a result that overflows fails the containers' finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except Exception as exc:
         code = next((c for types, c in _EXIT_CODES if isinstance(exc, types)), None)
         if code is None:

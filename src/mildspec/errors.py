@@ -13,7 +13,7 @@ class SchemaError(ValueError):
 
 class DomainError(ValueError):
     """A well-formed request outside what the library computes, such as a
-    group too large to enumerate its subgroups."""
+    group too large to enumerate its subgroups or a result that overflows."""
 
 
 class SupportViolation(Exception):

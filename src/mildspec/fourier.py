@@ -35,12 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import GroupSpec, Subgroup, annihilator, quotient as quotient_of
+from .groups import Subgroup, annihilator, quotient as quotient_of
 from .signals import (
     QuotientSignal,
     Signal,
     SubgroupSignal,
-    WeightedComb,
     dirac_comb,
     signal_to_comb,
 )
@@ -121,14 +120,13 @@ def restriction(f: Signal, subgroup: Subgroup) -> SubgroupSignal:
     return SubgroupSignal(subgroup, f.values[subgroup.indices])
 
 
-def adjoint_restriction(mu: SubgroupSignal, group: GroupSpec) -> Signal:
-    """Embed a subgroup signal with zeros off the subgroup.
+def adjoint_restriction(mu: SubgroupSignal) -> Signal:
+    """Embed a subgroup signal with zeros off the subgroup: the comb sum_h mu(h) delta_h.
 
     Adjoint to restriction under the bilinear pairing:
     pair(adjoint_restriction(mu), f) = sum_h mu(h) f(h), exactly.
     """
-    if mu.subgroup.parent != group:
-        raise GroupMismatchError("subgroup signal does not live inside this group")
+    group = mu.subgroup.parent
     vals = np.zeros(group.order, dtype=np.complex128)
     vals[mu.subgroup.indices] = mu.values
     return Signal(group, vals)
@@ -154,9 +152,8 @@ def dft_subgroup(mu: SubgroupSignal) -> QuotientSignal:
     element; so the transform is the group FFT of the zero-extended signal,
     read at the representatives of G^/H-perp, which H computes once.
     """
-    group = mu.subgroup.parent
-    onto = quotient_of(group, annihilator(mu.subgroup))
-    hat = dft(adjoint_restriction(mu, group))
+    onto = quotient_of(mu.subgroup.parent, annihilator(mu.subgroup))
+    hat = dft(adjoint_restriction(mu))
     return QuotientSignal(onto, hat.values[onto.rep_indices])
 
 
@@ -216,7 +213,7 @@ def duality_sampling_periodization(f: Signal, subgroup: Subgroup) -> DualityResu
     return DualityResult(lhs, rhs, residual)
 
 
-def comb_ft(lattice: Subgroup, eps: float = 1e-10) -> WeightedComb:
+def comb_ft(lattice: Subgroup, eps: float = 1e-10) -> SubgroupSignal:
     """Transform of the unit comb: |L| on the annihilator lattice, zero elsewhere.
 
     Computed through the FFT and certified by signal_to_comb, so FFT leakage

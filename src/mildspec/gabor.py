@@ -21,7 +21,9 @@ Against the canonical Gaussian window g0 it yields the two norms
 the second because the bilinear pairing flips the sign of the frequency
 relative to the conjugating inner product; the grids coincide, so the max
 is taken over |V_g0 f| directly.  Both reduce block by block, so neither
-holds the |G| x |G| grid; stft() still returns the full grid.
+holds the |G| x |G| grid; stft() still returns the full grid, as the
+CoefficientArray of the lattice a = b = 1 that GaborSystem.analyze returns
+for any other lattice.
 
 The frame operator S f = sum_lambda <f, pi(lambda) g> pi(lambda) g
 couples x only with x + PZ (the Walnut form).  Grouping x = r + kP by its
@@ -50,11 +52,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupMismatchError, NotAFrame
 from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
-from .signals import Signal, _coset_shape, _fold, _frozen, finite_gaussian
+from .signals import Signal, _as_values, _coset_shape, _fold, finite_gaussian
 
 __all__ = [
     "TFLattice",
-    "STFTGrid",
     "CoefficientArray",
     "GaborSystem",
     "FRAME_TOL",
@@ -115,42 +116,19 @@ class TFLattice:
 
 
 @dataclass(frozen=True, eq=False)
-class STFTGrid:
-    """Full STFT table, rows indexed by time shift, columns by frequency."""
+class CoefficientArray:
+    """Values on a time-frequency lattice, shape (time points, frequency points).
 
-    group: GroupSpec
-    window: Signal
+    Gabor coefficients on a lattice, and on the full lattice a = b = 1 the
+    whole STFT: rows indexed by time shift, columns by frequency.
+    """
+
+    lattice: TFLattice
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen(self.values)
-        n = self.group.order
-        if vals.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} grid, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def max_modulus(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def __repr__(self) -> str:
-        return f"STFTGrid(on {self.group!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientArray:
-    """Gabor coefficients on a lattice, shape (time points, frequency points)."""
-
-    lattice: TFLattice
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.coeffs)
         shape = (self.lattice.time_lattice.order, self.lattice.freq_lattice.order)
-        if arr.size != self.lattice.size:
-            raise ValueError(f"expected {self.lattice.size} coefficients, got {arr.size}")
-        arr = arr.reshape(shape)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "values", _as_values(self.values, *shape))
 
     @property
     def size(self) -> int:
@@ -158,10 +136,10 @@ class CoefficientArray:
 
     def ravel(self) -> np.ndarray:
         """Flat coefficients in the order of TFLattice.points()."""
-        return self.coeffs.reshape(-1)
+        return self.values.reshape(-1)
 
     def __repr__(self) -> str:
-        return f"CoefficientArray({self.coeffs.shape} on {self.lattice!r})"
+        return f"CoefficientArray({self.values.shape} on {self.lattice!r})"
 
 
 # cells of one block of every time-frequency kernel: bounds their working set
@@ -267,9 +245,10 @@ def _tf_synthesis(coeffs: np.ndarray, window: Signal, lattice: TFLattice) -> np.
     return out
 
 
-def stft(f: Signal, window: Signal) -> STFTGrid:
+def stft(f: Signal, window: Signal) -> CoefficientArray:
     """Full STFT grid: the lattice STFT on the full lattice a = b = 1."""
-    return STFTGrid(f.group, window, _tf_analysis(f.values, window, TFLattice(f.group, 1, 1)))
+    plane = TFLattice(f.group, 1, 1)
+    return CoefficientArray(plane, _tf_analysis(f.values, window, plane))
 
 
 def s0_norm(f: Signal) -> float:
@@ -348,7 +327,7 @@ class GaborSystem:
         if coeffs.lattice != self.lattice:
             raise GroupMismatchError("coefficients belong to a different lattice")
         w = self.window if window is None else window
-        return Signal(self.group, _tf_synthesis(coeffs.coeffs, w, self.lattice))
+        return Signal(self.group, _tf_synthesis(coeffs.values, w, self.lattice))
 
     def apply_frame(self, f: Signal) -> Signal:
         """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g."""

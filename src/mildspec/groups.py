@@ -71,6 +71,13 @@ def _as_coords(value) -> tuple[int, ...]:
     return tuple(int(c) for c in value)
 
 
+def _int_list(data, what: str) -> tuple[int, ...]:
+    """A JSON list of integers; strings, bools and floats are rejected, not coerced."""
+    if not isinstance(data, list) or not all(type(n) is int for n in data):
+        raise TypeError(f"{what}, got {data!r}")
+    return tuple(data)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Product of cyclic groups, given by the tuple of axis moduli."""
@@ -186,11 +193,7 @@ class GroupSpec:
     @staticmethod
     def from_json(data) -> "GroupSpec":
         """Read the moduli list; strings, bools and floats are rejected, not coerced."""
-        if not isinstance(data, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in data
-        ):
-            raise TypeError(f"a group is a list of integer moduli, got {data!r}")
-        return GroupSpec(tuple(data))
+        return GroupSpec(_int_list(data, "a group is a list of integer moduli"))
 
     def __repr__(self) -> str:
         return "Z" + "xZ".join(str(n) for n in self.moduli)

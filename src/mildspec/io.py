@@ -4,9 +4,11 @@ Signal JSON:   {"group": [N1, ...], "values": [[re, im], ...]}  (canonical order
 Signal CSV:    header i0,...,i{d-1},re,im; one row per element.  CSV carries no
                moduli, so readers must be told the group.
 Coefficients:  {"group": [...], "lattice": {"a": [...], "b": [...]},
-                "coeffs": [[re, im], ...]}  (time-major flat order)
+                "coeffs": [[re, im], ...]}  (time-major flat order); the
+               reader and writer take a gabor.CoefficientArray.
 Sequences:     {"group": [...], "members": [values, ...], "limit": values}
-STFT CSV:      header t0,...,s0,...,re,im; t-major rows over the full grid.
+STFT CSV:      header t0,...,s0,...,re,im; t-major rows over the points of a
+               CoefficientArray's lattice, the full grid for gabor.stft().
 Reports:       serialized with sorted keys and no timestamps, so fixed-seed
                reruns are byte-identical.
 
@@ -18,8 +20,10 @@ json.dump(sort_keys=True, indent=2) and csv.writer (float.__repr__ numbers,
 "\r\n" row terminators); the tests hold the writers to those encoders.
 
 Malformed input raises SchemaError, which names the field, row or element:
-non-finite values, strings or booleans where a JSON number belongs, and in
-CSV a coordinate out of range or an element given twice or not at all.
+non-finite values, strings or booleans where a JSON number belongs, moduli
+or lattice steps that are not lists of integers (one rule,
+groups._int_list), and in CSV a coordinate out of range or an element given
+twice or not at all.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GroupMismatchError, SchemaError
-from .gabor import CoefficientArray, STFTGrid, TFLattice
-from .groups import GroupSpec
+from .gabor import CoefficientArray, TFLattice
+from .groups import GroupSpec, _int_list
 from .signals import Signal
 
 __all__ = [
@@ -94,9 +98,9 @@ def _parse_pairs(data, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr).view(np.complex128).reshape(-1)
 
 
-def _coord_strings(group: GroupSpec) -> list[str]:
-    """Comma-joined coordinates of every element, canonical order."""
-    return [",".join(map(str, row)) for row in group._coords.tolist()]
+def _coord_strings(coords: np.ndarray) -> list[str]:
+    """Comma-joined coordinates, one string per row of an integer coordinate array."""
+    return [",".join(map(str, row)) for row in coords.tolist()]
 
 
 def _write_rows(fh, prefix: str, coords: list[str], flat: np.ndarray) -> None:
@@ -189,7 +193,7 @@ def save_signal(path, signal: Signal) -> None:
     if path.suffix.lower() != ".csv":
         write_json(path, {"group": signal.group.to_json(), "values": signal.values})
         return
-    coords = _coord_strings(signal.group)
+    coords = _coord_strings(signal.group._coords)
     flat = signal.values.view(np.float64)
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"i{j}" for j in range(signal.group.ndim)] + ["re", "im"]) + "\r\n")
@@ -204,9 +208,9 @@ def load_coefficients(path) -> CoefficientArray:
     lat = data.get("lattice")
     if not isinstance(lat, dict) or "a" not in lat or "b" not in lat:
         raise SchemaError(f"{path}: missing 'lattice' with 'a' and 'b'")
+    rule = "lattice steps are a list of integers"
     try:
-        lattice = TFLattice(group, tuple(int(x) for x in np.atleast_1d(lat["a"])),
-                            tuple(int(x) for x in np.atleast_1d(lat["b"])))
+        lattice = TFLattice(group, _int_list(lat["a"], rule), _int_list(lat["b"], rule))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad lattice steps ({exc})") from exc
     coeffs = _parse_pairs(data.get("coeffs", []), f"{path}: 'coeffs'")
@@ -251,18 +255,23 @@ def load_sequence(path) -> tuple[list[Signal], Signal | None]:
     return members, limit
 
 
-def save_stft_grid(path, grid: STFTGrid) -> None:
-    """CSV rows t-coords, s-coords, re, im; t-major order, one write per t."""
-    group = grid.group
-    coords = _coord_strings(group)
+def save_stft_grid(path, grid: CoefficientArray) -> None:
+    """CSV rows t-coords, s-coords, re, im over the lattice points; t-major, one write per t.
+
+    stft() gives the full lattice a = b = 1, whose rows cover every (t, s).
+    """
+    lat = grid.lattice
+    ndim = lat.group.ndim
+    times = _coord_strings(lat.time_lattice.coords_array)
+    freqs = _coord_strings(lat.freq_lattice.coords_array)
     with open(path, "w", newline="") as fh:
         fh.write(
-            ",".join([f"t{j}" for j in range(group.ndim)]
-                     + [f"s{j}" for j in range(group.ndim)] + ["re", "im"])
+            ",".join([f"t{j}" for j in range(ndim)]
+                     + [f"s{j}" for j in range(ndim)] + ["re", "im"])
             + "\r\n"
         )
-        for t, row in zip(coords, grid.values):
-            _write_rows(fh, t + ",", coords, row.view(np.float64))
+        for t, row in zip(times, grid.values):
+            _write_rows(fh, t + ",", freqs, row.view(np.float64))
 
 
 def write_json(path, payload: dict) -> None:

@@ -20,11 +20,12 @@ time-frequency shifts, so every atom has the norm s0_norm(g0), and
 product over the atoms plus max |sigma - sigma0| over the point masses.
 Probe sets passed by the caller are normed one STFT each.
 
-The module also certifies structural facts: the support of a signal, comb
-form for measures on a lattice, and the periodicity law saying a signal is
-pZ-periodic iff its spectrum lives on the annihilator (N/p)Z, with comb
-weights |H| times the one-period DFT coefficients (H = pZ the period
-lattice).
+The module also certifies structural facts: the support of a signal, and
+the periodicity law saying a signal is pZ-periodic iff its spectrum lives on
+the annihilator (N/p)Z, with comb weights |H| times the one-period DFT
+coefficients (H = pZ the period lattice).  The spectrum comes back as a
+SubgroupSignal on (N/p)Z, read off by signals.signal_to_comb, which is the
+comb-form certificate for any measure on a lattice.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .groups import (
 )
 from .signals import (
     Signal,
-    WeightedComb,
+    SubgroupSignal,
     dirac,
     dirac_comb,
     finite_gaussian,
@@ -59,7 +60,6 @@ from .signals import (
 
 __all__ = [
     "support",
-    "comb_characterization",
     "PeriodicReport",
     "periodize_analysis",
     "default_probes",
@@ -86,21 +86,12 @@ def support(sigma: Signal, eps: float = 1e-10) -> frozenset[GroupElement]:
     return frozenset(sigma.group.element_at(int(i)) for i in hit)
 
 
-def comb_characterization(sigma: Signal, lattice: Subgroup, eps: float = 1e-10) -> WeightedComb:
-    """Certify that sigma is a measure on the lattice and return its comb form.
-
-    Raises SupportViolation at the first off-lattice position above eps; the
-    returned comb records its own weight bound.
-    """
-    return signal_to_comb(sigma, lattice, eps=eps)
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicReport:
     """Outcome of the periodicity analysis of a signal."""
 
     period_lattice: Subgroup
-    spectrum: WeightedComb
+    spectrum: SubgroupSignal
     one_period_dft: np.ndarray
     weight_residual: float
     leakage: float
@@ -143,7 +134,7 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
     table = np.conj(_character_block(group, perp.coords_array, box_coords))
     one_period = table @ box_values
     weight_residual = float(
-        np.max(np.abs(spectrum.weights - H.order * one_period))
+        np.max(np.abs(spectrum.values - H.order * one_period))
     )
     return PeriodicReport(H, spectrum, one_period, weight_residual, leakage)
 
@@ -273,7 +264,7 @@ def convergence_report(
     if window is None:
         window = finite_gaussian(group)
     deltas = np.array(
-        [m.values - sequence.limit.values for m in sequence.members], dtype=np.complex128
+        [(m - sequence.limit).values for m in sequence.members], dtype=np.complex128
     ).reshape(len(sequence.members), group.order)
     d_pair = [float(v) for v in _pairing_deviations(deltas, group, probes)]
     dual = system.canonical_dual

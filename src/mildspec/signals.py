@@ -5,10 +5,15 @@ Translation acts by T_t f(x) = f(x - t), modulation by M_s f(x) = chi_s(x) f(x),
 and the time-frequency shift is the composition M_s T_t (modulate after
 translate); the two orders differ by the phase chi_s(t).
 
-WeightedComb represents measures supported on a subgroup: weights attached to
-the lattice points in element order.  SubgroupSignal and QuotientSignal hold
-values indexed by a subgroup's element list and a quotient's representative
-list; they are what sampling and periodization produce.
+SubgroupSignal and QuotientSignal hold values indexed by a subgroup's element
+list and a quotient's representative list; they are what sampling and
+periodization produce.  A SubgroupSignal is also the weighted Dirac comb
+sum_h c(h) delta_h: signal_to_comb reads one off a signal that vanishes off
+the subgroup, and fourier.adjoint_restriction embeds it back.
+
+Every container (these three and gabor.CoefficientArray) checks its values
+in _as_values: the size, and that every value is finite.  Input files are
+checked when read, so a non-finite value there is a result that overflowed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GroupMismatchError, SupportViolation
+from .errors import DomainError, GroupMismatchError, SupportViolation
 from .groups import (
     GroupSpec,
     QuotientSpec,
@@ -31,11 +36,9 @@ __all__ = [
     "Signal",
     "SubgroupSignal",
     "QuotientSignal",
-    "WeightedComb",
     "dirac",
     "pure_frequency",
     "dirac_comb",
-    "comb_to_signal",
     "signal_to_comb",
     "translate",
     "modulate",
@@ -57,13 +60,14 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _as_values(values, size: int) -> np.ndarray:
-    vals = _frozen(values).reshape(-1)
-    if vals.size != size:
-        raise ValueError(f"expected {size} values, got {vals.size}")
+def _as_values(values, *shape: int) -> np.ndarray:
+    """Frozen values of the given shape; every container's size and finiteness check."""
+    vals = _frozen(values)
+    if vals.size != math.prod(shape):
+        raise ValueError(f"expected {math.prod(shape)} values, got {vals.size}")
     if not np.all(np.isfinite(vals)):
-        raise ValueError("signal values must be finite")
-    return vals
+        raise DomainError("values are not finite: the result overflowed, or inf/nan was given")
+    return vals.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,27 +169,6 @@ class QuotientSignal:
         return f"QuotientSignal(on {self.quotient!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedComb:
-    """Measure supported on a lattice: one weight per lattice element."""
-
-    lattice: Subgroup
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _as_values(self.weights, self.lattice.order))
-
-    @property
-    def weight_bound(self) -> float:
-        return float(np.max(np.abs(self.weights)))
-
-    def to_signal(self) -> Signal:
-        return comb_to_signal(self)
-
-    def __repr__(self) -> str:
-        return f"WeightedComb(on {self.lattice!r})"
-
-
 def dirac(group: GroupSpec, x) -> Signal:
     """Unit point mass at x (indicator normalization, no 1/|G| factor)."""
     vals = np.zeros(group.order, dtype=np.complex128)
@@ -203,15 +186,8 @@ def dirac_comb(lattice: Subgroup) -> Signal:
     return Signal(lattice.parent, lattice.mask.astype(np.complex128))
 
 
-def comb_to_signal(comb: WeightedComb) -> Signal:
-    """Embed a weighted comb as a signal that vanishes off the lattice."""
-    vals = np.zeros(comb.lattice.parent.order, dtype=np.complex128)
-    vals[comb.lattice.indices] = comb.weights
-    return Signal(comb.lattice.parent, vals)
-
-
-def signal_to_comb(f: Signal, lattice: Subgroup, eps: float = 1e-10) -> WeightedComb:
-    """Read lattice weights off a signal, certifying it vanishes elsewhere.
+def signal_to_comb(f: Signal, lattice: Subgroup, eps: float = 1e-10) -> SubgroupSignal:
+    """Read the comb weights on a lattice off a signal, certifying it vanishes elsewhere.
 
     Raises SupportViolation at the first canonical position where |f| exceeds
     the absolute threshold eps off the lattice.
@@ -223,7 +199,7 @@ def signal_to_comb(f: Signal, lattice: Subgroup, eps: float = 1e-10) -> Weighted
     worst = int(np.argmax(off))
     if off[worst] > eps:
         raise SupportViolation(f.group.element_at(worst), off[worst])
-    return WeightedComb(lattice, f.values[lattice.indices])
+    return SubgroupSignal(lattice, f.values[lattice.indices])
 
 
 def translate(f: Signal, t) -> Signal:

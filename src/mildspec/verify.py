@@ -18,7 +18,6 @@ import numpy as np
 from . import reference
 from .approx import (
     BUPU_SHAPES,
-    SampleArray,
     make_bupu,
     quasi_interpolate,
     sampling_bound,
@@ -257,9 +256,9 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
         )
         try:
             comb = comb_ft(H)
-            if comb.lattice != Hp:
+            if comb.subgroup != Hp:
                 comb_ok = False
-            if float(np.max(np.abs(comb.weights - H.order))) > 1e-9:
+            if float(np.max(np.abs(comb.values - H.order))) > 1e-9:
                 comb_ok = False
         except SupportViolation:
             comb_ok = False
@@ -460,7 +459,7 @@ def verify_approx(
             f"bump family sums to one ({shape})", bupu.partition_residual, 1e-12, tolerance))
 
     f = random_signal(G, rng)
-    samples = SampleArray(lattice, restriction(f, lattice).values)
+    samples = restriction(f, lattice)
     tri = make_bupu(G, lattice, shape="triangle")
     ext_direct = semidiscrete_extension(samples, tri.mother, method="direct")
     ext_fft = semidiscrete_extension(samples, tri.mother, method="fft")
@@ -470,7 +469,7 @@ def verify_approx(
     back = restriction(ext_direct, lattice)
     checks.append(_flag(
         "extension interpolates the samples",
-        bool(np.array_equal(back.values, samples.samples)),
+        bool(np.array_equal(back.values, samples.values)),
     ))
 
     g0 = finite_gaussian(G)

@@ -18,7 +18,7 @@ from mildspec import (
     GaborSystem,
     GroupSpec,
     NotAFrame,
-    SampleArray,
+    SubgroupSignal,
     TFLattice,
     all_subgroups,
     annihilator,
@@ -259,7 +259,7 @@ def test_09_extension_interpolates_and_error_refines():
     exact = True
     for shape in ("triangle", "indicator"):
         phi = make_bupu(G, lam, shape).mother
-        ext = semidiscrete_extension(SampleArray(lam, c), phi)
+        ext = semidiscrete_extension(SubgroupSignal(lam, c), phi)
         exact = exact and np.array_equal(ext.values[lam.indices], c)
 
     big = GroupSpec((256,))

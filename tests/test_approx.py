@@ -8,8 +8,8 @@ from mildspec import (
     BUPU_SHAPES,
     GroupMismatchError,
     GroupSpec,
-    SampleArray,
     Signal,
+    SubgroupSignal,
     dft,
     dirac,
     finite_gaussian,
@@ -89,7 +89,7 @@ class TestSemidiscreteExtension:
         G = GroupSpec((8,))
         lam = grid_subgroup(G, 2)
         phi = make_bupu(G, lam, "triangle").mother
-        samples = SampleArray(lam, [1.0, 0, 0, 0])
+        samples = SubgroupSignal(lam, [1.0, 0, 0, 0])
         assert_array_equal(semidiscrete_extension(samples, phi).values, phi.values)
 
     def test_interpolates_exactly_at_lattice_points(self, rng):
@@ -97,7 +97,7 @@ class TestSemidiscreteExtension:
         lam = grid_subgroup(G, 2)
         phi = make_bupu(G, lam, "triangle").mother
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ext = semidiscrete_extension(SampleArray(lam, c), phi)
+        ext = semidiscrete_extension(SubgroupSignal(lam, c), phi)
         # interpolation is exact in floating point, not merely close: the
         # off-center bumps contribute literal zeros at lattice points
         assert_array_equal(ext.values[lam.indices], c)
@@ -107,7 +107,7 @@ class TestSemidiscreteExtension:
         lam = grid_subgroup(G, (2, 3))
         phi = make_bupu(G, lam, "bspline2").mother
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        samples = SampleArray(lam, c)
+        samples = SubgroupSignal(lam, c)
         with pytest.warns(UserWarning):
             direct = semidiscrete_extension(samples, phi, method="direct")
         with pytest.warns(UserWarning):
@@ -125,7 +125,7 @@ class TestSemidiscreteExtension:
         lam = grid_subgroup(G, steps)
         phi = make_bupu(G, lam, shape).mother
         c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
-        samples = SampleArray(lam, c)
+        samples = SubgroupSignal(lam, c)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             direct = semidiscrete_extension(samples, phi, method="direct")
@@ -146,7 +146,7 @@ class TestSemidiscreteExtension:
             support_size - 1)
         phi = Signal(G, vals)
         c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
-        samples = SampleArray(lam, c)
+        samples = SubgroupSignal(lam, c)
         direct = semidiscrete_extension(samples, phi, method="direct")
         fast = semidiscrete_extension(samples, phi, method="fft")
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
@@ -157,21 +157,21 @@ class TestSemidiscreteExtension:
         lam = grid_subgroup(G, 2)
         phi = Signal(G, 0.5 * make_bupu(G, lam).mother.values)
         with pytest.warns(UserWarning, match="does not interpolate"):
-            semidiscrete_extension(SampleArray(lam, np.ones(4)), phi)
+            semidiscrete_extension(SubgroupSignal(lam, np.ones(4)), phi)
 
     def test_group_mismatch(self):
         G, H = GroupSpec((8,)), GroupSpec((12,))
         lam = grid_subgroup(G, 2)
         phi = finite_gaussian(H)
         with pytest.raises(GroupMismatchError):
-            semidiscrete_extension(SampleArray(lam, np.ones(4)), phi)
+            semidiscrete_extension(SubgroupSignal(lam, np.ones(4)), phi)
 
     def test_unknown_method(self):
         G = GroupSpec((8,))
         lam = grid_subgroup(G, 2)
         phi = make_bupu(G, lam).mother
         with pytest.raises(ValueError):
-            semidiscrete_extension(SampleArray(lam, np.ones(4)), phi, method="zak")
+            semidiscrete_extension(SubgroupSignal(lam, np.ones(4)), phi, method="zak")
 
 
 class TestTensorExtension:

@@ -316,6 +316,13 @@ class TestDemos:
         hot = [int(r[0]) for r in rows[1:] if float(r[1]) > 1e-9]
         assert hot == [0, 4, 8]
 
+    @pytest.mark.parametrize("period", ["0", "-3", "5"])
+    def test_periodic_spectrum_period_must_divide(self, period):
+        proc = run_cli("demo", "periodic-spectrum", "--group", "12", "--p", period)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            f"error: period {period} does not divide moduli (12,)"]
+
     def test_mild_limit_columns_non_increasing(self, tmp_path):
         out = tmp_path / "limit.csv"
         proc = run_cli("demo", "mild-limit", "--group", "32", "--out", out)
@@ -406,9 +413,9 @@ def _signal(tmp_path):
     return src
 
 
-def _overflowing_signal(tmp_path):
+def _overflowing_signal(tmp_path, order=2):
     src = tmp_path / "big.json"
-    src.write_text(json.dumps({"group": [2], "values": [[1e308, 0], [1e308, 0]]}))
+    src.write_text(json.dumps({"group": [order], "values": [[1e308, 0]] * order}))
     return src
 
 
@@ -425,14 +432,24 @@ class TestExitCodeTable:
                       "--out", tmp / "x.json"], 1),
         # OSError: the input path is a directory
         (lambda tmp: ["dft", tmp, "--out", tmp / "x.json"], 3),
-        # any other ValueError: the transform overflows to a non-finite signal
-        (lambda tmp: ["dft", _overflowing_signal(tmp), "--out", tmp / "x.json"], 2),
+        # any other ValueError: NumPy rejects a negative seed
+        (lambda tmp: ["demo", "poisson", "--group", "4", "--seed", "-1"], 2),
     ], ids=["schema", "group-mismatch", "domain", "os-error", "value-error"])
     def test_row(self, tmp_path, make_args, code):
         proc = run_cli(*make_args(tmp_path))
         assert proc.returncode == code
         assert proc.stderr.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, order", [("dft", 2), ("stft", 4)])
+    def test_overflow_is_a_domain_rejection(self, tmp_path, command, order):
+        # the inputs are finite, their transforms are not
+        out = tmp_path / "x.csv"
+        proc = run_cli(command, _overflowing_signal(tmp_path, order), "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: values are not finite: the result overflowed, or inf/nan was given"]
+        assert not out.exists()
 
     def test_one_case_per_row(self):
         from mildspec.cli import _EXIT_CODES

@@ -13,7 +13,6 @@ from mildspec import (
     GroupSpec,
     NotAFrame,
     Signal,
-    STFTGrid,
     TFLattice,
     canonical_dual,
     dft,
@@ -283,14 +282,14 @@ class TestCoefficients:
         writeable = np.zeros((4, 4), dtype=complex)
         c = CoefficientArray(lat, writeable)
         writeable[0, 0] = 1.0
-        assert c.coeffs[0, 0] == 0 and not c.coeffs.flags.writeable
+        assert c.values[0, 0] == 0 and not c.values.flags.writeable
         frozen = np.zeros((4, 4), dtype=complex)
         frozen.setflags(write=False)
-        assert np.shares_memory(CoefficientArray(lat, frozen).coeffs, frozen)
+        assert np.shares_memory(CoefficientArray(lat, frozen).values, frozen)
         # a read-only view does not own its data: its base may still change
         view = np.zeros((8, 8), dtype=complex)[:, :]
         view.setflags(write=False)
-        assert not np.shares_memory(STFTGrid(G, finite_gaussian(G), view).values, view)
+        assert not np.shares_memory(CoefficientArray(TFLattice(G, 1, 1), view).values, view)
 
     def test_stft_holds_one_grid(self):
         # the Z512 grid is 4 MiB; a copy on construction would double the peak
@@ -584,7 +583,7 @@ class TestTimeFrequencyKernels:
         on_lattice = tuple(slice(None, None, bj) for bj in lattice.freq_steps)
         full = _numpy_stft_rows(f, g, lattice.time_lattice.indices[rows])
         want = full.reshape((len(rows),) + moduli)[(slice(None),) + on_lattice]
-        got = system.analyze(f).coeffs[rows]
+        got = system.analyze(f).values[rows]
         assert np.max(np.abs(got - want.reshape(len(rows), -1))) < 1e-12 * np.max(np.abs(want))
 
         c = np.zeros((nt, lattice.freq_lattice.order), dtype=np.complex128)

@@ -1,4 +1,4 @@
-"""The file writers against the stdlib encoders, and the strict pair reader."""
+"""The file writers against the stdlib encoders, and the strict pair and coefficient readers."""
 
 import csv
 import io as stdio
@@ -170,3 +170,18 @@ class TestPairReader:
     def test_malformed_is_schema_error_naming_field(self, data, message):
         with pytest.raises(SchemaError, match=f"'values'.*{message}"):
             _parse_pairs(data, "'values'")
+
+
+class TestCoefficientReader:
+    @pytest.mark.parametrize("field, steps", [
+        ("a", [2.7]), ("a", ["2"]), ("b", [True]), ("b", [2.0]), ("a", 2),
+    ], ids=["float", "string", "bool", "integral-float", "scalar"])
+    def test_lattice_steps_must_be_integer_lists(self, tmp_path, field, steps):
+        # each file would load as the a = b = 2 lattice on Z8 if the steps were coerced
+        lattice = {"a": [2], "b": [2]}
+        lattice[field] = steps
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"group": [8], "lattice": lattice, "coeffs": [[1.0, 0.0]] * 16}))
+        with pytest.raises(SchemaError, match="bad lattice steps"):
+            io.load_coefficients(path)

@@ -13,9 +13,10 @@ from mildspec import (
     GroupSpec,
     NotPeriodic,
     Signal,
+    SubgroupSignal,
     SupportViolation,
     TFLattice,
-    comb_characterization,
+    adjoint_restriction,
     convergence_report,
     default_probes,
     dirac,
@@ -30,6 +31,7 @@ from mildspec import (
     random_signal,
     refining_comb_sequence,
     s0prime_norm,
+    signal_to_comb,
     support,
     tf_shift,
     translate,
@@ -70,24 +72,21 @@ class TestCombCharacterization:
         G = GroupSpec((8,))
         lam = grid_subgroup(G, 4)
         sigma = dirac(G, G.zero()) * 3.0 - dirac(G, G.element(4)) * 2.0
-        comb = comb_characterization(sigma, lam)
-        assert_allclose(comb.weights, [3.0, -2.0], atol=1e-14)
-        assert comb.weight_bound == pytest.approx(3.0)
+        comb = signal_to_comb(sigma, lam)
+        assert_allclose(comb.values, [3.0, -2.0], atol=1e-14)
 
     def test_rejects_spread_out_signal(self):
         G = GroupSpec((16,))
         with pytest.raises(SupportViolation):
-            comb_characterization(finite_gaussian(G), grid_subgroup(G, 2))
+            signal_to_comb(finite_gaussian(G), grid_subgroup(G, 2))
 
     def test_roundtrip_preserves_weights(self, rng):
-        from mildspec import WeightedComb
-
         G = GroupSpec((12,))
         lam = grid_subgroup(G, 3)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        sigma = WeightedComb(lam, w).to_signal()
-        back = comb_characterization(sigma, lam)
-        assert_allclose(back.weights, w, atol=1e-14)
+        sigma = adjoint_restriction(SubgroupSignal(lam, w))
+        back = signal_to_comb(sigma, lam)
+        assert_allclose(back.values, w, atol=1e-14)
 
 
 class TestPeriodization:
@@ -95,7 +94,7 @@ class TestPeriodization:
         G = GroupSpec((12,))
         f = pure_frequency(G, G.element(4))
         report = periodize_analysis(f, 3)
-        hot = [s for s, w in zip(report.spectrum.lattice.elements, report.spectrum.weights)
+        hot = [s for s, w in zip(report.spectrum.subgroup.elements, report.spectrum.values)
                if abs(w) > 1e-9]
         assert [e.coords[0] for e in hot] == [4]
         assert report.leakage <= 1e-10
@@ -108,9 +107,9 @@ class TestPeriodization:
         report = periodize_analysis(f, 3)
         assert report.leakage <= 1e-10
         assert report.weight_residual <= 1e-10
-        lattice = report.spectrum.lattice
+        lattice = report.spectrum.subgroup
         assert [e.coords[0] for e in lattice.elements] == [0, 4, 8]
-        for n, (s, w) in enumerate(zip(lattice.elements, report.spectrum.weights)):
+        for n, (s, w) in enumerate(zip(lattice.elements, report.spectrum.values)):
             oracle = sum(
                 block[t] * np.exp(-2j * np.pi * s.coords[0] * t / 12) for t in range(3)
             )
@@ -120,8 +119,8 @@ class TestPeriodization:
         G = GroupSpec((8,))
         f = Signal(G, np.full(8, 2.5))
         report = periodize_analysis(f, 1)
-        assert report.spectrum.lattice.order == 1
-        assert_allclose(report.spectrum.weights, [8 * 2.5], atol=1e-12)
+        assert report.spectrum.subgroup.order == 1
+        assert_allclose(report.spectrum.values, [8 * 2.5], atol=1e-12)
 
     def test_aperiodic_signal_rejected(self):
         G = GroupSpec((16,))
@@ -147,7 +146,7 @@ class TestPeriodizationTolerance:
         f = Signal(G, 1e3 * np.tile(block, 1000))
         report = periodize_analysis(f, 3)
         assert report.period_lattice.order == 1000
-        assert report.weight_residual <= 1e-10 * (1 + np.max(np.abs(report.spectrum.weights)))
+        assert report.weight_residual <= 1e-10 * (1 + np.max(np.abs(report.spectrum.values)))
 
     def test_genuine_off_lattice_component_still_raises(self):
         # 1e-9 chi_1 barely moves under translation by 3 (below the periodicity

@@ -6,10 +6,10 @@ from mildspec import (
     GroupMismatchError,
     GroupSpec,
     Signal,
+    SubgroupSignal,
     SupportViolation,
-    WeightedComb,
+    adjoint_restriction,
     character,
-    comb_to_signal,
     dirac,
     dirac_comb,
     finite_gaussian,
@@ -105,11 +105,11 @@ class TestCombs:
     def test_comb_signal_roundtrip(self):
         G = GroupSpec((8,))
         lam = subgroup_generated(G, [G.element(4)])
-        comb = WeightedComb(lam, np.array([1.0, 1.0]))
-        sig = comb_to_signal(comb)
+        comb = SubgroupSignal(lam, np.array([1.0, 1.0]))
+        sig = adjoint_restriction(comb)
         assert_array_equal(sig.values, [1, 0, 0, 0, 1, 0, 0, 0])
         back = signal_to_comb(sig, lam, eps=1e-12)
-        assert_array_equal(back.weights, comb.weights)
+        assert_array_equal(back.values, comb.values)
 
     def test_support_violation_reports_offender(self):
         G = GroupSpec((8,))
@@ -120,12 +120,6 @@ class TestCombs:
             signal_to_comb(Signal(G, vals), lam)
         assert info.value.element == G.element(1)
         assert_allclose(info.value.magnitude, 0.5)
-
-    def test_weight_bound(self):
-        G = GroupSpec((8,))
-        lam = subgroup_generated(G, [G.element(4)])
-        comb = WeightedComb(lam, np.array([3.0, -2.0]))
-        assert comb.weight_bound == 3.0
 
 
 class TestShifts:
