@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from mildspec import (
     ConvergenceReport,
     DistributionSequence,
+    DomainError,
     GaborSystem,
     GroupMismatchError,
     GroupSpec,
@@ -274,6 +275,13 @@ class TestSequences:
             max(s0prime_norm(m) for m in members)
         )
         assert len(seq) == 3
+
+    def test_overflowing_difference_is_a_domain_error(self):
+        G = GroupSpec((8,))
+        big = Signal(G, np.full(8, 1e308))
+        seq = DistributionSequence(G, (big,), -1.0 * big)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflowed"):
+            convergence_report(seq, GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2)))
 
     def test_refining_combs_walk_the_divisor_chain(self):
         G = GroupSpec((64,))
