@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GroupMismatchError, NotPeriodic
+from .errors import DomainError, GroupMismatchError, NotPeriodic
 from .fourier import dft
 from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm, s0prime_norm
 from .groups import (
@@ -257,6 +257,7 @@ def convergence_report(
 
     d_pair is evaluated for all members at once; without probes it uses the
     closed-form norms of the default probes.
+    Metrics that overflow from finite members raise DomainError.
     """
     group = sequence.group
     if system.group != group:
@@ -278,6 +279,8 @@ def convergence_report(
         if vals:
             ratios[f"{name}_over_stft_max"] = float(max(vals))
             ratios[f"{name}_over_stft_min"] = float(min(vals))
+    if not np.all(np.isfinite([*d_pair, *d_stft, *d_coeff, *ratios.values()])):
+        raise DomainError("deviation metrics are not finite: the result overflowed")
     return ConvergenceReport(tuple(d_pair), tuple(d_stft), tuple(d_coeff), ratios)
 
 

@@ -3,17 +3,22 @@
 Everything here is written from the defining sums, with exact integer
 character phases and no FFT shortcuts, and none of it calls the kernels it
 checks; the fast paths are tested against these at small sizes and the
-runtime verify suites reuse them.
+runtime verify suites reuse them.  The one exception is stft_columns, the
+STFT read on the frequency side: an FFT route, but a second kernel that
+shares nothing with gabor's shifted-window fold, so it can check that
+kernel at orders where the defining sums cannot run.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
+from .errors import GroupMismatchError
 from .fourier import COUNTING, FourierConvention
-from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice
+from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
 from .groups import GroupElement, GroupSpec, QuotientSpec, Subgroup, _character_block
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
@@ -21,6 +26,7 @@ __all__ = [
     "naive_dft",
     "naive_idft",
     "stft_direct",
+    "stft_columns",
     "dft_subgroup_direct",
     "dft_quotient_direct",
     "synthesis_matrix",
@@ -79,6 +85,35 @@ def stft_direct(f: Signal, window: Signal) -> np.ndarray:
         for t in group._coords.tolist()
     ], axis=1)
     return _character_sum(group, group._coords, group._coords, windowed).T
+
+
+def stft_columns(f: Signal, window: Signal) -> Iterator[tuple[slice, np.ndarray]]:
+    """Full STFT grid by columns, one block of frequencies at a time.
+
+    Yields (block, V) with V[x, j] = V_g f(x, s_j) for every time x and the
+    frequencies s_j of the block, both in element order.  At a fixed s the
+    STFT is the correlation of f chi_{-s} with g, so on the frequency side
+
+        V_g f(., s) = IFFT(f^(. + s) conj g^),
+
+    one inverse FFT of size |G| per column, with no shifted window and no
+    fold.  The blocks are the row blocks of gabor's kernel on the full
+    lattice, so a column block pairs with the row block of the same slice.
+    """
+    group = f.group
+    if window.group != group:
+        raise GroupMismatchError("window and signal live on different groups")
+    fhat = np.fft.fftn(f.grid()).reshape(-1)
+    ghat_conj = np.conj(np.fft.fftn(window.grid())).reshape(-1)
+    coords = group._coords
+    axes = tuple(range(1, group.ndim + 1))
+    for block in _row_blocks(group.order, group.order):
+        # row j holds f^(w + s_j) for every w
+        spectra = fhat[group._index_rows(coords[None, :, :] + coords[block, None, :])]
+        np.multiply(spectra, ghat_conj, out=spectra)
+        spectra = spectra.reshape((-1,) + group.moduli)
+        cols = np.fft.ifftn(spectra, axes=axes, out=spectra)
+        yield block, cols.reshape(len(cols), -1).T
 
 
 def dft_subgroup_direct(mu: SubgroupSignal, onto: QuotientSpec) -> QuotientSignal:

@@ -40,6 +40,24 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert "undersampled lattice rejected" in proc.stdout
 
+    @pytest.mark.parametrize("args", [
+        ("all", "--group", "1"),
+        ("gabor", "--group", "9", "--a", "3", "--b", "3"),
+    ], ids=["Z1", "Z9"])
+    def test_critical_lattice_that_is_a_frame_runs_the_frame_checks(self, args):
+        proc = run_cli("verify", *args)
+        assert proc.returncode == 0
+        assert "lattice redundancy: value=1.000000e+00" in proc.stdout
+        assert "[PASS] " + ("gabor: " if args[0] == "all" else "") + \
+            "expansion reconstructs" in proc.stdout
+        assert "undersampled" not in proc.stdout and "[FAIL]" not in proc.stdout
+
+    def test_critical_lattice_that_is_not_a_frame_is_reported(self):
+        proc = run_cli("verify", "gabor", "--group", "4", "--a", "2", "--b", "2")
+        assert proc.returncode == 0
+        assert "[INFO] critical lattice is not a frame" in proc.stdout
+        assert "undersampled" not in proc.stdout and "frame bounds" not in proc.stdout
+
     def test_zero_group_is_usage_error(self):
         proc = run_cli("verify", "all", "--group", "0")
         assert proc.returncode == 2
@@ -449,6 +467,18 @@ class TestExitCodeTable:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             "error: values are not finite: the result overflowed, or inf/nan was given"]
+        assert not out.exists()
+
+    def test_overflowing_metric_is_a_domain_rejection(self, tmp_path):
+        # a finite member whose deviation metrics overflow
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({
+            "group": [8], "members": [[[1e308, 0]] * 8], "limit": [[0, 0]] * 8}))
+        out = tmp_path / "report.json"
+        proc = run_cli("mild-converge", seq, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: deviation metrics are not finite: the result overflowed"]
         assert not out.exists()
 
     def test_one_case_per_row(self):

@@ -64,6 +64,37 @@ class TestSTFT:
         slow = reference.stft_direct(f, g)
         assert np.max(np.abs(fast - slow)) < 1e-11
 
+    @pytest.mark.parametrize("moduli", [(12,), (4, 6), (2, 3, 4)], ids=str)
+    def test_column_kernel_matches_direct_sum_and_rows(self, rng, moduli):
+        G = GroupSpec(moduli)
+        f, g = random_signal(G, rng), random_signal(G, rng)
+        blocks = list(reference.stft_columns(f, g))
+        assert [b for b, _ in blocks] == [slice(0, G.order)]
+        cols = blocks[0][1]
+        slow = reference.stft_direct(f, g)
+        assert np.max(np.abs(cols - slow)) < 1e-12 * np.max(np.abs(slow))
+        assert np.max(np.abs(cols - stft(f, g).values)) < 1e-12 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("moduli", [(24,), (4, 6), (2, 3, 4)], ids=str)
+    def test_column_kernel_split_over_blocks(self, rng, moduli, monkeypatch):
+        from mildspec import gabor
+
+        G = GroupSpec(moduli)
+        f, g = random_signal(G, rng), random_signal(G, rng)
+        # five columns per block: the last block of 24 columns holds four
+        monkeypatch.setattr(gabor, "_BLOCK_CELLS", 5 * G.order)
+        blocks = list(reference.stft_columns(f, g))
+        assert [(b.start, b.stop) for b, _ in blocks] == [
+            (i, min(i + 5, 24)) for i in range(0, 24, 5)]
+        slow = reference.stft_direct(f, g)
+        for block, cols in blocks:
+            assert np.max(np.abs(cols - slow[:, block])) < 1e-12 * np.max(np.abs(slow))
+
+    def test_column_kernel_group_mismatch(self, rng):
+        f = random_signal(GroupSpec((8,)), rng)
+        with pytest.raises(GroupMismatchError):
+            next(reference.stft_columns(f, finite_gaussian(GroupSpec((12,)))))
+
     def test_energy_identity(self, rng):
         G = GroupSpec((24,))
         f, g = random_signal(G, rng), random_signal(G, rng)

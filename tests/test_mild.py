@@ -283,6 +283,14 @@ class TestSequences:
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflowed"):
             convergence_report(seq, GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2)))
 
+    def test_overflowing_metric_is_a_domain_error(self):
+        # the difference is finite; its pairings and STFT sums overflow
+        G = GroupSpec((8,))
+        seq = DistributionSequence(G, (Signal(G, np.full(8, 1e308)),), Signal(G, np.zeros(8)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="deviation metrics are not finite"):
+            convergence_report(seq, GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2)))
+
     def test_refining_combs_walk_the_divisor_chain(self):
         G = GroupSpec((64,))
         seq = refining_comb_sequence(G)

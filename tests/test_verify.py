@@ -1,0 +1,124 @@
+import json
+import math
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mildspec import GroupSpec, Signal, random_signal, reference
+from mildspec.cli import main
+from mildspec.verify import _product_checks, verify_approx, verify_gabor
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text())
+PRODUCT_CHECKS = ("product signal transform factorizes", "product signal norm factorizes")
+
+
+class TestProductChecks:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_factorizations_hold_for_any_partner(self, data):
+        moduli = data.draw(
+            st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+                lambda m: math.prod(m) <= 64),
+            label="moduli",
+        )
+        m = data.draw(st.integers(1, 4), label="partner")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        u = random_signal(GroupSpec(tuple(moduli)), rng)
+        v = random_signal(GroupSpec((m,)), rng)
+        checks = _product_checks(u, v, None)
+        assert [c.name for c in checks] == list(PRODUCT_CHECKS)
+        assert all(c.passed and c.threshold == 1e-10 for c in checks)
+
+    @pytest.mark.parametrize("moduli, step", [((4, 8), 2), ((2, 4, 8), 2)], ids=str)
+    def test_checked_on_groups_of_several_axes(self, moduli, step):
+        checks = {c.name: c for c in verify_approx(GroupSpec(moduli), step, seed=1)}
+        for name in PRODUCT_CHECKS:
+            assert checks[name].passed and checks[name].threshold == 1e-10
+
+
+class TestGaborStreaming:
+    def test_holds_no_full_grid(self):
+        # one |G|^2 grid on Z1024 is 16 MiB; the a = b = 2 coefficients are 4 MiB
+        G = GroupSpec((1024,))
+        tracemalloc.start()
+        try:
+            checks = verify_gabor(G, 2, 2, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak < 0.75 * 16 * G.order**2
+
+    @pytest.mark.parametrize("moduli, a, b", [((24,), 2, 3), ((4, 6), 1, 2), ((2, 3, 4), 1, (1, 3, 2))],
+                             ids=str)
+    def test_blocks_split_give_the_same_report(self, moduli, a, b, monkeypatch):
+        from mildspec import gabor
+
+        G = GroupSpec(moduli)
+        whole = verify_gabor(G, a, b, seed=4)
+        # five rows and five columns per block, the last block short
+        monkeypatch.setattr(gabor, "_BLOCK_CELLS", 5 * G.order)
+        split = verify_gabor(G, a, b, seed=4)
+        assert [c.name for c in split] == [c.name for c in whole]
+        assert all(c.passed for c in split)
+        for c, d in zip(split, whole):
+            assert abs(c.residual - d.residual) <= 1e-12 * (1.0 + abs(d.residual))
+
+
+def _failed(checks):
+    return {c.name for c in checks if not c.passed}
+
+
+class TestMutationsFailAGate:
+    def test_window_not_tensorized_across_axes(self, rng, monkeypatch):
+        from mildspec import gabor
+        from mildspec.signals import _axis_gaussian
+
+        # one Gaussian over all |G| indices: the same window on Z24, not a tensor on Z24 x Z2
+        monkeypatch.setattr(gabor, "finite_gaussian", lambda G, radius=8: Signal(
+            G, np.array(_axis_gaussian(G.order, radius))))
+        u, v = random_signal(GroupSpec((24,)), rng), random_signal(GroupSpec((2,)), rng)
+        assert _failed(_product_checks(u, v, None)) == {"product signal norm factorizes"}
+
+    def test_time_shift_on_one_axis_only(self, monkeypatch):
+        from mildspec import gabor
+
+        shifted_conj = gabor._shifted_conj
+
+        def first_axis_only(grid):
+            read = shifted_conj(grid)
+            keep = np.eye(1, grid.ndim, dtype=np.int64)[0]
+            return lambda times: read(times * keep)
+
+        monkeypatch.setattr(gabor, "_shifted_conj", first_axis_only)
+        failed = _failed(verify_gabor(GroupSpec((4, 8)), (1, 2), (1, 2), seed=1))
+        assert {"short-time transform matches defining sum",
+                "transform rotates the time-frequency plane"} <= failed
+
+    def test_column_kernel_off_by_one_frequency(self, monkeypatch):
+        stft_columns = reference.stft_columns
+
+        def next_frequency(f, window):
+            full = reference.stft_direct(f, window)
+            for block, _ in stft_columns(f, window):
+                yield block, full[:, (np.arange(f.group.order)[block] + 1) % f.group.order]
+
+        monkeypatch.setattr(reference, "stft_columns", next_frequency)
+        assert _failed(verify_gabor(GroupSpec((24,)), 2, 2, seed=1)) == {
+            "transform rotates the time-frequency plane"}
+
+
+@pytest.mark.parametrize("group", sorted(EXPECTED["checks"]))
+def test_ladder_report_keeps_every_gated_check(group, tmp_path, capsys):
+    # the benchmark's ladder holds each report to these names; a rename fails here first
+    report = tmp_path / "report.json"
+    main(["verify", "all", "--group", group, "--seed", "1", "--report", str(report)])
+    checks = json.loads(report.read_text())["checks"]
+    gated = {c["name"] for c in checks if c["threshold"] is not None}
+    assert [n for n in EXPECTED["checks"][group] if n not in gated] == []
+    for name in PRODUCT_CHECKS:
+        assert f"approx: {name}" in gated
