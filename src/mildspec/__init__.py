@@ -15,6 +15,8 @@ if _threads and _threads.isdigit():
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
+from types import ModuleType as _ModuleType
+
 from .approx import (
     BUPU,
     BUPU_SHAPES,
@@ -58,9 +60,6 @@ from .gabor import (
     CoefficientArray,
     GaborSystem,
     TFLattice,
-    canonical_dual,
-    frame_bounds,
-    frame_operator,
     gabor_coefficients,
     gabor_synthesis,
     s0_norm,
@@ -112,4 +111,8 @@ from .signals import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind are not part of the star import
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -16,14 +16,14 @@ the constant one, which keeps the partition exact in that degenerate case.
 
 Semidiscrete extension turns lattice samples c, a SubgroupSignal on the
 lattice, into sum_lambda c_lambda T_lambda phi, equivalently the convolution
-of the weighted comb with phi.  The default computation is the direct
-double sum, taken over whichever index set is shorter: the lattice
-(c_lambda T_lambda phi) or supp(phi) (phi(p) T_p of the weighted comb).
-Either way restriction back to the lattice is exact (every other term is an
-exact zero there) whenever supp(phi) meets the lattice only at 0 and
-phi(0) = 1; the FFT convolution route is available as a cross-check.  The
-partition check sums the lattice translates of the mother bump in O(|G|)
-per coset.
+of the weighted comb with phi.  It is computed as the direct double sum,
+taken over whichever index set is shorter: the lattice (c_lambda T_lambda
+phi) or supp(phi) (phi(p) T_p of the weighted comb).  Either way restriction
+back to the lattice is exact (every other term is an exact zero there)
+whenever supp(phi) meets the lattice only at 0 and phi(0) = 1, which an FFT
+convolution is not; that route is the oracle
+reference.extension_by_convolution.  The partition check sums the lattice
+translates of the mother bump in O(|G|) per coset.
 """
 
 from __future__ import annotations
@@ -123,14 +123,11 @@ def _weighted_translates(f: Signal, points: np.ndarray, weights: np.ndarray) -> 
     return out
 
 
-def semidiscrete_extension(
-    samples: SubgroupSignal, phi: Signal, method: str = "direct"
-) -> Signal:
+def semidiscrete_extension(samples: SubgroupSignal, phi: Signal) -> Signal:
     """sum_lambda c_lambda T_lambda phi, the comb-with-phi convolution.
 
-    method "direct" accumulates translates over the lattice or over supp(phi),
-    whichever is shorter (exact at lattice points when phi interpolates);
-    "fft" multiplies transforms under the counting convention.
+    Accumulates translates over the lattice or over supp(phi), whichever is
+    shorter (exact at lattice points when phi interpolates).
     A window with phi(0) != 1 voids the interpolation contract and triggers
     a warning.
     """
@@ -142,20 +139,14 @@ def semidiscrete_extension(
             "phi(0) != 1: extension does not interpolate its samples",
             stacklevel=2,
         )
-    if method == "direct":
-        # the same double sum over whichever index set is shorter
-        support = np.flatnonzero(phi.values)
-        if lattice.order <= support.size:
-            out = _weighted_translates(phi, lattice.coords_array, samples.values)
-        else:
-            comb = adjoint_restriction(samples)
-            out = _weighted_translates(comb, phi.group._coords[support], phi.values[support])
-        return Signal(phi.group, out)
-    if method == "fft":
+    # the same double sum over whichever index set is shorter
+    support = np.flatnonzero(phi.values)
+    if lattice.order <= support.size:
+        out = _weighted_translates(phi, lattice.coords_array, samples.values)
+    else:
         comb = adjoint_restriction(samples)
-        spec = np.fft.fftn(comb.grid()) * np.fft.fftn(phi.grid())
-        return Signal(phi.group, np.fft.ifftn(spec).reshape(-1))
-    raise ValueError(f"unknown method {method!r}; choose 'direct' or 'fft'")
+        out = _weighted_translates(comb, phi.group._coords[support], phi.values[support])
+    return Signal(phi.group, out)
 
 
 def tensor_extension(f: Signal, g: Signal) -> Signal:
@@ -203,6 +194,6 @@ def quasi_interpolate(f: Signal, lattice: Subgroup, shape: str = "triangle") -> 
     bupu = make_bupu(f.group, lattice, shape)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        approx = semidiscrete_extension(restriction(f, lattice), bupu.mother, method="direct")
+        approx = semidiscrete_extension(restriction(f, lattice), bupu.mother)
     err = float(np.max(np.abs(approx.values - f.values)))
     return QuasiResult(approx, err)

@@ -213,11 +213,11 @@ def duality_sampling_periodization(f: Signal, subgroup: Subgroup) -> DualityResu
     return DualityResult(lhs, rhs, residual)
 
 
-def comb_ft(lattice: Subgroup, eps: float = 1e-10) -> SubgroupSignal:
+def comb_ft(lattice: Subgroup) -> SubgroupSignal:
     """Transform of the unit comb: |L| on the annihilator lattice, zero elsewhere.
 
     Computed through the FFT and certified by signal_to_comb, so FFT leakage
-    beyond eps raises SupportViolation instead of being silently dropped.
+    beyond 1e-10 raises SupportViolation instead of being silently dropped.
     """
     hat = dft(dirac_comb(lattice))
-    return signal_to_comb(hat, annihilator(lattice), eps=eps)
+    return signal_to_comb(hat, annihilator(lattice))

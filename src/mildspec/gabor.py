@@ -33,7 +33,10 @@ residue r in Z_P splits S into prod P_j Hermitian blocks of size prod b_j,
 
 whose entries come from the same shifted-window read and an aZ fold.  The
 frame bounds (A, B) are the extreme block eigenvalues and the canonical
-dual window S^{-1} g comes from one batched block solve.  Useful constants
+dual window S^{-1} g comes from one batched block solve.  All three are
+read off a GaborSystem (apply_frame, frame_bounds, canonical_dual), and
+is_frame, A > FRAME_TOL * B, is the one frame test: canonical_dual raises
+NotAFrame exactly when it fails.  Useful constants
 under the counting convention: the full lattice a = b = 1 gives
 S = |G| ||g||_2^2 Id, and Moyal's identity reads sum_{t,s} |V_g f|^2 =
 |G| ||g||_2^2 ||f||_2^2.
@@ -62,9 +65,6 @@ __all__ = [
     "stft",
     "s0_norm",
     "s0prime_norm",
-    "frame_operator",
-    "frame_bounds",
-    "canonical_dual",
     "gabor_coefficients",
     "gabor_synthesis",
 ]
@@ -363,8 +363,8 @@ class GaborSystem:
         with self._lock:
             if self._dual is not None:
                 return self._dual
-        blocks, a, b = self._frame_data()
-        if not (b > 0 and a > FRAME_TOL * b):
+        blocks, a, _ = self._frame_data()
+        if not self.is_frame:
             raise NotAFrame(a)
         # the window as (b_1, P_1, ..., b_d, P_d), then P axes first: rows are the blocks
         d = self.group.ndim
@@ -380,19 +380,6 @@ class GaborSystem:
 
     def __repr__(self) -> str:
         return f"GaborSystem(window on {self.group!r}, {self.lattice!r})"
-
-
-def frame_operator(system: GaborSystem, f: Signal) -> Signal:
-    """Apply the frame operator of the system to a signal."""
-    return system.apply_frame(f)
-
-
-def frame_bounds(system: GaborSystem) -> tuple[float, float]:
-    return system.frame_bounds
-
-
-def canonical_dual(system: GaborSystem) -> Signal:
-    return system.canonical_dual
 
 
 def gabor_coefficients(sigma: Signal, system: GaborSystem) -> CoefficientArray:

@@ -6,7 +6,8 @@ offers three computable deviation metrics between a signal sigma and a
 candidate limit sigma0:
 
   * d_pair:  max over a probe set of |pair(sigma - sigma0, f)| / (1 + s0_norm(f)),
-  * d_stft:  max pointwise STFT deviation against a fixed window,
+  * d_stft:  max pointwise STFT deviation against a fixed window (the
+             Gaussian g0 in convergence_report),
   * d_coeff: max deviation of canonical Gabor coefficients on a lattice.
 
 The three vanish together, and along refining comb sequences they decrease
@@ -20,12 +21,13 @@ time-frequency shifts, so every atom has the norm s0_norm(g0), and
 product over the atoms plus max |sigma - sigma0| over the point masses.
 Probe sets passed by the caller are normed one STFT each.
 
-The module also certifies structural facts: the support of a signal, and
-the periodicity law saying a signal is pZ-periodic iff its spectrum lives on
-the annihilator (N/p)Z, with comb weights |H| times the one-period DFT
-coefficients (H = pZ the period lattice).  The spectrum comes back as a
-SubgroupSignal on (N/p)Z, read off by signals.signal_to_comb, which is the
-comb-form certificate for any measure on a lattice.
+The module also certifies structural facts: the support of a signal (the
+values above 1e-10 of its peak), and the periodicity law saying a signal is
+pZ-periodic iff its spectrum lives on the annihilator (N/p)Z, with comb
+weights |H| times the one-period DFT coefficients (H = pZ the period
+lattice); both sides are held to 1e-10 (1 + peak).  The spectrum comes back
+as a SubgroupSignal on (N/p)Z, read off by signals.signal_to_comb, which is
+the comb-form certificate for any measure on a lattice.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ __all__ = [
 ]
 
 
-def support(sigma: Signal, eps: float = 1e-10) -> frozenset[GroupElement]:
-    """Elements where |sigma| exceeds eps relative to its peak.
+def support(sigma: Signal) -> frozenset[GroupElement]:
+    """Elements where |sigma| exceeds 1e-10 times its peak.
 
     The zero signal has empty support.
     """
@@ -82,7 +84,7 @@ def support(sigma: Signal, eps: float = 1e-10) -> frozenset[GroupElement]:
     peak = float(mags.max())
     if peak == 0.0:
         return frozenset()
-    hit = np.nonzero(mags > eps * peak)[0]
+    hit = np.nonzero(mags > 1e-10 * peak)[0]
     return frozenset(sigma.group.element_at(int(i)) for i in hit)
 
 
@@ -97,16 +99,16 @@ class PeriodicReport:
     leakage: float
 
 
-def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
+def periodize_analysis(f: Signal, period) -> PeriodicReport:
     """Certify periodicity and factor the spectrum as a weighted comb.
 
     For per-axis periods p (each dividing its modulus) the checks are:
 
       1. T_h f = f for the generators p_j e_j of H = pZ; translations
          compose, so generator invariance settles the whole lattice.  The
-         tolerance is tol * (1 + max|f|); failure raises NotPeriodic.
+         tolerance is 1e-10 * (1 + max|f|); failure raises NotPeriodic.
       2. The spectrum is supported on annihilator(H) = (N/p)Z; off-lattice
-         leakage above tol * (1 + max|fhat|), the frequency-side twin of
+         leakage above 1e-10 * (1 + max|fhat|), the frequency-side twin of
          check 1, raises SupportViolation.  The reported leakage is the
          absolute off-lattice maximum.
       3. The comb weights equal |H| * F(n), where F is the one-period DFT
@@ -117,7 +119,7 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
     group = f.group
     steps = _grid_steps(group, period)
     H = grid_subgroup(group, steps)
-    scale = tol * (1.0 + f.norm_inf)
+    scale = 1e-10 * (1.0 + f.norm_inf)
     for shift in H.generators:
         dev = float(np.max(np.abs(translate(f, shift).values - f.values)))
         if dev > scale:
@@ -126,7 +128,7 @@ def periodize_analysis(f: Signal, period, tol: float = 1e-10) -> PeriodicReport:
     perp = annihilator(H)
     fhat = dft(f)
     leakage = float(np.max(np.abs(fhat.values) * ~perp.mask))
-    spectrum = signal_to_comb(fhat, perp, eps=tol * (1.0 + fhat.norm_inf))
+    spectrum = signal_to_comb(fhat, perp, eps=1e-10 * (1.0 + fhat.norm_inf))
 
     box = list(itertools.product(*(range(p) for p in steps)))
     box_coords = np.array(box, dtype=np.int64)
@@ -239,38 +241,35 @@ class ConvergenceReport:
     d_coeff: tuple[float, ...]
     equivalence_ratios: dict[str, float]
 
-    def is_monotone(self, metric: str, slack: float | None = None) -> bool:
-        """Non-increasing check with a rounding slack for ties at machine precision."""
+    def is_monotone(self, metric: str) -> bool:
+        """Non-increasing check, with a slack of 1e-10 (1 + first value) for rounding ties."""
         series = getattr(self, metric if metric.startswith("d_") else f"d_{metric}")
-        if slack is None:
-            slack = 1e-10 * (1.0 + (series[0] if series else 0.0))
+        slack = 1e-10 * (1.0 + (series[0] if series else 0.0))
         return all(b <= a + slack for a, b in zip(series, series[1:]))
 
 
 def convergence_report(
     sequence: DistributionSequence,
     system: GaborSystem,
-    window: Signal | None = None,
     probes=None,
 ) -> ConvergenceReport:
     """Evaluate all three deviation metrics for every member of a sequence.
 
     d_pair is evaluated for all members at once; without probes it uses the
-    closed-form norms of the default probes.
+    closed-form norms of the default probes.  d_stft uses the Gaussian window.
     Metrics that overflow from finite members raise DomainError.
     """
     group = sequence.group
     if system.group != group:
         raise GroupMismatchError("system lives on a different group")
-    if window is None:
-        window = finite_gaussian(group)
     deltas = np.array(
         [(m - sequence.limit).values for m in sequence.members], dtype=np.complex128
     ).reshape(len(sequence.members), group.order)
     d_pair = [float(v) for v in _pairing_deviations(deltas, group, probes)]
     dual = system.canonical_dual
     plane = TFLattice(group, 1, 1)
-    d_stft = [_tf_abs_max(delta, window, plane) for delta in deltas]
+    g0 = finite_gaussian(group)
+    d_stft = [_tf_abs_max(delta, g0, plane) for delta in deltas]
     d_coeff = [_tf_abs_max(delta, dual, system.lattice) for delta in deltas]
 
     ratios: dict[str, float] = {}

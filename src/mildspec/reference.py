@@ -3,10 +3,11 @@
 Everything here is written from the defining sums, with exact integer
 character phases and no FFT shortcuts, and none of it calls the kernels it
 checks; the fast paths are tested against these at small sizes and the
-runtime verify suites reuse them.  The one exception is stft_columns, the
-STFT read on the frequency side: an FFT route, but a second kernel that
-shares nothing with gabor's shifted-window fold, so it can check that
-kernel at orders where the defining sums cannot run.
+runtime verify suites reuse them.  Two exceptions are second FFT routes
+that share nothing with the kernel they check: stft_columns, the STFT read
+on the frequency side, checks gabor's shifted-window fold at orders where
+the defining sums cannot run, and extension_by_convolution, the weighted
+comb convolved with phi, checks approx's double sum of translates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GroupMismatchError
-from .fourier import COUNTING, FourierConvention
+from .fourier import COUNTING, FourierConvention, adjoint_restriction
 from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
 from .groups import GroupElement, GroupSpec, QuotientSpec, Subgroup, _character_block
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
@@ -35,6 +36,7 @@ __all__ = [
     "frame_matrix_dense",
     "subgroups_by_closure",
     "translate_sum_direct",
+    "extension_by_convolution",
 ]
 
 
@@ -220,3 +222,13 @@ def translate_sum_direct(f: Signal, lattice: Subgroup) -> np.ndarray:
     for t in lattice.coords_array:
         out += translate(f, t).values
     return out
+
+
+def extension_by_convolution(samples: SubgroupSignal, phi: Signal) -> Signal:
+    """Semidiscrete extension as one FFT convolution of the weighted comb with phi.
+
+    Equal to the double sum up to rounding, so not exact at lattice points.
+    """
+    comb = adjoint_restriction(samples)
+    spec = np.fft.fftn(comb.grid()) * np.fft.fftn(phi.grid())
+    return Signal(phi.group, np.fft.ifftn(spec).reshape(-1))

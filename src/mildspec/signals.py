@@ -14,6 +14,9 @@ the subgroup, and fourier.adjoint_restriction embeds it back.
 Every container (these three and gabor.CoefficientArray) checks its values
 in _as_values: the size, and that every value is finite.  Input files are
 checked when read, so a non-finite value there is a result that overflowed.
+
+finite_gaussian, the canonical window, is the periodized Gaussian truncated
+where its tail falls below double precision.
 """
 
 from __future__ import annotations
@@ -254,43 +257,39 @@ def tf_shift(f: Signal, t, s) -> Signal:
 
 
 @lru_cache(maxsize=None)
-def _axis_gaussian(n: int, radius: int) -> tuple[float, ...]:
+def _axis_gaussian(n: int) -> tuple[float, ...]:
     vals = []
     for k in range(n):
         acc = 0.0
-        for m in range(-radius, radius + 1):
+        for m in range(-8, 9):
             acc += math.exp(-math.pi * (k + m * n) ** 2 / n)
         vals.append(acc)
     return tuple(vals)
 
 
 @lru_cache(maxsize=None)
-def _finite_gaussian(moduli: tuple[int, ...], radius: int) -> Signal:
+def _finite_gaussian(moduli: tuple[int, ...]) -> Signal:
     grid = np.array(1.0)
     for n in moduli:
-        axis = np.array(_axis_gaussian(n, radius), dtype=np.float64)
+        axis = np.array(_axis_gaussian(n), dtype=np.float64)
         grid = np.multiply.outer(grid, axis)
     return Signal(GroupSpec(moduli), grid.reshape(-1))
 
 
-def finite_gaussian(group: GroupSpec, radius: int = 8) -> Signal:
+def finite_gaussian(group: GroupSpec) -> Signal:
     """Periodized Gaussian, the canonical window.
 
-    Per axis g[k] = sum_{|m| <= radius} exp(-pi (k + m N)^2 / N), tensorized
-    across axes.  The omitted tail is below exp(-pi * (radius+1)^2 * N), far
-    under double precision for the default radius 8, which makes the window
-    an eigenvector of the Fourier transform: dft(g) = sqrt(|G|) g to machine
-    accuracy under the counting convention.
+    Per axis g[k] = sum_{|m| <= 8} exp(-pi (k + m N)^2 / N), tensorized
+    across axes.  The omitted tail is below exp(-pi * 81 * N), far under
+    double precision, which makes the window an eigenvector of the Fourier
+    transform: dft(g) = sqrt(|G|) g to machine accuracy under the counting
+    convention.
     """
-    if radius < 1:
-        raise ValueError("truncation radius must be >= 1")
-    return _finite_gaussian(group.moduli, radius)
+    return _finite_gaussian(group.moduli)
 
 
-def random_signal(group: GroupSpec, rng: np.random.Generator, real: bool = False) -> Signal:
-    """Standard-normal test signal (complex by default)."""
-    if real:
-        return Signal(group, rng.standard_normal(group.order).astype(np.complex128))
+def random_signal(group: GroupSpec, rng: np.random.Generator) -> Signal:
+    """Complex standard-normal test signal."""
     re = rng.standard_normal(group.order)
     im = rng.standard_normal(group.order)
     return Signal(group, re + 1j * im)

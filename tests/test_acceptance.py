@@ -22,7 +22,6 @@ from mildspec import (
     TFLattice,
     all_subgroups,
     annihilator,
-    canonical_dual,
     convergence_report,
     dft,
     dirac,
@@ -170,7 +169,7 @@ def test_06_gabor_frames_at_fixed_redundancies():
         for key in ("two", "four"):
             a, b = lattices[key]
             system = GaborSystem(g, TFLattice(G, a, b))
-            dual = canonical_dual(system)
+            dual = system.canonical_dual
             worst_inv = max(
                 worst_inv,
                 float(np.max(np.abs(system.apply_frame(dual).values - g.values))),

@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
@@ -24,6 +26,7 @@ from mildspec import (
     subgroup_generated,
     tensor_extension,
 )
+from mildspec import reference
 
 
 class TestBUPU:
@@ -109,9 +112,8 @@ class TestSemidiscreteExtension:
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         samples = SubgroupSignal(lam, c)
         with pytest.warns(UserWarning):
-            direct = semidiscrete_extension(samples, phi, method="direct")
-        with pytest.warns(UserWarning):
-            fast = semidiscrete_extension(samples, phi, method="fft")
+            direct = semidiscrete_extension(samples, phi)
+        fast = reference.extension_by_convolution(samples, phi)
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12
 
     @pytest.mark.parametrize("shape", BUPU_SHAPES)
@@ -128,8 +130,8 @@ class TestSemidiscreteExtension:
         samples = SubgroupSignal(lam, c)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            direct = semidiscrete_extension(samples, phi, method="direct")
-            fast = semidiscrete_extension(samples, phi, method="fft")
+            direct = semidiscrete_extension(samples, phi)
+        fast = reference.extension_by_convolution(samples, phi)
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
         if shape != "bspline2":
             # interpolating bumps: lattice samples come back bit for bit
@@ -147,10 +149,38 @@ class TestSemidiscreteExtension:
         phi = Signal(G, vals)
         c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
         samples = SubgroupSignal(lam, c)
-        direct = semidiscrete_extension(samples, phi, method="direct")
-        fast = semidiscrete_extension(samples, phi, method="fft")
+        direct = semidiscrete_extension(samples, phi)
+        fast = reference.extension_by_convolution(samples, phi)
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
         assert_array_equal(direct.values[lam.indices], c)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_the_convolution_oracle(self, data):
+        moduli = data.draw(
+            st.lists(st.integers(1, 16), min_size=1, max_size=3).filter(
+                lambda m: math.prod(m) <= 64),
+            label="moduli",
+        )
+        steps = tuple(
+            data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="step")
+            for n in moduli
+        )
+        G = GroupSpec(tuple(moduli))
+        lam = grid_subgroup(G, steps)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        c = rng.standard_normal(lam.order) + 1j * rng.standard_normal(lam.order)
+        samples = SubgroupSignal(lam, c)
+        for shape in BUPU_SHAPES:
+            phi = make_bupu(G, lam, shape).mother
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ext = semidiscrete_extension(samples, phi)
+            oracle = reference.extension_by_convolution(samples, phi)
+            assert np.max(np.abs(ext.values - oracle.values)) < 1e-12 * np.max(np.abs(c))
+            if shape != "bspline2":
+                # interpolating bumps: lattice samples come back bit for bit
+                assert_array_equal(ext.values[lam.indices], c)
 
     def test_warns_when_center_value_off(self):
         G = GroupSpec((8,))
@@ -165,13 +195,6 @@ class TestSemidiscreteExtension:
         phi = finite_gaussian(H)
         with pytest.raises(GroupMismatchError):
             semidiscrete_extension(SubgroupSignal(lam, np.ones(4)), phi)
-
-    def test_unknown_method(self):
-        G = GroupSpec((8,))
-        lam = grid_subgroup(G, 2)
-        phi = make_bupu(G, lam).mother
-        with pytest.raises(ValueError):
-            semidiscrete_extension(SubgroupSignal(lam, np.ones(4)), phi, method="zak")
 
 
 class TestTensorExtension:

@@ -58,6 +58,17 @@ class TestVerifyCommand:
         assert "[INFO] critical lattice is not a frame" in proc.stdout
         assert "undersampled" not in proc.stdout and "frame bounds" not in proc.stdout
 
+    @pytest.mark.parametrize("args, line", [
+        (("--group", "4,4", "--a", "1,2", "--b", "1,4"), "[PASS] undersampled lattice rejected"),
+        (("--group", "4,6", "--a", "2", "--b", "2"), "[INFO] critical lattice is not a frame"),
+    ], ids=["undersampled-axis", "critical-axis"])
+    def test_lattice_is_judged_per_axis(self, args, line):
+        # redundancy 2 and 1.5, but one axis is under or at its critical density
+        proc = run_cli("verify", "gabor", *args)
+        assert proc.returncode == 0
+        assert line in proc.stdout and "[FAIL]" not in proc.stdout
+        assert ": PASS (5 checks)" in proc.stdout
+
     def test_zero_group_is_usage_error(self):
         proc = run_cli("verify", "all", "--group", "0")
         assert proc.returncode == 2

@@ -69,6 +69,27 @@ class TestGaborStreaming:
             assert abs(c.residual - d.residual) <= 1e-12 * (1.0 + abs(d.residual))
 
 
+class TestLatticeClassification:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_every_separable_lattice_gets_a_report(self, data):
+        moduli = data.draw(
+            st.lists(st.integers(1, 36), min_size=1, max_size=3).filter(
+                lambda m: math.prod(m) <= 36),
+            label="moduli",
+        )
+
+        def steps(label):
+            return tuple(
+                data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label=label)
+                for n in moduli
+            )
+
+        a, b = steps("a"), steps("b")
+        checks = verify_gabor(GroupSpec(tuple(moduli)), a, b, seed=data.draw(st.integers(0, 99)))
+        assert _failed(checks) == set()
+
+
 def _failed(checks):
     return {c.name for c in checks if not c.passed}
 
@@ -79,8 +100,8 @@ class TestMutationsFailAGate:
         from mildspec.signals import _axis_gaussian
 
         # one Gaussian over all |G| indices: the same window on Z24, not a tensor on Z24 x Z2
-        monkeypatch.setattr(gabor, "finite_gaussian", lambda G, radius=8: Signal(
-            G, np.array(_axis_gaussian(G.order, radius))))
+        monkeypatch.setattr(gabor, "finite_gaussian", lambda G: Signal(
+            G, np.array(_axis_gaussian(G.order))))
         u, v = random_signal(GroupSpec((24,)), rng), random_signal(GroupSpec((2,)), rng)
         assert _failed(_product_checks(u, v, None)) == {"product signal norm factorizes"}
 
