@@ -8,6 +8,11 @@ the canonical dual window for exact reconstruction on the good side.
 The critical case is the interesting one: exactly one lattice point per
 sample is enough counting-wise, yet the Gaussian system degenerates there,
 so spanning genuinely needs a margin, not just a head count.
+
+Next to each (A, B) the script prints the two estimates of the Janssen
+representation S = kappa sum_mu c_mu pi(mu) over the adjoint lattice,
+kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu|, and
+for one lattice the coefficients c_mu = <g, pi(mu) g> themselves.
 """
 
 import numpy as np
@@ -21,6 +26,7 @@ from mildspec import (
     gabor_coefficients,
     gabor_synthesis,
     random_signal,
+    reference,
 )
 
 G = GroupSpec((48,))
@@ -36,8 +42,10 @@ for a, b in ((2, 2), (2, 4), (4, 4), (6, 8), (8, 8), (12, 16)):
     try:
         A, B = system.frame_bounds
         if system.is_frame:
+            lower, upper = reference.JanssenFrame(g0, system.lattice).bound_estimates
             print(f"  a={a:2d} b={b:2d}  rho={rho:5.2f}  "
-                  f"bounds A={A:8.4f} B={B:8.4f}  B/A={B / A:8.2f}")
+                  f"bounds A={A:8.4f} B={B:8.4f}  B/A={B / A:8.2f}  "
+                  f"Janssen {lower:8.4f} <= A, B <= {upper:8.4f}")
         else:
             print(f"  a={a:2d} b={b:2d}  rho={rho:5.2f}  degenerate (A ~ 0)")
     except NotAFrame as exc:
@@ -46,6 +54,12 @@ print()
 
 # reconstruction through the canonical dual at a comfortable redundancy
 system = GaborSystem(g0, TFLattice(G, 4, 4))
+janssen = reference.JanssenFrame(g0, system.lattice)
+# rows are the times t, columns the frequencies 0, 12, 24, 36; real, because g is even
+print(f"c_mu = <g, pi(mu) g> on the adjoint lattice 12Z x 12Z, kappa = {janssen.kappa:g}:")
+for t, row in zip((0, 12, 24, 36), janssen.coefficients.real):
+    print(f"  t={t:2d}  " + "  ".join(f"{c:9.2e}" for c in row))
+print()
 worst = 0.0
 for _ in range(25):
     f = random_signal(G, rng)

@@ -40,6 +40,18 @@ NotAFrame exactly when it fails.  Useful constants
 under the counting convention: the full lattice a = b = 1 gives
 S = |G| ||g||_2^2 Id, and Moyal's identity reads sum_{t,s} |V_g f|^2 =
 |G| ||g||_2^2 ||f||_2^2.
+
+The same S lives on the adjoint lattice L^o = PZ x (N/a)Z, the time-frequency
+shifts that commute with every pi(lambda); it has prod a_j b_j points.  In
+this normalization the Janssen representation reads
+
+    S = kappa sum_{mu in L^o} <g, pi(mu) g> pi(mu),   kappa = |G| / prod a_j b_j,
+
+so kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu| with
+c_mu = <g, pi(mu) g>, and a window gamma is dual to g exactly when
+kappa <gamma, pi(mu) g> = delta_{mu,0} on L^o (Wexler-Raz); the canonical dual
+is the one dual in span pi(L^o) g.  reference.JanssenFrame computes all of
+this without the blocks, as a second route.
 """
 
 from __future__ import annotations
@@ -363,20 +375,27 @@ class GaborSystem:
         with self._lock:
             if self._dual is not None:
                 return self._dual
-        blocks, a, _ = self._frame_data()
+        _, a, _ = self._frame_data()
         if not self.is_frame:
             raise NotAFrame(a)
-        # the window as (b_1, P_1, ..., b_d, P_d), then P axes first: rows are the blocks
-        d = self.group.ndim
-        perm = tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2))
-        inter = _coset_shape(self.group.moduli, _periods(self.lattice))
-        rhs = self.window.values.reshape(inter).transpose(perm)
-        solved = np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))
-        values = solved.reshape(rhs.shape).transpose(np.argsort(perm)).reshape(-1)
-        dual = Signal(self.group, values)
+        dual = Signal(self.group, self._blockwise(np.linalg.solve, self.window.values))
         with self._lock:
             self._dual = dual
         return dual
+
+    def _blockwise(self, op: Callable, values: np.ndarray) -> np.ndarray:
+        """op(blocks, rows) with values split into one row of length prod b per block.
+
+        np.matmul applies the frame operator in its block form, np.linalg.solve inverts it.
+        """
+        blocks, _, _ = self._frame_data()
+        # the values as (b_1, P_1, ..., b_d, P_d), then P axes first: rows are the blocks
+        d = self.group.ndim
+        perm = tuple(range(1, 2 * d, 2)) + tuple(range(0, 2 * d, 2))
+        inter = _coset_shape(self.group.moduli, _periods(self.lattice))
+        rows = values.reshape(inter).transpose(perm)
+        out = op(blocks, rows.reshape(blocks.shape[:2] + (1,)))
+        return out.reshape(rows.shape).transpose(np.argsort(perm)).reshape(-1)
 
     def __repr__(self) -> str:
         return f"GaborSystem(window on {self.group!r}, {self.lattice!r})"

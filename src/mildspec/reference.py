@@ -8,6 +8,18 @@ that share nothing with the kernel they check: stft_columns, the STFT read
 on the frequency side, checks gabor's shifted-window fold at orders where
 the defining sums cannot run, and extension_by_convolution, the weighted
 comb convolved with phi, checks approx's double sum of translates.
+
+JanssenFrame holds the frame operator of a Gabor system on the adjoint
+lattice L^o = prod (N_j/b_j)Z x prod (N_j/a_j)Z, which has prod a_j b_j
+points: the Janssen sum S = kappa sum c_mu pi(mu), applied in
+O(|L^o| |G|) or as a dense matrix on small groups; its frame-bound
+estimates; the Wexler-Raz residual of a dual window and its distance from
+span pi(L^o) g; and S^{-1} by conjugate gradients, whose analysis gives the
+minimal-norm coefficients.  stft_cells evaluates the defining STFT sum at
+chosen cells, so it runs at any order.  None of these shares code with
+gabor's Walnut blocks or its shifted-window fold _tf_rows.  The dense
+synthesis matrix, the dense frame operators and the full direct-sum STFT
+stay as oracles for the tests.
 """
 
 from __future__ import annotations
@@ -34,6 +46,8 @@ __all__ = [
     "frame_apply_direct",
     "frame_matrix",
     "frame_matrix_dense",
+    "stft_cells",
+    "JanssenFrame",
     "subgroups_by_closure",
     "translate_sum_direct",
     "extension_by_convolution",
@@ -158,6 +172,173 @@ def frame_matrix(M: np.ndarray) -> np.ndarray:
 def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
     """Dense frame operator of a system, from its synthesis matrix."""
     return frame_matrix(synthesis_matrix(system.window, system.lattice))
+
+
+def stft_cells(f: Signal, window: Signal, times: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """V_g f at the cells (times[i], freqs[i]), element indices, by the defining sum."""
+    group = f.group
+    coords = group._coords
+    out = np.empty(len(times), dtype=np.complex128)
+    for block in _row_blocks(len(times), group.order):
+        # g(x - t) for the time of each cell
+        shifted = window.values[group._index_rows(coords[None] - coords[times[block], None])]
+        atoms = _character_block(group, coords[freqs[block]], coords) * shifted
+        out[block] = np.conj(atoms) @ f.values
+    return out
+
+
+def _conjugate_gradients(apply, rhs: np.ndarray) -> np.ndarray:
+    """x with apply(x) = rhs for a Hermitian positive definite operator.
+
+    Plain conjugate gradients from x = 0.  In exact arithmetic they end after
+    as many steps as the operator has distinct eigenvalues; in floating point
+    they stop once the residual is at roundoff, or after 2 len(rhs) steps.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rr = np.vdot(r, r).real
+    stop = (np.finfo(float).eps * np.linalg.norm(rhs)) ** 2
+    for _ in range(2 * len(rhs)):
+        if rr <= stop:
+            break
+        q = apply(p)
+        step = rr / np.vdot(p, q).real
+        x += step * p
+        r -= step * q
+        rr, rr_old = np.vdot(r, r).real, rr
+        p = r + (rr / rr_old) * p
+    return x
+
+
+# The Janssen sum cancels down to multipliers as small as the lower frame
+# bound A, so its coefficients are formed in extended precision where the
+# platform has it (x86 long double: 64-bit mantissa) and rounded once.
+_WIDE = np.clongdouble
+_TAU = 4 * np.arccos(np.longdouble(0))
+
+
+def _steps_grid(steps: np.ndarray) -> np.ndarray:
+    """Rows of the box prod Z_{steps_j}, in row-major order (the zero row first)."""
+    return np.indices(tuple(steps)).reshape(len(steps), -1).T
+
+
+class JanssenFrame:
+    """The frame operator of (g, aZ x bZ) on the adjoint lattice (Janssen representation).
+
+    With kappa = |G| / prod a_j b_j and c_mu = <g, pi(mu) g> for mu = (t, s)
+    in the adjoint lattice L^o = prod (N_j/b_j)Z x prod (N_j/a_j)Z,
+
+        S f = kappa sum_{mu in L^o} c_mu pi(mu) f,      pi(t, s) = M_s T_t.
+
+    Every chi_s with s in (N/a)Z depends on x mod a only, so the sum over the
+    frequencies of L^o folds into one multiplier per time shift t, a function
+    on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t).  The prod b_j
+    shift-index rows x -> x - t, the residues x mod a and the prod a_j
+    character rows are built once, so an apply costs O(|L^o| |G|) at most,
+    with no loop over points.  Only index shifts, exact-phase characters and
+    inner products are used: nothing here reads gabor's Walnut blocks or its
+    shifted-window fold.  The coefficients c_mu and the multipliers are formed
+    in extended precision and rounded once (see _WIDE).
+    """
+
+    def __init__(self, window: Signal, lattice: TFLattice):
+        group = lattice.group
+        if window.group != group:
+            raise GroupMismatchError("window and lattice live on different groups")
+        a, b = np.array(lattice.time_steps), np.array(lattice.freq_steps)
+        moduli = np.array(group.moduli)
+        coords = group._coords
+        self.window = window
+        self.kappa = group.order / math.prod(lattice.time_steps + lattice.freq_steps)
+        # index of x - t for every time point t of L^o, one row per t
+        times = _steps_grid(b) * (moduli // b)
+        self._shifts = group._index_rows(coords[None, :, :] - times[:, None, :])
+        residue = np.ravel_multi_index(tuple((coords % a).T), tuple(a))
+        self._residue = residue
+        # the residue classes x mod a as consecutive runs, for np.add.reduceat
+        self._by_residue = np.argsort(residue, kind="stable")
+        self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(math.prod(a)))
+        # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
+        L = group._char_lcm
+        phases = (_steps_grid(a) * (moduli // a) * group._char_weights) @ _steps_grid(a).T % L
+        self._chars = np.exp((_TAU * 1j / L) * phases.astype(np.longdouble))
+        wide = self._inner(window.values)
+        self.coefficients = wide.astype(np.complex128)
+        self._multipliers = (self.kappa * wide @ self._chars).astype(np.complex128)
+
+    def _inner(self, values: np.ndarray) -> np.ndarray:
+        """<f, pi(mu) g> on L^o in extended precision, shape (time points, frequency points)."""
+        folded = np.empty((len(self._shifts), len(self._chars)), dtype=_WIDE)
+        for block in _row_blocks(len(self._shifts), len(values)):
+            # f(x) conj g(x - t), summed over each residue class x mod a
+            terms = values.astype(_WIDE) * np.conj(self.window.values[self._shifts[block]])
+            folded[block] = np.add.reduceat(terms[:, self._by_residue], self._class_starts, axis=1)
+        return folded @ np.conj(self._chars).T
+
+    def inner_products(self, f: Signal) -> np.ndarray:
+        """<f, pi(mu) g> for every mu in L^o, shape (time points, frequency points)."""
+        return self._inner(f.values).astype(np.complex128)
+
+    def _combine(self, multipliers: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """sum_t m_t(x mod a) v(x - t) for multipliers of shape (time points, prod a)."""
+        out = np.zeros(len(values), dtype=np.complex128)
+        for block in _row_blocks(len(self._shifts), len(values)):
+            terms = multipliers[block][:, self._residue] * values[self._shifts[block]]
+            out += np.sum(terms, axis=0)
+        return out
+
+    def apply(self, f: Signal) -> Signal:
+        """S f = kappa sum_mu c_mu pi(mu) f."""
+        return Signal(f.group, self._combine(self._multipliers, f.values))
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_mu d_mu pi(mu) g for coefficients d on L^o."""
+        return self._combine((coeffs @ self._chars).astype(np.complex128), self.window.values)
+
+    def matrix(self) -> np.ndarray:
+        """The same sum as a dense |G| x |G| matrix, S[x, x - t] = m_t(x); small groups only."""
+        n = len(self._residue)
+        S = np.zeros((n, n), dtype=np.complex128)
+        S[np.arange(n), self._shifts] = self._multipliers[:, self._residue]
+        return (S + S.conj().T) / 2
+
+    @property
+    def bound_estimates(self) -> tuple[float, float]:
+        """kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu|."""
+        total = float(np.sum(np.abs(self.coefficients)))
+        c0 = float(self.coefficients[0, 0].real)
+        return self.kappa * (2 * c0 - total), self.kappa * total
+
+    def wexler_raz_residual(self, gamma: Signal) -> float:
+        """max_mu |kappa <gamma, pi(mu) g> - delta_{mu,0}|: 0 exactly for the dual windows."""
+        r = self.kappa * self._inner(gamma.values)
+        r[0, 0] -= 1
+        return float(np.max(np.abs(r)))
+
+    def span_residual(self, gamma: Signal) -> float:
+        """||gamma - P gamma|| / ||gamma||, P the projection onto span pi(L^o) g.
+
+        The least-squares coefficients solve the Gram system of the atoms
+        pi(mu) g by conjugate gradients; of all dual windows only the
+        canonical one lies in the span.
+        """
+        rhs = self.inner_products(gamma)
+
+        def gram(d):
+            atoms = self.synthesize(d.reshape(rhs.shape))
+            return self.inner_products(Signal(gamma.group, atoms)).ravel()
+
+        d = _conjugate_gradients(gram, rhs.ravel()).reshape(rhs.shape)
+        return float(np.linalg.norm(gamma.values - self.synthesize(d))) / gamma.norm2
+
+    def solve(self, h: Signal) -> Signal:
+        """S^{-1} h by conjugate gradients on the Janssen sum (the accelerated frame algorithm).
+
+        Analysis of the result with g gives the minimal-norm coefficients of h.
+        """
+        x = _conjugate_gradients(lambda v: self._combine(self._multipliers, v), h.values)
+        return Signal(h.group, x)
 
 
 def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:

@@ -9,10 +9,12 @@ fixed seed yields byte-identical report files.
 Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
 meet columns of the STFT of f from reference.stft_columns one block at a
-time, so no |G| x |G| grid is held.  The approx suite checks that the
-transform and the concentration norm factorize over a product on G x Z2,
-for every G; the identity holds for any second factor, and Z2 keeps its
-STFT at 4 |G|^2 cells.
+time, so no |G| x |G| grid is held.  Its frame checks have a second route
+at every order on the adjoint lattice (reference.JanssenFrame), which
+costs O(prod a_j b_j |G|), so no check builds the dense synthesis matrix.
+The approx suite checks that the transform and the concentration norm
+factorize over a product on G x Z2, for every G; the identity holds for
+any second factor, and Z2 keeps its STFT at 4 |G|^2 cells.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def _rel(delta: np.ndarray, ref: np.ndarray) -> float:
 
 # oracle comparisons that build |G| x |G| matrices run only up to this order
 _ORACLE_MAX_ORDER = 128
+# above it the defining STFT sum runs at this many seeded cells
+_SAMPLED_CELLS = 256
 
 
 @lru_cache(maxsize=8)
@@ -310,9 +314,15 @@ def verify_gabor(
     # rows of the unitary transform's STFT meet the columns of f's STFT, rotated:
     # |V f^(t, s)| = |V f(-s, t)|, one row block against one column block
     normalized_hat = Signal(G, dft(f).values / G.order ** 0.5)
-    direct = (
-        reference.stft_direct(normalized_hat, g0) if G.order <= _ORACLE_MAX_ORDER else None
-    )
+    if G.order <= _ORACLE_MAX_ORDER:
+        direct = reference.stft_direct(normalized_hat, g0)
+        times, freqs = np.indices(direct.shape).reshape(2, -1)
+        direct = direct.reshape(-1)
+    else:
+        # the defining sum at seeded cells, drawn apart from the suite's stream
+        cells = np.random.default_rng([seed, 1])
+        times, freqs = cells.integers(0, G.order, size=(2, _SAMPLED_CELLS))
+        direct = reference.stft_cells(normalized_hat, g0, times, freqs)
     neg = G.negation_permutation()
     energy = peak = worst_direct = worst_rotation = 0.0
     for (block, rows), (_, cols) in zip(
@@ -324,14 +334,13 @@ def verify_gabor(
         energy += float(np.sum(modulus ** 2))
         peak = max(peak, float(np.max(modulus)))
         worst_rotation = max(worst_rotation, float(np.max(np.abs(modulus - rotated))))
-        if direct is not None:
-            worst_direct = max(worst_direct, float(np.max(np.abs(rows - direct[block]))))
-    if direct is not None:
-        checks.append(_check(
-            "short-time transform matches defining sum",
-            worst_direct / (peak if peak > 0 else 1.0), 1e-11, tolerance))
-    else:
-        checks.append(_info("direct-sum oracle skipped: group order", G.order))
+        here = (times >= block.start) & (times < block.stop)
+        if np.any(here):
+            found = rows[times[here] - block.start, freqs[here]]
+            worst_direct = max(worst_direct, float(np.max(np.abs(found - direct[here]))))
+    checks.append(_check(
+        "short-time transform matches defining sum",
+        worst_direct / (peak if peak > 0 else 1.0), 1e-11, tolerance))
     target = G.order * g0.norm2 ** 2 * normalized_hat.norm2 ** 2
     checks.append(_check(
         "time-frequency energy identity", abs(energy - target) / target, 1e-10, tolerance))
@@ -361,15 +370,23 @@ def verify_gabor(
         return checks
     checks.append(_info("frame condition number", B / A))
 
+    # the second route lives on the adjoint lattice: the Janssen sum
+    janssen = reference.JanssenFrame(g0, lattice)
+    Sf = janssen.apply(f).values
+    checks.append(_check(
+        "structured frame operator matches Janssen",
+        max(_rel(system.apply_frame(f).values - Sf, Sf),
+            _rel(system._blockwise(np.matmul, f.values) - Sf, Sf)),
+        1e-12, tolerance))
+    lower, upper = janssen.bound_estimates
+    checks.append(_check(
+        "lower frame bound above Janssen estimate", max(0.0, lower - A) / B, 1e-12, tolerance))
+    checks.append(_check(
+        "upper frame bound below Janssen estimate", max(0.0, B - upper) / B, 1e-12, tolerance))
+
     gd = system.canonical_dual
-    cells = G.order * lattice.size
-    # one dense synthesis matrix serves the frame oracle and the least-squares check
-    M = (
-        reference.synthesis_matrix(g0, lattice)
-        if G.order <= _ORACLE_MAX_ORDER or cells <= 1 << 19 else None
-    )
     if G.order <= _ORACLE_MAX_ORDER:
-        S = reference.frame_matrix(M)
+        S = janssen.matrix()
         eig = np.linalg.eigvalsh(S)
         dense_dual = np.linalg.solve(S, g0.values)
         checks.append(_check(
@@ -377,8 +394,11 @@ def verify_gabor(
             max(abs(A - eig[0]) / eig[-1], abs(B - eig[-1]) / eig[-1],
                 _rel(gd.values - dense_dual, dense_dual)),
             1e-10, tolerance))
-    else:
-        checks.append(_info("dense frame oracle skipped: group order", G.order))
+    # biorthogonality on the adjoint lattice, and the span that singles out the canonical dual
+    checks.append(_check(
+        "dual window satisfies Wexler-Raz",
+        max(janssen.wexler_raz_residual(gd), janssen.span_residual(gd)),
+        1e-10 * (B / A), tolerance))
     Sgd = system.apply_frame(gd)
     checks.append(_check(
         "canonical dual inverts the frame operator",
@@ -392,15 +412,15 @@ def verify_gabor(
         worst = max(worst, _rel(back.values - x.values, x.values))
     checks.append(_check("expansion reconstructs", worst, 1e-9, tolerance))
 
-    if cells <= 1 << 19:
-        c = system.analyze(h, window=gd)
-        lsq, *_ = np.linalg.lstsq(M, h.values, rcond=None)
-        checks.append(_check(
-            "canonical coefficients have minimal norm",
-            float(np.max(np.abs(c.ravel() - lsq))) / (1.0 + float(np.max(np.abs(lsq)))),
-            1e-8, tolerance))
-    else:
-        checks.append(_info("least-squares check skipped: synthesis cells", cells))
+    # V_gd h against V_g(S^-1 h), S^-1 by conjugate gradients on the Janssen sum
+    worst = peak = 0.0
+    for (_, coeffs), (_, minimal) in zip(
+        _tf_rows(h.values, gd, lattice), _tf_rows(janssen.solve(h).values, g0, lattice)
+    ):
+        worst = max(worst, float(np.max(np.abs(coeffs - minimal))))
+        peak = max(peak, float(np.max(np.abs(minimal))))
+    checks.append(_check(
+        "canonical coefficients have minimal norm", worst / (1.0 + peak), 1e-8, tolerance))
 
     checks.append(_info("dual window spread (l1/l2)", gd.norm1 / gd.norm2))
     return checks

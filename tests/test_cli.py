@@ -115,19 +115,42 @@ class TestVerifyCoverage:
         assert checks["subgroup and quotient transforms match direct sums"].passed
         assert not any("skipped" in name for name in checks)
 
-    def test_gabor_oracles_run_or_report_their_skip(self):
+    def test_gabor_oracles_run_at_every_order(self):
         from mildspec.verify import verify_gabor
 
         small = {c.name: c for c in verify_gabor(GroupSpec((64,)), 2, 2)}
         assert small["structured frame operator matches dense oracle"].passed
         assert small["short-time transform matches defining sum"].passed
         assert not any("skipped" in name for name in small)
+        # above order 128: the Janssen and Wexler-Raz routes and the sampled defining sum
         large = {c.name: c for c in verify_gabor(GroupSpec((256,)), 2, 2)}
-        assert large["direct-sum oracle skipped: group order"].residual == 256
-        assert large["dense frame oracle skipped: group order"].residual == 256
-        assert large["least-squares check skipped: synthesis cells"].residual == 256 * 128 * 128
+        for name in GABOR_SECOND_ROUTES:
+            assert large[name].passed and large[name].threshold is not None, name
         assert "structured frame operator matches dense oracle" not in large
-        assert all(c.threshold is None for n, c in large.items() if "skipped" in n)
+        assert not any("skipped" in name for name in large)
+
+    def test_tolerance_overrides_the_second_route_thresholds(self, tmp_path):
+        report = tmp_path / "report.json"
+        proc = run_cli("verify", "gabor", "--group", "256", "--seed", "1",
+                       "--tolerance", "1e-30", "--report", report)
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        for name in GABOR_SECOND_ROUTES + GABOR_BOUND_GATES:
+            assert checks[name]["threshold"] == 1e-30, name
+        # a residual at roundoff exceeds 1e-30
+        assert proc.returncode == 1
+        assert not checks["structured frame operator matches Janssen"]["passed"]
+
+
+GABOR_SECOND_ROUTES = [
+    "structured frame operator matches Janssen",
+    "dual window satisfies Wexler-Raz",
+    "canonical coefficients have minimal norm",
+    "short-time transform matches defining sum",
+]
+GABOR_BOUND_GATES = [
+    "lower frame bound above Janssen estimate",
+    "upper frame bound below Janssen estimate",
+]
 
 
 class TestTransformCommands:

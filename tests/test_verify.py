@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mildspec import GroupSpec, Signal, random_signal, reference
+from mildspec import (
+    GaborSystem, GroupSpec, Signal, TFLattice, finite_gaussian, random_signal, reference)
 from mildspec.cli import main
 from mildspec.verify import _product_checks, verify_approx, verify_gabor
 
@@ -53,6 +54,18 @@ class TestGaborStreaming:
         assert all(c.passed for c in checks)
         assert peak < 0.75 * 16 * G.order**2
 
+    def test_builds_no_synthesis_matrix(self):
+        # the dense synthesis matrix of Z128 at a = b = 2 is 16 |G| |Lambda| bytes, 8 MiB
+        G = GroupSpec((128,))
+        tracemalloc.start()
+        try:
+            checks = verify_gabor(G, 2, 2, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak < 16 * G.order * TFLattice(G, 2, 2).size
+
     @pytest.mark.parametrize("moduli, a, b", [((24,), 2, 3), ((4, 6), 1, 2), ((2, 3, 4), 1, (1, 3, 2))],
                              ids=str)
     def test_blocks_split_give_the_same_report(self, moduli, a, b, monkeypatch):
@@ -67,6 +80,76 @@ class TestGaborStreaming:
         assert all(c.passed for c in split)
         for c, d in zip(split, whole):
             assert abs(c.residual - d.residual) <= 1e-12 * (1.0 + abs(d.residual))
+
+
+def _frames(data, max_order):
+    """A group of 1-3 axes and a separable lattice with a_j b_j < N_j on every nontrivial axis."""
+    moduli = []
+    for _ in range(data.draw(st.integers(1, 3), label="axes")):
+        moduli.append(data.draw(st.integers(1, max_order // math.prod(moduli)), label="modulus"))
+    a, b = [], []
+    for n in moduli:
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        a.append(data.draw(st.sampled_from([d for d in divisors if d < n or n == 1]), label="a"))
+        b.append(data.draw(
+            st.sampled_from([d for d in divisors if a[-1] * d < n or n == 1]), label="b"))
+    return TFLattice(GroupSpec(tuple(moduli)), tuple(a), tuple(b))
+
+
+def _rel(x, ref):
+    return float(np.max(np.abs(x - ref))) / float(np.max(np.abs(ref)))
+
+
+class TestJanssenOracles:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_agree_with_the_dense_and_block_routes(self, data):
+        lattice = _frames(data, 128)
+        G = lattice.group
+        # the dense synthesis matrix stays below 4 MiB
+        assume(G.order * lattice.size <= 1 << 18)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        gaussian = data.draw(st.booleans(), label="gaussian window")
+        window = finite_gaussian(G) if gaussian else random_signal(G, rng)
+        system = GaborSystem(window, lattice)
+        assume(system.is_frame)
+        A, B = system.frame_bounds
+        janssen = reference.JanssenFrame(window, lattice)
+        f, h = random_signal(G, rng), random_signal(G, rng)
+
+        dense = reference.frame_matrix_dense(system)
+        Sf = dense @ f.values
+        assert _rel(janssen.matrix(), dense) <= 1e-12
+        for route in (janssen.apply(f).values, janssen.matrix() @ f.values,
+                      system.apply_frame(f).values):
+            assert _rel(route, Sf) <= 1e-12
+        lower, upper = janssen.bound_estimates
+        assert lower <= A + 1e-12 * B and B <= upper * (1 + 1e-12)
+
+        # the accelerated frame algorithm against the dense least-squares solve
+        lsq, *_ = np.linalg.lstsq(reference.synthesis_matrix(window, lattice), h.values, rcond=None)
+        minimal = system.analyze(janssen.solve(h)).ravel()
+        assert _rel(minimal, lsq) <= 1e-12 * (B / A)
+
+        gd = system.canonical_dual
+        assert janssen.wexler_raz_residual(gd) <= 1e-13 * (B / A)
+        assert janssen.span_residual(gd) <= 1e-13 * (B / A)
+        # a dual window off the span: add a signal orthogonal to every pi(mu) g
+        x = random_signal(G, rng)
+        x_perp = x.values - janssen.synthesize(
+            np.linalg.lstsq(_adjoint_atoms(janssen, G), x.values, rcond=None)[0].reshape(
+                janssen.coefficients.shape))
+        if np.linalg.norm(x_perp) > 1e-6 * x.norm2:
+            other = Signal(G, gd.values + x_perp / np.linalg.norm(x_perp) * gd.norm2)
+            assert janssen.wexler_raz_residual(other) <= 1e-10 * (B / A)
+            assert janssen.span_residual(other) > 0.1
+
+
+def _adjoint_atoms(janssen, G):
+    """The atoms pi(mu) g of the adjoint lattice as columns, one synthesis per unit vector."""
+    shape = janssen.coefficients.shape
+    units = np.eye(math.prod(shape))
+    return np.stack([janssen.synthesize(e.reshape(shape)) for e in units], axis=1)
 
 
 class TestLatticeClassification:
@@ -131,6 +214,29 @@ class TestMutationsFailAGate:
         monkeypatch.setattr(reference, "stft_columns", next_frequency)
         assert _failed(verify_gabor(GroupSpec((24,)), 2, 2, seed=1)) == {
             "transform rotates the time-frequency plane"}
+
+    @pytest.mark.parametrize("moduli, ab", [((24,), 2), ((2, 4, 8), (1, 1, 2))], ids=str)
+    def test_canonical_dual_scaled(self, moduli, ab, monkeypatch):
+        from mildspec import gabor
+
+        dual = gabor.GaborSystem.canonical_dual
+        monkeypatch.setattr(gabor.GaborSystem, "canonical_dual", property(
+            lambda system: Signal(system.group, dual.fget(system).values * (1 + 1e-9))))
+        assert "dual window satisfies Wexler-Raz" in _failed(
+            verify_gabor(GroupSpec(moduli), ab, ab, seed=1))
+
+    @pytest.mark.parametrize("ab, caught_by_others", [(16, True), (8, False)])
+    def test_walnut_blocks_rolled_by_one_residue(self, ab, caught_by_others, monkeypatch):
+        from mildspec import gabor
+
+        frame_blocks = gabor._frame_blocks
+        # block r gets the matrix of block r - 1: the same eigenvalues, so the same (A, B)
+        monkeypatch.setattr(gabor, "_frame_blocks", lambda window, lattice: np.roll(
+            frame_blocks(window, lattice), 1, axis=0))
+        failed = _failed(verify_gabor(GroupSpec((1024,)), ab, ab, seed=1))
+        assert "structured frame operator matches Janssen" in failed
+        # at a = b = 8 the blocks differ by 1e-11 relative, and only the Janssen gate sees it
+        assert (failed != {"structured frame operator matches Janssen"}) == caught_by_others
 
 
 @pytest.mark.parametrize("group", sorted(EXPECTED["checks"]))
