@@ -25,24 +25,11 @@ from .errors import (
     SchemaError,
     SupportViolation,
 )
-from .fourier import COUNTING, UNITARY, dft, idft, poisson_check, restriction, weil_map
+from .fourier import COUNTING, UNITARY, dft, idft, restriction, weil_map
 from .gabor import GaborSystem, TFLattice, stft
-from .groups import GroupSpec, all_subgroups, annihilator, grid_subgroup
-from .mild import (
-    DistributionSequence,
-    convergence_report,
-    periodize_analysis,
-    refining_comb_sequence,
-)
-from .signals import (
-    Signal,
-    SubgroupSignal,
-    _translate_sum,
-    dirac,
-    dirac_comb,
-    finite_gaussian,
-    random_signal,
-)
+from .groups import GroupSpec, grid_subgroup
+from .mild import DistributionSequence, convergence_report
+from .signals import Signal, SubgroupSignal, dirac, finite_gaussian
 from .verify import _SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -269,98 +256,6 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _demo_comb_duality(args) -> int:
-    G = args.group or GroupSpec((36,))
-    rows = []
-    worst = 0.0
-    for H in all_subgroups(G):
-        hat = dft(dirac_comb(H))
-        Hp = annihilator(H)
-        expected = float(H.order) * dirac_comb(Hp).values
-        residual = float(np.max(np.abs(hat.values - expected)))
-        worst = max(worst, residual)
-        rows.append([H.order, Hp.order, repr(residual)])
-        print(f"|H|={H.order:4d}  |H_perp|={Hp.order:4d}  residual={residual:.3e}")
-    if args.out:
-        io.write_csv(args.out, ["subgroup_order", "annihilator_order", "residual"], rows)
-    print(f"comb transform lands on the annihilator with weight |H|; worst residual {worst:.3e}")
-    return 0 if worst <= 1e-10 else 1
-
-
-def _demo_poisson(args) -> int:
-    G = args.group or GroupSpec((24,))
-    rng = np.random.default_rng(args.seed)
-    f = random_signal(G, rng)
-    rows = []
-    worst = 0.0
-    for H in all_subgroups(G):
-        res = poisson_check(f, H)
-        worst = max(worst, res.residual)
-        rows.append([
-            H.order,
-            repr(res.lhs.real), repr(res.lhs.imag),
-            repr(res.rhs.real), repr(res.rhs.imag),
-            repr(res.residual),
-        ])
-        print(
-            f"|H|={H.order:4d}  sum_H f={res.lhs:.6f}  "
-            f"(|H|/|G|) sum_Hperp fhat={res.rhs:.6f}  residual={res.residual:.3e}"
-        )
-    if args.out:
-        io.write_csv(
-            args.out,
-            ["subgroup_order", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "residual"],
-            rows,
-        )
-    return 0 if worst <= 1e-8 else 1
-
-
-def _demo_periodic_spectrum(args) -> int:
-    G = args.group or GroupSpec((12,))
-    p = args.period
-    if p < 1 or any(m % p != 0 for m in G.moduli):
-        raise GroupMismatchError(f"period {p} does not divide moduli {G.moduli}")
-    rng = np.random.default_rng(args.seed)
-    period = tuple(p for _ in G.moduli)
-    H = grid_subgroup(G, period)
-    periodic = Signal(G, _translate_sum(random_signal(G, rng), H))
-    rep = periodize_analysis(periodic, period)
-    hat = dft(periodic)
-    rows = []
-    for s, v in zip(G.elements(), hat.values):
-        rows.append(["x".join(str(c) for c in s.coords), repr(float(np.abs(v)))])
-    if args.out:
-        io.write_csv(args.out, ["frequency", "magnitude"], rows)
-    lat = rep.period_lattice
-    print(f"period {p} signal on {G}: spectrum confined to the {lat.order}-point comb")
-    print(f"leakage off the comb: {rep.leakage:.3e}")
-    print(f"comb weights vs one-period transform: residual {rep.weight_residual:.3e}")
-    return 0 if rep.leakage <= 1e-10 and rep.weight_residual <= 1e-10 else 1
-
-
-def _demo_mild_limit(args) -> int:
-    G = args.group or GroupSpec((256,))
-    seq = refining_comb_sequence(G)
-    a = _default_ab(G)
-    system = GaborSystem(finite_gaussian(G), TFLattice(G, a, a))
-    report = convergence_report(seq, system)
-    rows = []
-    for n in range(len(seq.members)):
-        rows.append([
-            n,
-            repr(report.d_pair[n]), repr(report.d_stft[n]), repr(report.d_coeff[n]),
-        ])
-        print(
-            f"n={n} d_pair={report.d_pair[n]:.6e} "
-            f"d_stft={report.d_stft[n]:.6e} d_coeff={report.d_coeff[n]:.6e}"
-        )
-    if args.out:
-        io.write_csv(args.out, ["n", "d_pair", "d_stft", "d_coeff"], rows)
-    ok = all(report.is_monotone(m) for m in ("pair", "stft", "coeff"))
-    print(f"all three deviation metrics non-increasing: {ok}")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mildspec",
@@ -379,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling step per axis for the approx suite")
     p.add_argument("--tolerance", type=_tolerance_type, default=None,
                    help="override every numeric threshold")
-    p.add_argument("--report", "--out", dest="report", default=None,
-                   help="write the run report as JSON")
+    p.add_argument("--report", default=None, help="write the run report as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dft", help="transform a stored signal")
@@ -445,28 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="gauss", help="'gauss', 'dirac', or a signal file")
     p.add_argument("--out", default=None, help="write (gap, sup error) rows as CSV")
     p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("demo", help="scripted end-to-end identity walkthroughs")
-    demo_sub = p.add_subparsers(dest="demo", required=True)
-    d = demo_sub.add_parser("comb-duality")
-    d.add_argument("--group", type=_group_type, default=None)
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_demo_comb_duality)
-    d = demo_sub.add_parser("poisson")
-    d.add_argument("--group", type=_group_type, default=None)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_demo_poisson)
-    d = demo_sub.add_parser("periodic-spectrum")
-    d.add_argument("--group", type=_group_type, default=None)
-    d.add_argument("--p", dest="period", type=int, default=3)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_demo_periodic_spectrum)
-    d = demo_sub.add_parser("mild-limit")
-    d.add_argument("--group", type=_group_type, default=None)
-    d.add_argument("--out", default=None)
-    d.set_defaults(func=_demo_mild_limit)
 
     return parser
 

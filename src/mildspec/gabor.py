@@ -10,7 +10,9 @@ windows of a block of time points are one indexed read of a sliding-window
 view of a wrap-padded copy of conj g, and every kernel works in blocks of
 at most _BLOCK_CELLS cells.  Synthesis is the exact adjoint: per time point
 an inverse FFT gives the tone on one period, whose periodic extension is
-multiplied by g(x - t).
+multiplied by g(x - t).  It takes the row blocks in the order the analysis
+yields them, so apply_frame synthesizes row block by row block and never
+holds the coefficient array.
 
 The full STFT grid is the lattice a = b = 1, where nothing is folded.
 Against the canonical Gaussian window g0 it yields the two norms
@@ -60,7 +62,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -228,11 +230,15 @@ def _tf_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> float
     return max(float(np.max(np.abs(rows))) for _, rows in _tf_rows(values, window, lattice))
 
 
-def _tf_synthesis(coeffs: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
-    """Adjoint of _tf_rows: sum_{t,s} c(t, s) M_s T_t g for coefficients (nt, nf).
+def _tf_synthesis(
+    rows: Iterable[tuple[slice, np.ndarray]], window: Signal, lattice: TFLattice
+) -> np.ndarray:
+    """Adjoint of _tf_rows: sum_{t,s} c(t, s) M_s T_t g from (block, c) pairs.
 
     Per time point the inverse FFT of size prod P is the tone on one period;
     its periodic extension times g(x - t) is the sum over the frequencies.
+    The blocks must come in time order and cover every time point once, as
+    _tf_rows yields them, so its pairs stream through without a full array.
     """
     group = lattice.group
     if window.group != group:
@@ -245,8 +251,9 @@ def _tf_synthesis(coeffs: np.ndarray, window: Signal, lattice: TFLattice) -> np.
     # a tone on one period broadcasts over the N/P axes of the split: its periodic extension
     tone_shape = tuple(x for p in periods for x in (1, p))
     out = np.zeros(group.order, dtype=np.complex128)
-    for block in _row_blocks(len(times), group.order):
-        tones = np.fft.ifftn(coeffs[block].reshape((-1,) + periods), axes=axes) * scale
+    for block, coeffs in rows:
+        tones = np.fft.ifftn(coeffs.reshape((-1,) + periods), axes=axes) * scale
+        del coeffs
         m = len(tones)
         terms = read(times[block]).reshape((m,) + split)
         np.multiply(tones.reshape((m,) + tone_shape), terms, out=terms)
@@ -339,11 +346,16 @@ class GaborSystem:
         if coeffs.lattice != self.lattice:
             raise GroupMismatchError("coefficients belong to a different lattice")
         w = self.window if window is None else window
-        return Signal(self.group, _tf_synthesis(coeffs.values, w, self.lattice))
+        values = coeffs.values
+        rows = ((block, values[block]) for block in _row_blocks(len(values), self.group.order))
+        return Signal(self.group, _tf_synthesis(rows, w, self.lattice))
 
     def apply_frame(self, f: Signal) -> Signal:
-        """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g."""
-        return self.synthesize(self.analyze(f))
+        """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g, synthesized row block by row block."""
+        if f.group != self.group:
+            raise GroupMismatchError("signal lives on a different group")
+        rows = _tf_rows(f.values, self.window, self.lattice)
+        return Signal(self.group, _tf_synthesis(rows, self.window, self.lattice))
 
     def _frame_data(self) -> tuple[np.ndarray, float, float]:
         """Frame operator blocks and the bounds (A, B), built once."""

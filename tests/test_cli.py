@@ -1,13 +1,18 @@
+import argparse
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mildspec import GroupSpec, finite_gaussian, grid_subgroup, random_signal, restriction
 from mildspec import io
+from mildspec.cli import build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -21,6 +26,17 @@ def run_cli(*args):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+class TestReadme:
+    def test_command_line_block_names_every_command(self):
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```sh", 1)[1].split("```", 1)[0]
+        named = {line.split()[1] for line in block.splitlines() if line.startswith("mildspec ")}
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        assert named == set(commands)
 
 
 class TestVerifyCommand:
@@ -339,51 +355,12 @@ class TestExitCodes:
         assert "tolerance must be finite and >= 0" in proc.stderr
 
     def test_unknown_demo_is_usage_error(self):
-        assert run_cli("demo", "nonsense").returncode == 2
+        proc = run_cli("demo", "nonsense")
+        assert proc.returncode == 2
+        assert "invalid choice: 'demo'" in proc.stderr
 
     def test_no_arguments_is_usage_error(self):
         assert run_cli().returncode == 2
-
-
-class TestDemos:
-    def test_comb_duality_rows(self, tmp_path):
-        out = tmp_path / "residuals.csv"
-        proc = run_cli("demo", "comb-duality", "--group", "36", "--out", out)
-        assert proc.returncode == 0
-        rows = read_rows(out)
-        assert len(rows) == 1 + 9  # header plus one row per subgroup
-        residuals = [float(r[-1]) for r in rows[1:]]
-        assert max(residuals) <= 1e-10
-
-    def test_poisson_demo(self):
-        assert run_cli("demo", "poisson", "--group", "24").returncode == 0
-
-    def test_periodic_spectrum_lines(self, tmp_path):
-        out = tmp_path / "spectrum.csv"
-        proc = run_cli(
-            "demo", "periodic-spectrum", "--group", "12", "--p", "3", "--out", out
-        )
-        assert proc.returncode == 0
-        rows = read_rows(out)
-        hot = [int(r[0]) for r in rows[1:] if float(r[1]) > 1e-9]
-        assert hot == [0, 4, 8]
-
-    @pytest.mark.parametrize("period", ["0", "-3", "5"])
-    def test_periodic_spectrum_period_must_divide(self, period):
-        proc = run_cli("demo", "periodic-spectrum", "--group", "12", "--p", period)
-        assert proc.returncode == 4
-        assert proc.stderr.splitlines() == [
-            f"error: period {period} does not divide moduli (12,)"]
-
-    def test_mild_limit_columns_non_increasing(self, tmp_path):
-        out = tmp_path / "limit.csv"
-        proc = run_cli("demo", "mild-limit", "--group", "32", "--out", out)
-        assert proc.returncode == 0
-        rows = read_rows(out)[1:]
-        for col in (1, 2, 3):
-            series = [float(r[col]) for r in rows]
-            slack = 1e-10 * (1 + series[0])
-            assert all(b <= a + slack for a, b in zip(series, series[1:]))
 
 
 class TestMildConverge:
@@ -485,7 +462,7 @@ class TestExitCodeTable:
         # OSError: the input path is a directory
         (lambda tmp: ["dft", tmp, "--out", tmp / "x.json"], 3),
         # any other ValueError: NumPy rejects a negative seed
-        (lambda tmp: ["demo", "poisson", "--group", "4", "--seed", "-1"], 2),
+        (lambda tmp: ["verify", "group", "--group", "4", "--seed", "-1"], 2),
     ], ids=["schema", "group-mismatch", "domain", "os-error", "value-error"])
     def test_row(self, tmp_path, make_args, code):
         proc = run_cli(*make_args(tmp_path))

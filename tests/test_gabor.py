@@ -492,6 +492,25 @@ class TestStructuredFrameOperator:
             tracemalloc.stop()
         assert peak < 16 * G.order**2 / 64
 
+    def test_apply_frame_streams_its_coefficients(self):
+        # the Z4096 coefficients at a = b = 2 take 64 MiB; apply_frame holds one row block
+        G = GroupSpec((4096,))
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        f = random_signal(G, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            system.apply_frame(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_apply_frame_rejects_another_group_of_the_same_order(self, rng):
+        G = GroupSpec((4, 8))
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        with pytest.raises(GroupMismatchError):
+            system.apply_frame(random_signal(GroupSpec((32,)), rng))
+
 
 def _numpy_stft_rows(f, g, rows):
     """Rows of V_g f from numpy alone: FFT of f times the rolled conjugate window."""
