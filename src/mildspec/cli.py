@@ -58,22 +58,6 @@ def _tolerance_type(text: str) -> float:
     return value
 
 
-def _ab_type(text: str) -> dict:
-    """Parse 'a=2,b=2' (axis values may be joined with 'x': a=2x4)."""
-    out = {}
-    try:
-        for part in text.split(","):
-            key, _, val = part.partition("=")
-            if key not in ("a", "b") or not val:
-                raise ValueError(part)
-            out[key] = tuple(int(p) for p in val.split("x"))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad lattice spec {text!r}") from exc
-    if "a" not in out or "b" not in out:
-        raise argparse.ArgumentTypeError(f"lattice spec {text!r} needs both a= and b=")
-    return out
-
-
 def _default_ab(G: GroupSpec) -> tuple[int, ...]:
     # keep every axis strictly oversampled: a = b at exactly sqrt(n) lattice
     # points per sample is the critical density, where the Gaussian system
@@ -207,9 +191,7 @@ def cmd_mild_converge(args) -> int:
         )
     G = members[0].group
     seq = DistributionSequence(G, tuple(members), limit)
-    ab = args.lattice or {"a": _default_ab(G), "b": _default_ab(G)}
-    a = _fit_steps(G, ab["a"], _default_ab)
-    b = _fit_steps(G, ab["b"], _default_ab)
+    a = b = _default_ab(G)
     system = GaborSystem(finite_gaussian(G), TFLattice(G, a, b))
     report = convergence_report(seq, system)
     payload = {
@@ -328,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mild-converge", help="deviation metrics of a stored sequence")
     p.add_argument("input", help="sequence file")
     p.add_argument("--limit", default=None, help="signal file with the limit")
-    p.add_argument("--lattice", type=_ab_type, default=None, help="a=2,b=2")
     p.add_argument("--out", default=None, help="write the metric report as JSON")
     p.set_defaults(func=cmd_mild_converge)
 

@@ -44,7 +44,6 @@ __all__ = [
     "dft_quotient_direct",
     "synthesis_matrix",
     "frame_apply_direct",
-    "frame_matrix",
     "frame_matrix_dense",
     "stft_cells",
     "JanssenFrame",
@@ -163,15 +162,11 @@ def frame_apply_direct(system: GaborSystem, f: Signal) -> Signal:
     return Signal(f.group, out)
 
 
-def frame_matrix(M: np.ndarray) -> np.ndarray:
-    """Dense |G| x |G| frame operator S = M M^H of a synthesis matrix M."""
+def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
+    """Dense |G| x |G| frame operator S = M M^H of a system's synthesis matrix M."""
+    M = synthesis_matrix(system.window, system.lattice)
     S = M @ M.conj().T
     return (S + S.conj().T) / 2
-
-
-def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
-    """Dense frame operator of a system, from its synthesis matrix."""
-    return frame_matrix(synthesis_matrix(system.window, system.lattice))
 
 
 def stft_cells(f: Signal, window: Signal, times: np.ndarray, freqs: np.ndarray) -> np.ndarray:

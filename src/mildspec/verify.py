@@ -1,10 +1,13 @@
 """Self-check suites behind the ``verify`` command.
 
-Each suite runs a battery of identity checks on one group and returns a
-RunReport.  A check records a residual and the threshold it was held to;
-informational checks carry a value but no threshold and never fail a run.
-Reports serialize deterministically (wall time stays out of the JSON), so a
-fixed seed yields byte-identical report files.
+Each suite is a generator of the identities it checks on one group.  A gate
+comes as (name, residual, threshold); a flag or an informational line comes
+as the Check that _flag or _info builds.  One runner, _judged, turns a suite
+into its list of checks and is the only code that reads ``tolerance``: a
+tolerance replaces every gate's threshold and leaves flags and informational
+lines as they are.  Informational checks carry a value but no threshold and
+never fail a run.  Reports serialize deterministically (wall time stays out
+of the JSON), so a fixed seed yields byte-identical report files.
 
 Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
@@ -19,9 +22,11 @@ any second factor, and Z2 keeps its STFT at 4 |G|^2 cells.
 
 from __future__ import annotations
 
+import inspect
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -114,11 +119,30 @@ class RunReport:
         }
 
 
-def _check(name: str, residual: float, threshold: float, tolerance: float | None) -> Check:
-    if tolerance is not None:
-        threshold = tolerance
-    residual = float(residual)
-    return Check(name, residual, threshold, residual <= threshold)
+def _judged(suite: Callable[..., Iterator]) -> Callable[..., list[Check]]:
+    """Run a suite that yields its identities and judge each one.
+
+    A gate comes as (name, residual, threshold) and passes when the residual
+    is at most the threshold.  A suite declares ``tolerance`` in its
+    signature but never reads it: here, when given, it replaces every gate's
+    threshold.  A flag or an informational Check passes through untouched.
+    """
+    signature = inspect.signature(suite)
+
+    @wraps(suite)
+    def run(*args, **kwargs) -> list[Check]:
+        tolerance = signature.bind(*args, **kwargs).arguments.get("tolerance")
+        checks = []
+        for item in suite(*args, **kwargs):
+            if not isinstance(item, Check):
+                name, residual, threshold = item
+                residual = float(residual)
+                threshold = threshold if tolerance is None else tolerance
+                item = Check(name, residual, threshold, residual <= threshold)
+            checks.append(item)
+        return checks
+
+    return run
 
 
 def _info(name: str, value: float) -> Check:
@@ -154,9 +178,9 @@ def _subgroups_for(G: GroupSpec) -> tuple[tuple, int]:
     return subs, len(subs)
 
 
-def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None) -> list[Check]:
+@_judged
+def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None):
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
 
     n = G.order
     picks = rng.integers(0, n, size=(min(200, n * n), 3))
@@ -166,25 +190,25 @@ def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None) ->
         lhs = character(G, s, G.add(x, y))
         rhs = character(G, s, x) * character(G, s, y)
         worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("character multiplicativity", worst, 1e-12, tolerance))
+    yield "character multiplicativity", worst, 1e-12
 
     zero = G.zero()
     cancel_ok = all(
         G.add(x, G.neg(x)) == zero
         for x in (G.element_at(int(i)) for i in rng.integers(0, n, size=min(64, n)))
     )
-    checks.append(_flag("inverse element cancels", cancel_ok))
+    yield _flag("inverse element cancels", cancel_ok)
 
     subs, total = _subgroups_for(G)
-    checks.append(_info("subgroups checked", len(subs) / total))
-    checks.append(_flag(
+    yield _info("subgroups checked", len(subs) / total)
+    yield _flag(
         "annihilator order duality",
         all(H.order * annihilator(H).order == n for H in subs),
-    ))
-    checks.append(_flag(
+    )
+    yield _flag(
         "biduality",
         all(annihilator(annihilator(H)) == H for H in subs),
-    ))
+    )
     ok = True
     for H in subs:
         Q = quotient(G, H)
@@ -193,53 +217,34 @@ def verify_group(G: GroupSpec, seed: int = 0, tolerance: float | None = None) ->
         counts = np.bincount(Q.coset_map, minlength=Q.size)
         if not np.all(counts == H.order):
             ok = False
-    checks.append(_flag("quotient partitions the group", ok))
-    return checks
+    yield _flag("quotient partitions the group", ok)
 
 
-def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) -> list[Check]:
+@_judged
+def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None):
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
     f = random_signal(G, rng)
     g = random_signal(G, rng)
 
     fhat = dft(f)
-    checks.append(_check(
-        "transform matches defining sum",
-        _rel(fhat.values - reference.naive_dft(f).values, fhat.values),
-        1e-12, tolerance,
-    ))
-    checks.append(_check(
-        "inverse transform roundtrip",
-        _rel(idft(fhat).values - f.values, f.values),
-        1e-12, tolerance,
-    ))
+    yield ("transform matches defining sum",
+           _rel(fhat.values - reference.naive_dft(f).values, fhat.values), 1e-12)
+    yield "inverse transform roundtrip", _rel(idft(fhat).values - f.values, f.values), 1e-12
     fu = dft(f, convention=UNITARY)
-    checks.append(_check(
-        "unitary roundtrip",
-        _rel(idft(fu, convention=UNITARY).values - f.values, f.values),
-        1e-12, tolerance,
-    ))
+    yield ("unitary roundtrip",
+           _rel(idft(fu, convention=UNITARY).values - f.values, f.values), 1e-12)
     lhs = float(np.sum(np.abs(fhat.values) ** 2))
     rhs = G.order * float(np.sum(np.abs(f.values) ** 2))
-    checks.append(_check("energy identity", abs(lhs - rhs) / rhs, 1e-12, tolerance))
+    yield "energy identity", abs(lhs - rhs) / rhs, 1e-12
     double = dft(dft(f))
     reflected = G.order * f.values[G.negation_permutation()]
-    checks.append(_check(
-        "double transform reflects",
-        _rel(double.values - reflected, reflected),
-        1e-12, tolerance,
-    ))
+    yield "double transform reflects", _rel(double.values - reflected, reflected), 1e-12
     lhs_p = pair(mild_ft(f), g)
     rhs_p = pair(f, dft(g))
-    checks.append(_check(
-        "transform moves across the pairing",
-        abs(lhs_p - rhs_p) / (1.0 + abs(rhs_p)),
-        1e-12, tolerance,
-    ))
+    yield "transform moves across the pairing", abs(lhs_p - rhs_p) / (1.0 + abs(rhs_p)), 1e-12
 
     subs, total = _subgroups_for(G)
-    checks.append(_info("subgroups checked", len(subs) / total))
+    yield _info("subgroups checked", len(subs) / total)
     worst_poisson = 0.0
     worst_duality = 0.0
     worst_weil = 0.0
@@ -275,39 +280,31 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None) 
         except SupportViolation:
             comb_ok = False
     scale = 1.0 + float(np.max(np.abs(f.values)))
-    checks.append(_check("periodization-summation identity", worst_poisson, 1e-10, tolerance))
-    checks.append(_check(
-        "sampling-periodization duality", worst_duality / scale, 1e-10, tolerance))
-    checks.append(_check(
-        "periodize-then-transform equals sample-transform", worst_weil / scale, 1e-10, tolerance))
-    checks.append(_check(
-        "subgroup and quotient transforms match direct sums",
-        worst_direct / scale, 1e-10, tolerance))
-    checks.append(_flag("comb transforms to dual comb", comb_ok))
+    yield "periodization-summation identity", worst_poisson, 1e-10
+    yield "sampling-periodization duality", worst_duality / scale, 1e-10
+    yield "periodize-then-transform equals sample-transform", worst_weil / scale, 1e-10
+    yield "subgroup and quotient transforms match direct sums", worst_direct / scale, 1e-10
+    yield _flag("comb transforms to dual comb", comb_ok)
 
     g0 = finite_gaussian(G)
     g0hat = dft(g0)
     sqrtn = float(np.prod([m ** 0.5 for m in G.moduli]))
-    checks.append(_check(
-        "gaussian fixed by unitary transform",
-        float(np.max(np.abs(g0hat.values - sqrtn * g0.values))),
-        1e-8 * sqrtn, tolerance,
-    ))
-    return checks
+    yield ("gaussian fixed by unitary transform",
+           float(np.max(np.abs(g0hat.values - sqrtn * g0.values))), 1e-8 * sqrtn)
 
 
+@_judged
 def verify_gabor(
     G: GroupSpec,
     a,
     b,
     seed: int = 0,
     tolerance: float | None = None,
-) -> list[Check]:
+):
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
     g0 = finite_gaussian(G)
     lattice = TFLattice(G, a, b)
-    checks.append(_info("lattice redundancy", lattice.redundancy))
+    yield _info("lattice redundancy", lattice.redundancy)
 
     f = random_signal(G, rng)
     h = random_signal(G, rng)
@@ -338,15 +335,11 @@ def verify_gabor(
         if np.any(here):
             found = rows[times[here] - block.start, freqs[here]]
             worst_direct = max(worst_direct, float(np.max(np.abs(found - direct[here]))))
-    checks.append(_check(
-        "short-time transform matches defining sum",
-        worst_direct / (peak if peak > 0 else 1.0), 1e-11, tolerance))
+    yield ("short-time transform matches defining sum",
+           worst_direct / (peak if peak > 0 else 1.0), 1e-11)
     target = G.order * g0.norm2 ** 2 * normalized_hat.norm2 ** 2
-    checks.append(_check(
-        "time-frequency energy identity", abs(energy - target) / target, 1e-10, tolerance))
-    checks.append(_check(
-        "transform rotates the time-frequency plane",
-        worst_rotation, 1e-9 * (1.0 + peak), tolerance))
+    yield "time-frequency energy identity", abs(energy - target) / target, 1e-10
+    yield "transform rotates the time-frequency plane", worst_rotation, 1e-9 * (1.0 + peak)
 
     system = GaborSystem(g0, lattice)
     # g0 is a tensor product, so S is too, one factor per axis: an axis with
@@ -355,62 +348,52 @@ def verify_gabor(
     if any(d > n for d, n in zip(density, G.moduli)):
         try:
             system.canonical_dual
-            checks.append(_flag("undersampled lattice rejected", False))
+            yield _flag("undersampled lattice rejected", False)
         except NotAFrame:
-            checks.append(_flag("undersampled lattice rejected", True))
-        return checks
+            yield _flag("undersampled lattice rejected", True)
+        return
     if any(d == n for d, n in zip(density, G.moduli)) and not system.is_frame:
         # at critical density on an axis the window decides: report, but nothing to check
-        checks.append(_info("critical lattice is not a frame", system.frame_bounds[0]))
-        return checks
+        yield _info("critical lattice is not a frame", system.frame_bounds[0])
+        return
 
     A, B = system.frame_bounds
-    checks.append(_flag("frame bounds positive", system.is_frame))
+    yield _flag("frame bounds positive", system.is_frame)
     if not system.is_frame:
-        return checks
-    checks.append(_info("frame condition number", B / A))
+        return
+    yield _info("frame condition number", B / A)
 
     # the second route lives on the adjoint lattice: the Janssen sum
     janssen = reference.JanssenFrame(g0, lattice)
     Sf = janssen.apply(f).values
-    checks.append(_check(
-        "structured frame operator matches Janssen",
-        max(_rel(system.apply_frame(f).values - Sf, Sf),
-            _rel(system._blockwise(np.matmul, f.values) - Sf, Sf)),
-        1e-12, tolerance))
+    yield ("structured frame operator matches Janssen",
+           max(_rel(system.apply_frame(f).values - Sf, Sf),
+               _rel(system._blockwise(np.matmul, f.values) - Sf, Sf)), 1e-12)
     lower, upper = janssen.bound_estimates
-    checks.append(_check(
-        "lower frame bound above Janssen estimate", max(0.0, lower - A) / B, 1e-12, tolerance))
-    checks.append(_check(
-        "upper frame bound below Janssen estimate", max(0.0, B - upper) / B, 1e-12, tolerance))
+    yield "lower frame bound above Janssen estimate", max(0.0, lower - A) / B, 1e-12
+    yield "upper frame bound below Janssen estimate", max(0.0, B - upper) / B, 1e-12
 
     gd = system.canonical_dual
     if G.order <= _ORACLE_MAX_ORDER:
         S = janssen.matrix()
         eig = np.linalg.eigvalsh(S)
         dense_dual = np.linalg.solve(S, g0.values)
-        checks.append(_check(
-            "structured frame operator matches dense oracle",
-            max(abs(A - eig[0]) / eig[-1], abs(B - eig[-1]) / eig[-1],
-                _rel(gd.values - dense_dual, dense_dual)),
-            1e-10, tolerance))
+        yield ("structured frame operator matches dense oracle",
+               max(abs(A - eig[0]) / eig[-1], abs(B - eig[-1]) / eig[-1],
+                   _rel(gd.values - dense_dual, dense_dual)), 1e-10)
     # biorthogonality on the adjoint lattice, and the span that singles out the canonical dual
-    checks.append(_check(
-        "dual window satisfies Wexler-Raz",
-        max(janssen.wexler_raz_residual(gd), janssen.span_residual(gd)),
-        1e-10 * (B / A), tolerance))
+    yield ("dual window satisfies Wexler-Raz",
+           max(janssen.wexler_raz_residual(gd), janssen.span_residual(gd)), 1e-10 * (B / A))
     Sgd = system.apply_frame(gd)
-    checks.append(_check(
-        "canonical dual inverts the frame operator",
-        float(np.max(np.abs(Sgd.values - g0.values))) / g0.norm2,
-        1e-9, tolerance))
+    yield ("canonical dual inverts the frame operator",
+           float(np.max(np.abs(Sgd.values - g0.values))) / g0.norm2, 1e-9)
     worst = 0.0
     for _ in range(10):
         x = random_signal(G, rng)
         # no full coefficient array: the dual-window rows stream into the synthesis
         back = _tf_synthesis(_tf_rows(x.values, gd, lattice), g0, lattice)
         worst = max(worst, _rel(back - x.values, x.values))
-    checks.append(_check("expansion reconstructs", worst, 1e-9, tolerance))
+    yield "expansion reconstructs", worst, 1e-9
 
     # V_gd h against V_g(S^-1 h), S^-1 by conjugate gradients on the Janssen sum
     worst = peak = 0.0
@@ -419,29 +402,27 @@ def verify_gabor(
     ):
         worst = max(worst, float(np.max(np.abs(coeffs - minimal))))
         peak = max(peak, float(np.max(np.abs(minimal))))
-    checks.append(_check(
-        "canonical coefficients have minimal norm", worst / (1.0 + peak), 1e-8, tolerance))
+    yield "canonical coefficients have minimal norm", worst / (1.0 + peak), 1e-8
 
-    checks.append(_info("dual window spread (l1/l2)", gd.norm1 / gd.norm2))
-    return checks
+    yield _info("dual window spread (l1/l2)", gd.norm1 / gd.norm2)
 
 
+@_judged
 def verify_mild(
     G: GroupSpec,
     a,
     b,
     seed: int = 0,
     tolerance: float | None = None,
-) -> list[Check]:
+):
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
     g0 = finite_gaussian(G)
 
     zero_sig = Signal(G, np.zeros(G.order, dtype=np.complex128))
-    checks.append(_flag(
+    yield _flag(
         "distance vanishes only at coincidence",
         s0prime_norm(zero_sig) == 0.0 and s0prime_norm(dirac(G, G.zero())) > 1e-6,
-    ))
+    )
 
     lattice = TFLattice(G, a, b)
     system = GaborSystem(g0, lattice)
@@ -450,15 +431,12 @@ def verify_mild(
     for metric in ("pair", "stft", "coeff"):
         vals = getattr(report, f"d_{metric}")
         increments = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        thr = 1e-10 * (1.0 + vals[0])
-        checks.append(_check(
-            f"comb refinement monotone ({metric})",
-            max(increments) if increments else 0.0, thr, tolerance))
-        checks.append(_check(
-            f"comb refinement collapses ({metric})",
-            vals[-1] / (vals[0] if vals[0] > 0 else 1.0), 1e-3, tolerance))
+        yield (f"comb refinement monotone ({metric})",
+               max(increments) if increments else 0.0, 1e-10 * (1.0 + vals[0]))
+        yield (f"comb refinement collapses ({metric})",
+               vals[-1] / (vals[0] if vals[0] > 0 else 1.0), 1e-3)
     for key, value in report.equivalence_ratios.items():
-        checks.append(_info(f"metric ratio {key}", value))
+        yield _info(f"metric ratio {key}", value)
 
     # periodic signals: spectrum confined to the annihilator comb
     N0 = G.moduli[0]
@@ -469,23 +447,20 @@ def verify_mild(
         base = random_signal(G, rng)
         per = Signal(G, _translate_sum(base, H))
         rep = periodize_analysis(per, period)
-        checks.append(_check("periodic spectrum leakage", rep.leakage, 1e-10, tolerance))
-        checks.append(_check(
-            "comb weights match one-period transform",
-            rep.weight_residual, 1e-10, tolerance))
+        yield "periodic spectrum leakage", rep.leakage, 1e-10
+        yield "comb weights match one-period transform", rep.weight_residual, 1e-10
         try:
             periodize_analysis(random_signal(G, rng), period)
-            checks.append(_flag("aperiodic input rejected", False))
+            yield _flag("aperiodic input rejected", False)
         except NotPeriodic:
-            checks.append(_flag("aperiodic input rejected", True))
+            yield _flag("aperiodic input rejected", True)
 
-    checks.append(_flag(
+    yield _flag(
         "comb spectrum sits on the annihilator",
         all(support(dft(dirac_comb(H))) == annihilator(H).element_set for H in _subgroups_for(G)[0]),
-    ))
+    )
 
-    checks.append(_info("uniform bound over the sequence", seq.uniform_bound))
-    return checks
+    yield _info("uniform bound over the sequence", seq.uniform_bound)
 
 
 # the second factor of the product checks: the identity holds for any partner,
@@ -493,47 +468,43 @@ def verify_mild(
 _PARTNER = GroupSpec((2,))
 
 
-def _product_checks(u: Signal, v: Signal, tolerance: float | None) -> list[Check]:
+def _product_checks(u: Signal, v: Signal):
     """Transform and concentration norm of u (x) v factorize on the product group."""
     tensor = tensor_extension(u, v)
     lhs = dft(tensor).values
     rhs = np.outer(dft(u).values, dft(v).values).ravel()
     s_t = s0_norm(tensor)
     s_uv = s0_norm(u) * s0_norm(v)
-    return [
-        _check("product signal transform factorizes", _rel(lhs - rhs, rhs), 1e-10, tolerance),
-        _check("product signal norm factorizes", abs(s_t - s_uv) / s_uv, 1e-10, tolerance),
-    ]
+    yield "product signal transform factorizes", _rel(lhs - rhs, rhs), 1e-10
+    yield "product signal norm factorizes", abs(s_t - s_uv) / s_uv, 1e-10
 
 
+@_judged
 def verify_approx(
     G: GroupSpec,
     step,
     seed: int = 0,
     tolerance: float | None = None,
-) -> list[Check]:
+):
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
     lattice = grid_subgroup(G, step)
 
     for shape in BUPU_SHAPES:
         bupu = make_bupu(G, lattice, shape=shape)
-        checks.append(_check(
-            f"bump family sums to one ({shape})", bupu.partition_residual, 1e-12, tolerance))
+        yield f"bump family sums to one ({shape})", bupu.partition_residual, 1e-12
 
     f = random_signal(G, rng)
     samples = restriction(f, lattice)
     tri = make_bupu(G, lattice, shape="triangle")
     ext = semidiscrete_extension(samples, tri.mother)
     ext_fft = reference.extension_by_convolution(samples, tri.mother)
-    checks.append(_check(
-        "translate-sum extension matches convolution form",
-        _rel(ext.values - ext_fft.values, ext.values), 1e-12, tolerance))
+    yield ("translate-sum extension matches convolution form",
+           _rel(ext.values - ext_fft.values, ext.values), 1e-12)
     back = restriction(ext, lattice)
-    checks.append(_flag(
+    yield _flag(
         "extension interpolates the samples",
         bool(np.array_equal(back.values, samples.values)),
-    ))
+    )
 
     g0 = finite_gaussian(G)
     errs = []
@@ -545,15 +516,13 @@ def verify_approx(
             break
         current = grid_subgroup(G, tuple(max(1, s // 2) if s % 2 == 0 else s for s in steps))
     increments = [errs[i + 1] - errs[i] for i in range(len(errs) - 1)]
-    checks.append(_check(
-        "recovery error shrinks as the lattice refines",
-        max(increments) if increments else 0.0, 0.0, tolerance))
+    yield ("recovery error shrinks as the lattice refines",
+           max(increments) if increments else 0.0, 0.0)
 
-    checks.extend(_product_checks(random_signal(G, rng), random_signal(_PARTNER, rng), tolerance))
+    yield from _product_checks(random_signal(G, rng), random_signal(_PARTNER, rng))
 
     bound = sampling_bound(f, lattice)
-    checks.append(_info("sampled-l1 to concentration-norm ratio", bound.ratio))
-    return checks
+    yield _info("sampled-l1 to concentration-norm ratio", bound.ratio)
 
 
 # one entry per suite, all called alike; verify_all runs them in this order

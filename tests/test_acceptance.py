@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mildspec import (
-    DistributionSequence,
     GaborSystem,
     GroupSpec,
     NotAFrame,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mildspec import GroupSpec, finite_gaussian, grid_subgroup, random_signal, restriction
+from mildspec import GroupSpec, grid_subgroup, random_signal
 from mildspec import io
 from mildspec.cli import build_parser
 
@@ -386,8 +386,6 @@ class TestMildConverge:
             seq_file,
             "--limit",
             limit_file,
-            "--lattice",
-            "a=2,b=2",
             "--out",
             report_file,
         )
@@ -396,6 +394,8 @@ class TestMildConverge:
         for key in ("d_pair", "d_stft", "d_coeff", "equivalence_ratios", "monotone"):
             assert key in report
         assert len(report["d_pair"]) == 4
+        # the default lattice of Z16, a = b = 2, is written into the report
+        assert report["lattice"] == {"a": [2], "b": [2]}
         assert "n=0" in proc.stdout
 
     def test_missing_limit_everywhere_is_schema_error(self, tmp_path, rng):

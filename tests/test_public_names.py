@@ -6,7 +6,8 @@ from types import ModuleType
 
 import mildspec
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tracer_targets():
@@ -45,3 +46,30 @@ def test_every_name_of_the_session_resolves():
     names = set(re.findall(r"(?<![\w.])ms\.(\w+)", source))
     assert names
     assert sorted(n for n in names if not hasattr(mildspec, n)) == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never references; __all__ and __future__ are exempt."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            referenced |= {e.value for e in node.value.elts}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in referenced]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a package __init__ imports to re-export
+    paths = [p for d in ("src/mildspec", "tests", "demos")
+             for p in sorted((ROOT / d).rglob("*.py")) if p.name != "__init__.py"]
+    assert paths
+    assert [name for p in paths for name in _unused_imports(p)] == []

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mildspec import (
     GaborSystem, GroupSpec, Signal, TFLattice, finite_gaussian, random_signal, reference)
 from mildspec.cli import main
-from mildspec.verify import _product_checks, verify_approx, verify_gabor
+from mildspec.verify import _judged, _product_checks, run_suite, verify_approx, verify_gabor
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text())
@@ -30,7 +30,7 @@ class TestProductChecks:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         u = random_signal(GroupSpec(tuple(moduli)), rng)
         v = random_signal(GroupSpec((m,)), rng)
-        checks = _product_checks(u, v, None)
+        checks = _judged(_product_checks)(u, v)
         assert [c.name for c in checks] == list(PRODUCT_CHECKS)
         assert all(c.passed and c.threshold == 1e-10 for c in checks)
 
@@ -39,6 +39,41 @@ class TestProductChecks:
         checks = {c.name: c for c in verify_approx(GroupSpec(moduli), step, seed=1)}
         for name in PRODUCT_CHECKS:
             assert checks[name].passed and checks[name].threshold == 1e-10
+
+
+# every name a suite yields as a flag: a verdict, held to threshold 0 under any tolerance
+FLAGS = {
+    "inverse element cancels", "annihilator order duality", "biduality",
+    "quotient partitions the group", "comb transforms to dual comb",
+    "undersampled lattice rejected", "frame bounds positive",
+    "distance vanishes only at coincidence", "aperiodic input rejected",
+    "comb spectrum sits on the annihilator", "extension interpolates the samples",
+}
+
+
+class TestRunner:
+    # the command line's default lattices; Z2 has no proper period, so no aperiodic input
+    @pytest.mark.parametrize("moduli, ab, step, absent", [
+        ((24,), 2, 8, {"undersampled lattice rejected"}),
+        ((2, 4, 8), (1, 1, 2), (1, 2, 4),
+         {"undersampled lattice rejected", "aperiodic input rejected"}),
+    ], ids=["Z24", "Z2xZ4xZ8"])
+    def test_tolerance_replaces_every_gate_threshold_and_nothing_else(
+            self, moduli, ab, step, absent):
+        G = GroupSpec(moduli)
+        plain = run_suite("all", G, ab, ab, step, seed=1).checks
+        loose = run_suite("all", G, ab, ab, step, seed=1, tolerance=0.5).checks
+        assert [(c.name, c.residual, c.passed) for c in loose] == [
+            (c.name, c.residual, c.passed) for c in plain]
+        for before, after in zip(plain, loose):
+            name = before.name.split(": ", 1)[1]
+            if before.threshold is None:
+                assert after.threshold is None, name
+            elif name in FLAGS:
+                assert before.threshold == after.threshold == 0.0, name
+            else:
+                assert after.threshold == 0.5, name
+        assert FLAGS - {c.name.split(": ", 1)[1] for c in plain} == absent
 
 
 class TestGaborStreaming:
@@ -186,7 +221,7 @@ class TestMutationsFailAGate:
         monkeypatch.setattr(gabor, "finite_gaussian", lambda G: Signal(
             G, np.array(_axis_gaussian(G.order))))
         u, v = random_signal(GroupSpec((24,)), rng), random_signal(GroupSpec((2,)), rng)
-        assert _failed(_product_checks(u, v, None)) == {"product signal norm factorizes"}
+        assert _failed(_judged(_product_checks)(u, v)) == {"product signal norm factorizes"}
 
     def test_time_shift_on_one_axis_only(self, monkeypatch):
         from mildspec import gabor
