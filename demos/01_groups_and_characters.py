@@ -28,7 +28,7 @@ rhs = character(G, s, G.add(x, y))
 print(f"character multiplicativity on {G}: |lhs - rhs| = {abs(lhs - rhs):.2e}")
 
 vec = character_vector(G, s)
-print(f"character s={s.coords[0]} has unit modulus everywhere: "
+print(f"character s={s[0]} has unit modulus everywhere: "
       f"max deviation {max(abs(abs(v) - 1.0) for v in vec):.2e}")
 print()
 

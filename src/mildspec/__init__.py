@@ -67,7 +67,6 @@ from .gabor import (
     stft,
 )
 from .groups import (
-    GroupElement,
     GroupSpec,
     QuotientSpec,
     Subgroup,

@@ -26,7 +26,7 @@ from .errors import (
     SupportViolation,
 )
 from .fourier import COUNTING, UNITARY, dft, idft, restriction, weil_map
-from .gabor import GaborSystem, TFLattice, stft
+from .gabor import GaborSystem, TFLattice, gabor_coefficients, stft
 from .groups import GroupSpec, grid_subgroup
 from .mild import DistributionSequence, convergence_report
 from .signals import Signal, SubgroupSignal, dirac, finite_gaussian
@@ -124,7 +124,7 @@ def cmd_gabor(args) -> int:
         a = _fit_steps(G, args.a, _default_ab)
         b = _fit_steps(G, args.b, _default_ab)
         system = GaborSystem(_load_window(args.window, G), TFLattice(G, a, b))
-        coeffs = system.analyze(f, window=system.canonical_dual)
+        coeffs = gabor_coefficients(f, system)
         io.save_coefficients(args.out, coeffs)
     else:
         coeffs = io.load_coefficients(args.input)

@@ -23,7 +23,7 @@ class SupportViolation(Exception):
         self.element = element
         self.magnitude = float(magnitude)
         super().__init__(
-            f"mass {self.magnitude:.3e} off the lattice at {tuple(element.coords)}"
+            f"mass {self.magnitude:.3e} off the lattice at {tuple(element)}"
         )
 
 
@@ -44,5 +44,5 @@ class NotPeriodic(Exception):
         self.shift = shift
         self.deviation = float(deviation)
         super().__init__(
-            f"translating by {tuple(shift.coords)} moves the signal by {self.deviation:.3e}"
+            f"translating by {tuple(shift)} moves the signal by {self.deviation:.3e}"
         )

@@ -58,6 +58,7 @@ this without the blocks, as a second route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupMismatchError, NotAFrame
-from .groups import GroupElement, GroupSpec, Subgroup, _grid_steps, grid_subgroup
+from .groups import GroupSpec, Subgroup, _grid_steps, grid_subgroup
 from .signals import Signal, _as_values, _coset_shape, _fold, finite_gaussian
 
 __all__ = [
@@ -116,11 +117,9 @@ class TFLattice:
         """Lattice points per group element; below 1 no frame is possible."""
         return self.size / self.group.order
 
-    def points(self) -> Iterator[tuple[GroupElement, GroupElement]]:
+    def points(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Lattice points, time outer loop, both factors in element order."""
-        for t in self.time_lattice.coords_array.tolist():
-            for s in self.freq_lattice.coords_array.tolist():
-                yield GroupElement(t), GroupElement(s)
+        return itertools.product(self.time_lattice.elements, self.freq_lattice.elements)
 
     def __repr__(self) -> str:
         return (
@@ -341,14 +340,13 @@ class GaborSystem:
         w = self.window if window is None else window
         return CoefficientArray(self.lattice, _tf_analysis(f.values, w, self.lattice))
 
-    def synthesize(self, coeffs: CoefficientArray, window: Signal | None = None) -> Signal:
-        """Weighted sum of lattice shifts of a window (default: the system's)."""
+    def synthesize(self, coeffs: CoefficientArray) -> Signal:
+        """Weighted sum of the lattice shifts of the system's window."""
         if coeffs.lattice != self.lattice:
             raise GroupMismatchError("coefficients belong to a different lattice")
-        w = self.window if window is None else window
         values = coeffs.values
         rows = ((block, values[block]) for block in _row_blocks(len(values), self.group.order))
-        return Signal(self.group, _tf_synthesis(rows, w, self.lattice))
+        return Signal(self.group, _tf_synthesis(rows, self.window, self.lattice))
 
     def apply_frame(self, f: Signal) -> Signal:
         """S f = sum_lambda <f, pi(lambda) g> pi(lambda) g, synthesized row block by row block."""

@@ -26,7 +26,6 @@ from .errors import DomainError, GroupMismatchError
 
 __all__ = [
     "GroupSpec",
-    "GroupElement",
     "Subgroup",
     "QuotientSpec",
     "character",
@@ -41,31 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Point of a finite abelian group: reduced coordinates, one per axis."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coords)
-
-    def __getitem__(self, j: int) -> int:
-        return self.coords[j]
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __repr__(self) -> str:
-        return f"GroupElement{self.coords}"
-
-
 def _as_coords(value) -> tuple[int, ...]:
-    if isinstance(value, GroupElement):
-        return value.coords
     if isinstance(value, (int, np.integer)):
         return (int(value),)
     return tuple(int(c) for c in value)
@@ -127,61 +102,44 @@ class GroupSpec:
         arr.setflags(write=False)
         return arr
 
-    def element(self, coords) -> GroupElement:
+    def element(self, coords) -> tuple[int, ...]:
         """Build an element, reducing each coordinate mod its axis modulus."""
         c = _as_coords(coords)
         if len(c) != self.ndim:
             raise GroupMismatchError(
                 f"expected {self.ndim} coordinates, got {len(c)}"
             )
-        return GroupElement(tuple(v % n for v, n in zip(c, self.moduli)))
+        return tuple(v % n for v, n in zip(c, self.moduli))
 
-    def zero(self) -> GroupElement:
-        return GroupElement((0,) * self.ndim)
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * self.ndim
 
-    def check(self, x: GroupElement) -> GroupElement:
-        """Validate that x is a reduced element of this group."""
-        if not isinstance(x, GroupElement):
-            return self.element(x)
-        if len(x.coords) != self.ndim:
-            raise GroupMismatchError(
-                f"element has {len(x.coords)} coordinates, group has {self.ndim} axes"
-            )
-        if any(not 0 <= c < n for c, n in zip(x.coords, self.moduli)):
-            return self.element(x.coords)
-        return x
+    def add(self, x, y) -> tuple[int, ...]:
+        x, y = self.element(x), self.element(y)
+        return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))
 
-    def add(self, x, y) -> GroupElement:
-        x, y = self.check(x), self.check(y)
-        return GroupElement(
-            tuple((a + b) % n for a, b, n in zip(x.coords, y.coords, self.moduli))
-        )
+    def neg(self, x) -> tuple[int, ...]:
+        return tuple((-a) % n for a, n in zip(self.element(x), self.moduli))
 
-    def neg(self, x) -> GroupElement:
-        x = self.check(x)
-        return GroupElement(tuple((-a) % n for a, n in zip(x.coords, self.moduli)))
-
-    def sub(self, x, y) -> GroupElement:
+    def sub(self, x, y) -> tuple[int, ...]:
         return self.add(x, self.neg(y))
 
     def index(self, x) -> int:
         """Canonical (row-major) index of an element."""
-        x = self.check(x)
-        return sum(c * s for c, s in zip(x.coords, self._strides))
+        return sum(c * s for c, s in zip(self.element(x), self._strides))
 
-    def element_at(self, index: int) -> GroupElement:
+    def element_at(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.order:
             raise IndexError(f"index {index} out of range for group of order {self.order}")
-        return GroupElement(self._coords[index])
+        return tuple(self._coords[index].tolist())
 
     def _index_rows(self, coords) -> np.ndarray:
         """Canonical indices of integer coordinate rows (last axis), reduced per axis."""
         return np.asarray(coords) % np.array(self.moduli) @ np.array(self._strides)
 
-    def elements(self) -> Iterator[GroupElement]:
+    def elements(self) -> Iterator[tuple[int, ...]]:
         """All elements in canonical (lexicographic) order."""
-        for row in self._coords:
-            yield GroupElement(tuple(int(v) for v in row))
+        return map(tuple, self._coords.tolist())
 
     def negation_permutation(self) -> np.ndarray:
         """Index permutation sending index(x) to index(-x)."""
@@ -206,11 +164,9 @@ def character(group: GroupSpec, s, x) -> complex:
     exponential, so rational phases that are exactly 0, 1/2, etc. evaluate
     without drift.
     """
-    s, x = group.check(s), group.check(x)
+    s, x = group.element(s), group.element(x)
     L = group._char_lcm
-    k = sum(
-        sj * xj * w for sj, xj, w in zip(s.coords, x.coords, group._char_weights)
-    ) % L
+    k = sum(sj * xj * w for sj, xj, w in zip(s, x, group._char_weights)) % L
     return complex(np.exp(2j * np.pi * (int(k) / L)))
 
 
@@ -223,8 +179,7 @@ def _character_block(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np
 
 def character_vector(group: GroupSpec, s) -> np.ndarray:
     """chi_s sampled over the whole group in canonical order."""
-    s = group.check(s)
-    row = np.array([s.coords], dtype=np.int64)
+    row = np.array([group.element(s)], dtype=np.int64)
     return _character_block(group, row, group._coords)[0]
 
 
@@ -234,12 +189,13 @@ class Subgroup:
 
     ``indices`` is the only element store.  Row-major index order equals
     lexicographic coordinate order, so it lists the elements in sorted order;
-    the membership mask, the coordinate rows, the ``GroupElement`` views, the
-    annihilator and the quotient are derived from it on first use.
+    the membership mask, the coordinate rows, the element tuples, the
+    annihilator and the quotient are derived from it on first use; x is a
+    member when ``mask[parent.index(x)]`` holds.
     """
 
     parent: GroupSpec
-    generators: tuple[GroupElement, ...]
+    generators: tuple[tuple[int, ...], ...]
     indices: np.ndarray
 
     def __post_init__(self):
@@ -252,15 +208,8 @@ class Subgroup:
         return len(self.indices)
 
     @cached_property
-    def elements(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(row) for row in self.coords_array.tolist())
-
-    @cached_property
-    def element_set(self) -> frozenset[GroupElement]:
-        return frozenset(self.elements)
-
-    def contains(self, x) -> bool:
-        return bool(self.mask[self.parent.index(x)])
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.coords_array.tolist()))
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -291,24 +240,6 @@ class Subgroup:
         expected = math.prod(n // a for n, a in zip(self.parent.moduli, steps))
         return steps if expected == self.order else None
 
-    def position(self, x) -> int:
-        """Position of x inside the sorted element list."""
-        x = self.parent.check(x)
-        if not self.contains(x):
-            raise GroupMismatchError(f"{x!r} is not in the subgroup")
-        return int(np.searchsorted(self.indices, self.parent.index(x)))
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.parent.to_json(),
-            "generators": [list(g.coords) for g in self.generators],
-        }
-
-    @staticmethod
-    def from_json(data) -> "Subgroup":
-        group = GroupSpec.from_json(data["group"])
-        return subgroup_generated(group, data.get("generators", []))
-
     @cached_property
     def _annihilator(self) -> "Subgroup":
         group = self.parent
@@ -316,7 +247,7 @@ class Subgroup:
             raise GroupMismatchError("subgroup generators do not generate its elements")
         L = group._char_lcm
         gens = self.generators if self.generators else (group.zero(),)
-        gcoords = np.array([g.coords for g in gens], dtype=np.int64)
+        gcoords = np.array(gens, dtype=np.int64)
         phases = (group._coords * group._char_weights) @ gcoords.T % L
         indices = np.flatnonzero(np.all(phases == 0, axis=1))
         return Subgroup(group, _reduced_generators(group, indices), indices)
@@ -327,8 +258,8 @@ class Subgroup:
         own = np.arange(group.order)
         label = own
         for g in self.generators:
-            shift = group._index_rows(group._coords + g.coords)
-            g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g.coords)))
+            shift = group._index_rows(group._coords + g)
+            g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g)))
             for _ in range((g_order - 1).bit_length()):
                 label = np.minimum(label, label[shift])
                 shift = shift[shift]
@@ -350,7 +281,7 @@ class Subgroup:
         return hash((self.parent, self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        gens = ",".join(str(tuple(g.coords)) for g in self.generators) or "0"
+        gens = ",".join(str(g) for g in self.generators) or "0"
         return f"Subgroup(<{gens}> of {self.parent!r}, order {self.order})"
 
 
@@ -372,9 +303,9 @@ def _join(group: GroupSpec, indices: np.ndarray, g) -> np.ndarray:
     return np.sort(cosets, axis=None).astype(np.intp)
 
 
-def _reduced_generators(group: GroupSpec, indices: np.ndarray) -> tuple[GroupElement, ...]:
+def _reduced_generators(group: GroupSpec, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Greedy small generating set: repeatedly add the least element outside the span."""
-    gens: list[GroupElement] = []
+    gens: list[tuple[int, ...]] = []
     span = np.zeros(1, dtype=np.intp)
     while len(span) < len(indices):
         i = indices[np.argmin(np.isin(indices, span, assume_unique=True))]
@@ -392,7 +323,7 @@ def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
     gens = tuple(group.element(g) for g in generators)
     indices = np.zeros(1, dtype=np.intp)
     for g in gens:
-        indices = _join(group, indices, g.coords)
+        indices = _join(group, indices, g)
     return Subgroup(group, gens, indices)
 
 
@@ -449,7 +380,8 @@ class QuotientSpec:
     Representatives are the lexicographic minima of their cosets, stored as
     their sorted canonical parent indices ``rep_indices``; ``coset_map`` sends
     each canonical parent index to the position of its coset's
-    representative.  The ``GroupElement`` view is derived on first use.
+    representative, so x lies in coset ``coset_map[parent.index(x)]``.  The
+    representatives as element tuples are derived on first use.
     """
 
     subgroup: Subgroup
@@ -465,14 +397,8 @@ class QuotientSpec:
         return len(self.rep_indices)
 
     @cached_property
-    def representatives(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(row) for row in self.parent._coords[self.rep_indices].tolist())
-
-    def coset_index(self, x) -> int:
-        return int(self.coset_map[self.parent.index(x)])
-
-    def coset_rep(self, x) -> GroupElement:
-        return self.representatives[self.coset_index(x)]
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.parent._coords[self.rep_indices].tolist()))
 
     def __repr__(self) -> str:
         return f"QuotientSpec({self.parent!r} / order-{self.subgroup.order} subgroup, {self.size} cosets)"

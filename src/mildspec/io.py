@@ -14,8 +14,8 @@ Reports:       serialized with sorted keys and no timestamps, so fixed-seed
 
 Writers stream from arrays: complex values are written as [re, im] pairs
 in chunks straight to the file handle, and CSV rows are formatted in blocks
-from precomputed coordinate strings, never through GroupElement objects or
-per-pair Python lists.  The bytes are exactly those of
+from coordinate strings precomputed off the group's coordinate array, never
+element by element or through per-pair Python lists.  The bytes are exactly those of
 json.dump(sort_keys=True, indent=2) and csv.writer (float.__repr__ numbers,
 "\r\n" row terminators); the tests hold the writers to those encoders.
 

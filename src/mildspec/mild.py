@@ -42,7 +42,6 @@ from .errors import DomainError, GroupMismatchError, NotPeriodic
 from .fourier import dft
 from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm, s0prime_norm
 from .groups import (
-    GroupElement,
     GroupSpec,
     Subgroup,
     _character_block,
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 
-def support(sigma: Signal) -> frozenset[GroupElement]:
+def support(sigma: Signal) -> frozenset[tuple[int, ...]]:
     """Elements where |sigma| exceeds 1e-10 times its peak.
 
     The zero signal has empty support.
@@ -85,7 +84,7 @@ def support(sigma: Signal) -> frozenset[GroupElement]:
     if peak == 0.0:
         return frozenset()
     hit = np.nonzero(mags > 1e-10 * peak)[0]
-    return frozenset(sigma.group.element_at(int(i)) for i in hit)
+    return frozenset(map(tuple, sigma.group._coords[hit].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .fourier import COUNTING, FourierConvention, adjoint_restriction
 from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
-from .groups import GroupElement, GroupSpec, QuotientSpec, Subgroup, _character_block
+from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
 __all__ = [
@@ -336,7 +336,7 @@ class JanssenFrame:
         return Signal(h.group, x)
 
 
-def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:
+def _closure(group: GroupSpec, seed, extra) -> set[tuple[int, ...]]:
     """Additive closure of seed (already closed or arbitrary) and extra generators."""
     seen = set(seed)
     seen.add(group.zero())
@@ -354,10 +354,10 @@ def _closure(group: GroupSpec, seed, extra) -> set[GroupElement]:
     return seen
 
 
-def _reduced_generators(group: GroupSpec, elements) -> tuple[GroupElement, ...]:
+def _reduced_generators(group: GroupSpec, elements) -> tuple[tuple[int, ...], ...]:
     """Greedy small generating set for a subgroup given as an element list."""
-    gens: list[GroupElement] = []
-    span: set[GroupElement] = {group.zero()}
+    gens: list[tuple[int, ...]] = []
+    span: set[tuple[int, ...]] = {group.zero()}
     for e in sorted(elements):
         if e not in span:
             gens.append(e)
@@ -366,7 +366,7 @@ def _reduced_generators(group: GroupSpec, elements) -> tuple[GroupElement, ...]:
 
 
 def subgroups_by_closure(group: GroupSpec) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure over GroupElement objects.
+    """Every subgroup, by breadth-first closure over coordinate tuples.
 
     Brute force: each found subgroup is closed again under every element it
     misses.  Sorted by (order, sorted elements) with greedy generators, the

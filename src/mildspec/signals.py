@@ -207,8 +207,8 @@ def signal_to_comb(f: Signal, lattice: Subgroup, eps: float = 1e-10) -> Subgroup
 
 def translate(f: Signal, t) -> Signal:
     """T_t f(x) = f(x - t)."""
-    t = f.group.check(t)
-    rolled = np.roll(f.grid(), shift=t.coords, axis=tuple(range(f.group.ndim)))
+    t = f.group.element(t)
+    rolled = np.roll(f.grid(), shift=t, axis=tuple(range(f.group.ndim)))
     return Signal(f.group, rolled.reshape(-1))
 
 

@@ -457,7 +457,7 @@ def verify_mild(
 
     yield _flag(
         "comb spectrum sits on the annihilator",
-        all(support(dft(dirac_comb(H))) == annihilator(H).element_set for H in _subgroups_for(G)[0]),
+        all(support(dft(dirac_comb(H))) == frozenset(annihilator(H).elements) for H in _subgroups_for(G)[0]),
     )
 
     yield _info("uniform bound over the sequence", seq.uniform_bound)

@@ -67,7 +67,7 @@ class TestBUPU:
         mother = make_bupu(G, lam, shape).mother
         assert mother.values[0] == 1.0
         for e in lam.elements:
-            if e.coords != (0,):
+            if e != (0,):
                 assert mother.values[G.index(e)] == 0.0
 
     def test_bspline_is_not_interpolating(self):

@@ -38,6 +38,11 @@ class TestReadme:
             if isinstance(action, argparse._SubParsersAction))
         assert named == set(commands)
 
+    def test_quick_tour_block_runs(self):
+        section = README.read_text().split("## Quick tour", 1)[1]
+        block = section.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md: Quick tour", "exec"), {})
+
 
 class TestVerifyCommand:
     def test_fourier_suite_passes(self):

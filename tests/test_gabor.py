@@ -388,9 +388,9 @@ class TestLattice:
         lat = TFLattice(G, 4, 4)
         pts = list(lat.points())
         assert len(pts) == lat.size
-        assert pts[0][0].coords == (0,) and pts[0][1].coords == (0,)
+        assert pts[0] == ((0,), (0,))
         # frequency runs fastest
-        assert pts[1][0].coords == (0,) and pts[1][1].coords == (4,)
+        assert pts[1] == ((0,), (4,))
 
 
 def _draw_lattice(data):
@@ -517,7 +517,7 @@ def _numpy_stft_rows(f, g, rows):
     axes = tuple(range(f.group.ndim))
     out = []
     for t in rows:
-        shift = f.group.element_at(int(t)).coords
+        shift = f.group.element_at(int(t))
         windowed = f.grid() * np.conj(np.roll(g.grid(), shift, axis=axes))
         out.append(np.fft.fftn(windowed).reshape(-1))
     return np.array(out)
@@ -588,7 +588,7 @@ def _numpy_synthesis_rows(c, g, lattice, rows):
     for i in rows:
         spectrum = np.zeros(G.moduli, dtype=np.complex128)
         spectrum[on_lattice] = c[i].reshape(spectrum[on_lattice].shape)
-        shift = G.element_at(int(lattice.time_lattice.indices[i])).coords
+        shift = G.element_at(int(lattice.time_lattice.indices[i]))
         out += np.roll(g.grid(), shift, axis=axes) * G.order * np.fft.ifftn(spectrum)
     return out.reshape(-1)
 

@@ -122,7 +122,7 @@ class TestCSVWriters:
         G = GroupSpec(moduli)
         f = random_signal(G, rng)
         io.save_signal(tmp_path / "f.csv", f)
-        rows = [list(e.coords) + [repr(float(v.real)), repr(float(v.imag))]
+        rows = [list(e) + [repr(float(v.real)), repr(float(v.imag))]
                 for e, v in zip(G.elements(), f.values)]
         header = [f"i{j}" for j in range(G.ndim)] + ["re", "im"]
         assert (tmp_path / "f.csv").read_bytes() == csv_oracle(header, rows)
@@ -131,7 +131,7 @@ class TestCSVWriters:
         G = GroupSpec(moduli)
         grid = stft(random_signal(G, rng), finite_gaussian(G))
         io.save_stft_grid(tmp_path / "g.csv", grid)
-        rows = [list(t.coords) + list(s.coords) + [repr(float(v.real)), repr(float(v.imag))]
+        rows = [list(t) + list(s) + [repr(float(v.real)), repr(float(v.imag))]
                 for t, row in zip(G.elements(), grid.values)
                 for s, v in zip(G.elements(), row)]
         header = ([f"t{j}" for j in range(G.ndim)] + [f"s{j}" for j in range(G.ndim)]
