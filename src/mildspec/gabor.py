@@ -110,7 +110,10 @@ class TFLattice:
 
     @property
     def size(self) -> int:
-        return self.time_lattice.order * self.freq_lattice.order
+        """prod N_j/a_j times prod N_j/b_j, known before either lattice is built."""
+        moduli = self.group.moduli
+        return (math.prod(n // a for n, a in zip(moduli, self.time_steps))
+                * math.prod(n // b for n, b in zip(moduli, self.freq_steps)))
 
     @property
     def redundancy(self) -> float:

@@ -161,8 +161,10 @@ def character(group: GroupSpec, s, x) -> complex:
     """Value of the character chi_s at x, exp(2 pi i sum s_j x_j / N_j).
 
     The phase numerator is reduced as an integer mod lcm(N_j) before the
-    exponential, so rational phases that are exactly 0, 1/2, etc. evaluate
-    without drift.
+    exponential, so which characters and points give the same phase is
+    exact: membership in an annihilator and the biduality of G and its dual
+    do not drift.  The value is exp of that phase in floating point and
+    still rounds: character(GroupSpec((4,)), 1, 1) is 6.1e-17+1j, not 1j.
     """
     s, x = group.element(s), group.element(x)
     L = group._char_lcm

@@ -19,7 +19,17 @@ element by element or through per-pair Python lists.  The bytes are exactly thos
 json.dump(sort_keys=True, indent=2) and csv.writer (float.__repr__ numbers,
 "\r\n" row terminators); the tests hold the writers to those encoders.
 
-Malformed input raises SchemaError, which names the field, row or element:
+Readers take files as UTF-8 text (RFC 8259).  A JSON reader does not build
+the whole document as Python objects: it walks the top-level object with
+json's own scanner and decodes the array of [re, im] pairs of a signal
+("values") or coefficient file ("coeffs") in slices of at most _SLICE
+characters, cut after a pair, straight into one float64 array.  The slices
+joined by their commas are the array's text, so the numbers are json's to
+the bit.  A document the walk does not take whole goes to json.loads and
+the list path, which give every error message.
+
+Malformed input raises SchemaError, which names the file and the field, row
+or element: text that is not UTF-8, JSON nested deeper than json decodes,
 non-finite values, strings or booleans where a JSON number belongs, moduli
 or lattice steps that are not lists of integers (one rule,
 groups._int_list), and in CSV a coordinate out of range or an element given
@@ -31,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +67,14 @@ __all__ = [
 _CHUNK = 4096
 # the types json gives numbers; bool, a subclass of int, is left out on purpose
 _NUMBER_TYPES = {int, float}
+# characters of a pair array decoded at once; bounds the Python objects alive
+_SLICE = 1 << 16
+_PAIR_FIELDS = ("values", "coeffs")
+_WS = json.decoder.WHITESPACE.match
+_SCAN = json.JSONDecoder().scan_once
+# the "]" of the last pair, then the array's own: in an array of flat pairs
+# no earlier "]" has another "]" next to it
+_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 def _pair_chunks(values: np.ndarray):
@@ -78,7 +97,13 @@ def _pair_chunks(values: np.ndarray):
     yield "\n  ]"
 
 
+def _numbers_only(pairs) -> bool:
+    return {type(v) for pair in pairs for v in pair} <= _NUMBER_TYPES
+
+
 def _parse_pairs(data, what: str) -> np.ndarray:
+    """Complex values of [re, im] pairs: a list as json decodes it, or the
+    (n, 2) float64 array _pairs_at decoded and type-checked."""
     try:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -88,7 +113,7 @@ def _parse_pairs(data, what: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise SchemaError(f"{what} must be a list of [re, im] pairs")
     # np.asarray reads "1.5" and true as numbers; JSON numbers parse to int or float
-    if not {type(v) for pair in data for v in pair} <= _NUMBER_TYPES:
+    if arr is not data and not _numbers_only(data):
         i = next(i for i, pair in enumerate(data) if not {type(v) for v in pair} <= _NUMBER_TYPES)
         raise SchemaError(f"{what}: entry {i} is {json.dumps(data[i])}, not a pair of numbers")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
@@ -96,6 +121,72 @@ def _parse_pairs(data, what: str) -> np.ndarray:
         raise SchemaError(f"{what}: entry {bad[0]} is not finite")
     # a bit-exact view: re + 1j * im would turn a -0.0 real part into 0.0
     return np.ascontiguousarray(arr).view(np.complex128).reshape(-1)
+
+
+def _pairs_at(text: str, start: int) -> tuple[np.ndarray, int]:
+    """The array of [re, im] pairs whose "[" is text[start], and the index past it.
+
+    Slices of at most _SLICE characters, each cut at a "]" that a comma
+    follows, decode by json.loads into one preallocated (n, 2) array.
+    Raises ValueError (or what json or NumPy raise) on any other text.
+    """
+    i = _WS(text, start + 1).end()
+    if text[i] == "]":
+        return np.empty((0, 2)), i + 1
+    end = _PAIRS_END.search(text, i)
+    if end is None:
+        raise ValueError("no end of a pair array")
+    last = end.start()
+    out = np.empty((text.count("]", i, last + 1), 2))
+    filled = 0
+    while True:
+        cut = last if last + 1 - i <= _SLICE else text.rfind("],", i, i + _SLICE)
+        if cut < 0:
+            raise ValueError("no pair boundary in a slice")
+        pairs = json.loads("[" + text[i:cut + 1] + "]")
+        rows = np.asarray(pairs, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 2 or not _numbers_only(pairs):
+            raise ValueError("not a slice of [re, im] pairs")
+        out[filled:filled + len(rows)] = rows
+        filled += len(rows)
+        if cut == last:
+            return out, end.end()
+        i = cut + 2
+
+
+def _walk(text: str) -> dict:
+    """The top-level object of text, its pair arrays decoded by _pairs_at.
+
+    Raises ValueError (or what json or NumPy raise) on any document it does
+    not take whole; duplicate keys keep the last value, as in json.
+    """
+    data = {}
+    i = _WS(text, 0).end()
+    if text[i] != "{":
+        raise ValueError("not an object")
+    i = _WS(text, i + 1).end()
+    while text[i] != "}":
+        if text[i] != '"':
+            raise ValueError("expected a key")
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _WS(text, i).end()
+        if text[i] != ":":
+            raise ValueError("expected ':'")
+        i = _WS(text, i + 1).end()
+        if key in _PAIR_FIELDS and text[i] == "[":
+            data[key], i = _pairs_at(text, i)
+        else:
+            data[key], i = _SCAN(text, i)
+        i = _WS(text, i).end()
+        if text[i] == ",":
+            i = _WS(text, i + 1).end()
+            if text[i] == "}":
+                raise ValueError("trailing comma")
+        elif text[i] != "}":
+            raise ValueError("expected ',' or '}'")
+    if _WS(text, i + 1).end() != len(text):
+        raise ValueError("extra data")
+    return data
 
 
 def _coord_strings(coords: np.ndarray) -> list[str]:
@@ -116,26 +207,26 @@ def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
     """Strict CSV read: coordinates in range, finite values, every element exactly once."""
     values = np.empty(group.order, dtype=np.complex128)
     seen = np.zeros(group.order, dtype=bool)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
                 coords = tuple(int(row[f"i{j}"]) for j in range(group.ndim))
-                re, im = float(row["re"]), float(row["im"])
+                real, imag = float(row["re"]), float(row["im"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}: bad CSV row {row}") from exc
             where = f"{path}: line {reader.line_num}"
             for j, (c, n) in enumerate(zip(coords, group.moduli)):
                 if not 0 <= c < n:
                     raise SchemaError(f"{where}: i{j}={c} is outside [0, {n})")
-            for name, v in (("re", re), ("im", im)):
+            for name, v in (("re", real), ("im", imag)):
                 if not math.isfinite(v):
                     raise SchemaError(f"{where}: '{name}' is not finite")
             i = group.index(coords)
             if seen[i]:
                 raise SchemaError(f"{where}: element {coords} is given twice")
             seen[i] = True
-            values[i] = complex(re, im)
+            values[i] = complex(real, imag)
     missing = np.flatnonzero(~seen)
     if missing.size:
         raise SchemaError(
@@ -147,10 +238,20 @@ def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    try:
+        data = _walk(text)
+    except (ValueError, TypeError, OverflowError, IndexError, StopIteration, RecursionError):
+        # json decides what the walk does not take, with json's messages
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise SchemaError(f"{path}: not valid JSON (nested too deeply)") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     return data
@@ -171,7 +272,10 @@ def load_signal(path, group: GroupSpec | None = None) -> Signal:
     if path.suffix.lower() == ".csv":
         if group is None:
             raise SchemaError(f"{path}: CSV signals need an explicit group")
-        return _load_csv_signal(path, group)
+        try:
+            return _load_csv_signal(path, group)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     data = _load_json(path)
     file_group = _group_from(data, path)
     if group is not None and group != file_group:
@@ -213,7 +317,9 @@ def load_coefficients(path) -> CoefficientArray:
         lattice = TFLattice(group, _int_list(lat["a"], rule), _int_list(lat["b"], rule))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad lattice steps ({exc})") from exc
-    coeffs = _parse_pairs(data.get("coeffs", []), f"{path}: 'coeffs'")
+    if "coeffs" not in data:
+        raise SchemaError(f"{path}: missing 'coeffs'")
+    coeffs = _parse_pairs(data["coeffs"], f"{path}: 'coeffs'")
     if coeffs.size != lattice.size:
         raise SchemaError(
             f"{path}: {coeffs.size} coefficients for a lattice of size {lattice.size}"

@@ -154,7 +154,7 @@ class TestSemidiscreteExtension:
         assert np.max(np.abs(direct.values - fast.values)) < 1e-12 * np.max(np.abs(c))
         assert_array_equal(direct.values[lam.indices], c)
 
-    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_matches_the_convolution_oracle(self, data):
         moduli = data.draw(

@@ -340,6 +340,23 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "member 1: entry 1 is not finite" in proc.stderr
 
+    @pytest.mark.parametrize("name, data, args, message", [
+        ("f.json", b'\xff\xfe{"group": [2], "values": [[1, 2], [3, 4]]}', ["dft"],
+         "not UTF-8 text"),
+        ("f.csv", b"i0,re,im\n0,1,\xff\n", ["dft", "--group", "1"], "not UTF-8 text"),
+        ("f.json", b'{"group": [2], "values": ' + b"[" * 5000 + b"]" * 5000 + b"}", ["dft"],
+         "not valid JSON (nested too deeply)"),
+        ("s.json", b'{"group": [2], "members": [' + b"[" * 5000 + b"]" * 5000 + b"]}",
+         ["mild-converge"], "not valid JSON (nested too deeply)"),
+    ], ids=["json-bytes", "csv-bytes", "deep-values", "deep-members"])
+    def test_unreadable_input_is_schema_error_naming_the_file(self, tmp_path, name, data,
+                                                              args, message):
+        src = tmp_path / name
+        src.write_bytes(data)
+        proc = run_cli(args[0], src, *args[1:], "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert f"error: {src}: {message}" in proc.stderr
+
     def test_group_over_enumeration_bound_is_domain_rejection(self):
         proc = run_cli("verify", "group", "--group", "8192")
         assert proc.returncode == 1

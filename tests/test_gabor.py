@@ -472,7 +472,7 @@ class TestStructuredFrameOperator:
         with pytest.raises(NotAFrame):
             system.canonical_dual
 
-    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(st.data())
     def test_random_groups_and_lattices_match_dense_oracle(self, data):
         lattice, rng = _draw_lattice(data)
@@ -596,7 +596,7 @@ def _numpy_synthesis_rows(c, g, lattice, rows):
 class TestTimeFrequencyKernels:
     """Analysis and synthesis held to the synthesis matrix and to plain NumPy rows."""
 
-    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_analysis_and_synthesis_match_synthesis_matrix(self, data):
         lattice, rng = _draw_lattice(data)

@@ -327,7 +327,7 @@ class TestAgainstClosureOracle:
             assert A.generators == perp.generators
             assert quotient(G, H).coset_map.tolist() == _oracle_coset_map(G, R)
 
-    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @settings(max_examples=25)
     @given(
         st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
             lambda m: math.prod(m) <= 64
@@ -337,7 +337,7 @@ class TestAgainstClosureOracle:
         G = GroupSpec(tuple(moduli))
         _same_subgroup_lists(all_subgroups(G), reference.subgroups_by_closure(G))
 
-    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @settings(max_examples=20)
     @given(
         st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
             lambda m: math.prod(m) <= 64

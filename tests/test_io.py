@@ -1,15 +1,20 @@
-"""The file writers against the stdlib encoders, and the strict pair and coefficient readers."""
+"""The file writers against the stdlib encoders, and the readers against json and the list path."""
 
 import csv
 import io as stdio
 import json
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mildspec import (
+    CoefficientArray,
     GaborSystem,
+    GroupMismatchError,
     GroupSpec,
     SchemaError,
     Signal,
@@ -64,7 +69,7 @@ def complex_arrays(draw):
 
 
 class TestJSONWriter:
-    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(complex_arrays())
     def test_bytes_match_json_dump(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("w") / "x.json"
@@ -185,3 +190,168 @@ class TestCoefficientReader:
             {"group": [8], "lattice": lattice, "coeffs": [[1.0, 0.0]] * 16}))
         with pytest.raises(SchemaError, match="bad lattice steps"):
             io.load_coefficients(path)
+
+    def test_coefficient_file_without_coeffs(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"group": [4], "lattice": {"a": [2], "b": [2]}}))
+        with pytest.raises(SchemaError, match="missing 'coeffs'"):
+            io.load_coefficients(path)
+        path.write_text(json.dumps({"group": [4], "lattice": {"a": [2], "b": [2]}, "coeffs": []}))
+        with pytest.raises(SchemaError, match="'coeffs' must be non-empty"):
+            io.load_coefficients(path)
+
+
+# -- the readers: pair arrays decoded slice by slice ---------------------------
+
+READERS = {"signal": io.load_signal, "coefficients": io.load_coefficients,
+           "sequence": io.load_sequence}
+numbers = st.one_of(finite, st.integers(-2**80, 2**80))
+INDENTS = [None, 0, 2, "\t"]
+# values for extra or duplicate keys: text that looks like a pair boundary or
+# an array end, nested pairs, and values that are no array at all
+EXTRAS = [None, 7, -0.5, "],[1, 2]]", "]]", "é ", {"a": [[1, 2]], "b": "],"},
+          [[0.5, -1], [2, 3]], [], [[[1, 2]]]]
+
+
+def dumps_object(items, indent) -> str:
+    """json.dumps(dict(items), indent=indent), keeping duplicate keys and their order."""
+    if not items:
+        return "{}"
+    if indent is None:
+        return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items) + "}"
+    pad = " " * indent if isinstance(indent, int) else indent
+    return "{\n" + pad + (",\n" + pad).join(
+        f"{json.dumps(k)}: " + json.dumps(v, indent=indent).replace("\n", "\n" + pad)
+        for k, v in items
+    ) + "\n}"
+
+
+@st.composite
+def documents(draw) -> str:
+    """A signal, coefficient or sequence file in the whitespace of json.dumps,
+    in any key order, with extra and duplicate keys."""
+    n = draw(st.integers(1, 24))
+
+    def pairs(count):
+        return draw(st.lists(st.lists(numbers, min_size=2, max_size=2),
+                             min_size=count, max_size=count))
+
+    kind = draw(st.sampled_from(sorted(READERS)))
+    items = [("group", [n])]
+    if kind == "signal":
+        items.append(("values", pairs(n)))
+    elif kind == "coefficients":
+        a, b = (draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+                for _ in "ab")
+        items += [("lattice", {"a": [a], "b": [b]}), ("coeffs", pairs((n // a) * (n // b)))]
+    else:
+        items.append(("members", [pairs(n) for _ in range(draw(st.integers(1, 3)))]))
+        if draw(st.booleans()):
+            items.append(("limit", pairs(n)))
+    keys = ["note", "values", "coeffs", "limit", "members", "group", "lattice"]
+    items += draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(EXTRAS)),
+                           max_size=2))
+    return dumps_object(draw(st.permutations(items)), draw(st.sampled_from(INDENTS)))
+
+
+NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@st.composite
+def mutated(draw) -> bytes:
+    """A document as it is, or broken the ways an input file can be broken."""
+    text = draw(documents())
+    kind = draw(st.sampled_from(["none", "number", "bracket", "truncate", "junk", "bom",
+                                 "byte", "deep"]))
+    at = draw(st.integers(0, len(text)))
+    if kind == "number":
+        spots = list(NUMBER.finditer(text))
+        spot = spots[draw(st.integers(0, len(spots) - 1))]
+        swap = draw(st.sampled_from(["NaN", '"1"', "true", "null", "[1]", "1" + "0" * 400, DEEP]))
+        text = text[:spot.start()] + swap + text[spot.end():]
+    elif kind == "bracket":
+        spots = [i for i, c in enumerate(text) if c in "[]"]
+        drop = spots[draw(st.integers(0, len(spots) - 1))]
+        text = text[:drop] + text[drop + 1:]
+    elif kind == "truncate":
+        text = text[:at]
+    elif kind == "junk":
+        text += draw(st.sampled_from(["x", "]", ", 1", "{}", "\n\n"]))
+    elif kind == "deep":
+        text = text[:at] + DEEP + text[at:]
+    data = text.encode()
+    if kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "byte":
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def outcome(read, path):
+    """What a reader gives: the loaded values as bytes, or the error and its message."""
+    try:
+        loaded = read(path)
+    except (SchemaError, GroupMismatchError) as exc:
+        return type(exc), str(exc)
+    if isinstance(loaded, tuple):
+        members, limit = loaded
+        return [m.values.tobytes() for m in members], limit is not None and limit.values.tobytes()
+    if isinstance(loaded, CoefficientArray):
+        return loaded.lattice.time_steps, loaded.lattice.freq_steps, loaded.values.tobytes()
+    return loaded.group.moduli, loaded.values.tobytes()
+
+
+class TestReaders:
+    @settings(max_examples=200)
+    @given(mutated())
+    # the size check must come before a lattice of the group is built
+    @example(b'{"group": [1' + b"0" * 400 + b'], "lattice": {"a": [1], "b": [1]}, '
+             b'"coeffs": [[0.0, 0.0]]}')
+    def test_outcome_is_a_load_or_a_schema_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("r") / "doc.json"
+        path.write_bytes(data)
+        for read in READERS.values():
+            outcome(read, path)
+        outcome(lambda p: io.load_signal(p, group=GroupSpec((2,))), path)
+
+    @settings(max_examples=200)
+    @given(mutated())
+    def test_slices_decode_as_json_does(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("r") / "doc.json"
+        path.write_bytes(data)
+        with mock.patch.object(io, "_SLICE", 96):
+            got = {name: outcome(read, path) for name, read in READERS.items()}
+        # json.loads and the list path alone
+        with mock.patch.object(io, "_walk", side_effect=ValueError):
+            want = {name: outcome(read, path) for name, read in READERS.items()}
+        assert got == want
+
+    @pytest.mark.parametrize("indent", INDENTS)
+    @pytest.mark.parametrize("key", ["values", "coeffs"])
+    def test_pair_arrays_are_decoded_in_slices(self, indent, key):
+        pairs = [[1.5, -0.0], [3, 5e-324], [-2, 1e308]] * 5
+        text = dumps_object([("group", [15]), ("note", "],"), (key, pairs)], indent)
+        with mock.patch.object(io, "_SLICE", 48):
+            data = io._walk(text)
+        got = data[key]
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == np.array(pairs, dtype=np.float64).tobytes()
+        assert data["note"] == "],"
+
+    def test_signal_read_holds_no_object_per_number(self, tmp_path):
+        rng = np.random.default_rng(7)
+        pairs = rng.standard_normal((65536, 2))
+        path = tmp_path / "x.json"
+        with open(path, "w") as fh:
+            json.dump({"group": [65536], "values": pairs.tolist()}, fh)
+        tracemalloc.start()
+        try:
+            f = io.load_signal(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.view(np.float64).tobytes() == pairs.tobytes()
+        # the text is about 2.7 MB, held once as bytes and once as str while it
+        # is read; json.load builds 9 MiB of lists and floats on top of that
+        assert peak < 8 * 2**20

@@ -18,7 +18,7 @@ PRODUCT_CHECKS = ("product signal transform factorizes", "product signal norm fa
 
 
 class TestProductChecks:
-    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_factorizations_hold_for_any_partner(self, data):
         moduli = data.draw(
@@ -136,7 +136,7 @@ def _rel(x, ref):
 
 
 class TestJanssenOracles:
-    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_agree_with_the_dense_and_block_routes(self, data):
         lattice = _frames(data, 128)
@@ -188,7 +188,7 @@ def _adjoint_atoms(janssen, G):
 
 
 class TestLatticeClassification:
-    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_every_separable_lattice_gets_a_report(self, data):
         moduli = data.draw(
