@@ -37,10 +37,7 @@ from .errors import (
     SupportViolation,
 )
 from .fourier import (
-    COUNTING,
-    UNITARY,
     DualityResult,
-    FourierConvention,
     PoissonResult,
     adjoint_restriction,
     comb_ft,
@@ -49,7 +46,6 @@ from .fourier import (
     dft_subgroup,
     duality_sampling_periodization,
     idft,
-    mild_ft,
     pair,
     poisson_check,
     restriction,
@@ -74,11 +70,9 @@ from .groups import (
     annihilator,
     character,
     character_vector,
-    full_subgroup,
     grid_subgroup,
     quotient,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .mild import (
     ConvergenceReport,

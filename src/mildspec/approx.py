@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -65,11 +64,6 @@ class BUPU:
     shape: str
     mother: Signal
     partition_residual: float
-
-    @cached_property
-    def bumps(self) -> tuple[Signal, ...]:
-        """The lattice translates of the mother bump; |H| full-size signals."""
-        return tuple(translate(self.mother, lam) for lam in self.lattice.coords_array)
 
 
 def _triangle_profile(n: int, a: int) -> np.ndarray:

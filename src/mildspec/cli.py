@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     SupportViolation,
 )
-from .fourier import COUNTING, UNITARY, dft, idft, restriction, weil_map
+from .fourier import dft, idft, restriction, weil_map
 from .gabor import GaborSystem, TFLattice, gabor_coefficients, stft
 from .groups import GroupSpec, grid_subgroup
 from .mild import DistributionSequence, convergence_report
@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
 def cmd_dft(args) -> int:
     f = io.load_signal(args.input, group=args.group)
     transform = idft if args.inverse else dft
-    io.save_signal(args.out, transform(f, convention=UNITARY if args.unitary else COUNTING))
+    io.save_signal(args.out, transform(f, unitary=args.unitary))
     print(f"wrote {args.out}")
     return 0
 

@@ -14,8 +14,8 @@ throughout (all with the counting convention):
   * Double transform: dft(dft(f))(x) = |G| f(-x).
   * Poisson: sum_{h in H} f(h) = (|H|/|G|) sum_{s in annihilator(H)} fhat(s).
 
-The "unitary" convention divides the forward transform by sqrt(|G|) and
-multiplies the inverse likewise, making both isometries.
+Counting is the default; ``unitary=True`` divides the forward transform by
+sqrt(|G|) and multiplies the inverse likewise, making both isometries.
 
 Sampling is restriction to a subgroup; its adjoint embeds a subgroup signal
 back with zeros.  Periodization is the coset-sum (Weil) map onto a quotient.
@@ -29,7 +29,6 @@ transform on either side of a duality lands on the same index objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +44,8 @@ from .signals import (
 )
 
 __all__ = [
-    "FourierConvention",
-    "COUNTING",
-    "UNITARY",
     "dft",
     "idft",
-    "mild_ft",
     "pair",
     "restriction",
     "adjoint_restriction",
@@ -65,33 +60,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FourierConvention:
-    """Normalization of the transform pair; the forward exponent sign is fixed negative."""
-
-    normalization: str
-
-    def __post_init__(self):
-        if self.normalization not in ("counting", "unitary"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-
-COUNTING = FourierConvention("counting")
-UNITARY = FourierConvention("unitary")
-
-
-def dft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
+def dft(f: Signal, *, unitary: bool = False) -> Signal:
     """Forward transform, an FFT along each axis."""
     spec = np.fft.fftn(f.grid())
-    if convention.normalization == "unitary":
+    if unitary:
         spec = spec / math.sqrt(f.group.order)
     return Signal(f.group, spec.reshape(-1))
 
 
-def idft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
-    """Inverse transform; carries 1/|G| under the counting convention."""
+def idft(f: Signal, *, unitary: bool = False) -> Signal:
+    """Inverse transform; carries 1/|G| unless unitary."""
     vals = np.fft.ifftn(f.grid())
-    if convention.normalization == "unitary":
+    if unitary:
         vals = vals * math.sqrt(f.group.order)
     return Signal(f.group, vals.reshape(-1))
 
@@ -101,16 +81,6 @@ def pair(sigma: Signal, f: Signal) -> complex:
     if sigma.group != f.group:
         raise GroupMismatchError("pairing needs both signals on the same group")
     return complex(np.sum(sigma.values * f.values))
-
-
-def mild_ft(sigma: Signal, convention: FourierConvention = COUNTING) -> Signal:
-    """Transform of a signal in its role as a functional.
-
-    Characterized by pair(mild_ft(sigma), f) = pair(sigma, dft(f)) for all f,
-    which the symmetry chi_s(x) = chi_x(s) turns into the ordinary transform:
-    both pairings equal sum_{x,s} sigma(x) f(s) conj(chi_s(x)).
-    """
-    return dft(sigma, convention)
 
 
 def restriction(f: Signal, subgroup: Subgroup) -> SubgroupSignal:

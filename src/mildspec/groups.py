@@ -32,8 +32,6 @@ __all__ = [
     "character_vector",
     "subgroup_generated",
     "grid_subgroup",
-    "trivial_subgroup",
-    "full_subgroup",
     "annihilator",
     "quotient",
     "all_subgroups",
@@ -120,9 +118,6 @@ class GroupSpec:
 
     def neg(self, x) -> tuple[int, ...]:
         return tuple((-a) % n for a, n in zip(self.element(x), self.moduli))
-
-    def sub(self, x, y) -> tuple[int, ...]:
-        return self.add(x, self.neg(y))
 
     def index(self, x) -> int:
         """Canonical (row-major) index of an element."""
@@ -354,14 +349,6 @@ def grid_subgroup(group: GroupSpec, steps) -> Subgroup:
     # one generator a_j e_j per axis that is not collapsed
     gens = [row for row, a, n in zip(np.diag(steps), steps, group.moduli) if a < n]
     return subgroup_generated(group, gens)
-
-
-def trivial_subgroup(group: GroupSpec) -> Subgroup:
-    return subgroup_generated(group, [])
-
-
-def full_subgroup(group: GroupSpec) -> Subgroup:
-    return grid_subgroup(group, 1)
 
 
 def annihilator(subgroup: Subgroup) -> Subgroup:

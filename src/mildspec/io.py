@@ -32,7 +32,8 @@ Malformed input raises SchemaError, which names the file and the field, row
 or element: text that is not UTF-8, JSON nested deeper than json decodes,
 non-finite values, strings or booleans where a JSON number belongs, moduli
 or lattice steps that are not lists of integers (one rule,
-groups._int_list), and in CSV a coordinate out of range or an element given
+groups._int_list), and in CSV a line the csv module cannot parse (such as a
+field over its length limit), a coordinate out of range or an element given
 twice or not at all.
 """
 
@@ -203,13 +204,22 @@ def _write_rows(fh, prefix: str, coords: list[str], flat: np.ndarray) -> None:
     fh.write(template % tuple(flat.tolist()))
 
 
+def _csv_rows(reader: csv.DictReader, path: Path):
+    """The rows of a CSV reader; a line it cannot parse raises SchemaError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # DictReader updates its own line_num only after a row parses
+        raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+
+
 def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
     """Strict CSV read: coordinates in range, finite values, every element exactly once."""
     values = np.empty(group.order, dtype=np.complex128)
     seen = np.zeros(group.order, dtype=bool)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
+        for row in _csv_rows(reader, path):
             try:
                 coords = tuple(int(row[f"i{j}"]) for j in range(group.ndim))
                 real, imag = float(row["re"]), float(row["im"])

@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GroupMismatchError
-from .fourier import COUNTING, FourierConvention, adjoint_restriction
+from .fourier import adjoint_restriction
 from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
 from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
@@ -70,23 +70,16 @@ def _character_sum(
     return out
 
 
-def naive_dft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
+def naive_dft(f: Signal) -> Signal:
     """O(|G|^2) transform straight from the definition."""
     coords = f.group._coords
-    out = _character_sum(f.group, coords, coords, f.values)
-    if convention.normalization == "unitary":
-        out = out / math.sqrt(f.group.order)
-    return Signal(f.group, out)
+    return Signal(f.group, _character_sum(f.group, coords, coords, f.values))
 
 
-def naive_idft(f: Signal, convention: FourierConvention = COUNTING) -> Signal:
+def naive_idft(f: Signal) -> Signal:
     coords = f.group._coords
     out = _character_sum(f.group, coords, coords, f.values, sign=1)
-    if convention.normalization == "unitary":
-        out = out / math.sqrt(f.group.order)
-    else:
-        out = out / f.group.order
-    return Signal(f.group, out)
+    return Signal(f.group, out / f.group.order)
 
 
 def stft_direct(f: Signal, window: Signal) -> np.ndarray:

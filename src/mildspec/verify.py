@@ -41,14 +41,12 @@ from .approx import (
 )
 from .errors import NotAFrame, NotPeriodic, SupportViolation
 from .fourier import (
-    UNITARY,
     comb_ft,
     dft,
     dft_quotient,
     dft_subgroup,
     duality_sampling_periodization,
     idft,
-    mild_ft,
     pair,
     poisson_check,
     restriction,
@@ -230,16 +228,16 @@ def verify_fourier(G: GroupSpec, seed: int = 0, tolerance: float | None = None):
     yield ("transform matches defining sum",
            _rel(fhat.values - reference.naive_dft(f).values, fhat.values), 1e-12)
     yield "inverse transform roundtrip", _rel(idft(fhat).values - f.values, f.values), 1e-12
-    fu = dft(f, convention=UNITARY)
-    yield ("unitary roundtrip",
-           _rel(idft(fu, convention=UNITARY).values - f.values, f.values), 1e-12)
+    fu = dft(f, unitary=True)
+    yield "unitary roundtrip", _rel(idft(fu, unitary=True).values - f.values, f.values), 1e-12
     lhs = float(np.sum(np.abs(fhat.values) ** 2))
     rhs = G.order * float(np.sum(np.abs(f.values) ** 2))
     yield "energy identity", abs(lhs - rhs) / rhs, 1e-12
     double = dft(dft(f))
     reflected = G.order * f.values[G.negation_permutation()]
     yield "double transform reflects", _rel(double.values - reflected, reflected), 1e-12
-    lhs_p = pair(mild_ft(f), g)
+    # chi_s(x) = chi_x(s), so both pairings equal sum_{x,s} f(x) g(s) conj(chi_s(x))
+    lhs_p = pair(dft(f), g)
     rhs_p = pair(f, dft(g))
     yield "transform moves across the pairing", abs(lhs_p - rhs_p) / (1.0 + abs(rhs_p)), 1e-12
 
@@ -310,7 +308,7 @@ def verify_gabor(
     h = random_signal(G, rng)
     # rows of the unitary transform's STFT meet the columns of f's STFT, rotated:
     # |V f^(t, s)| = |V f(-s, t)|, one row block against one column block
-    normalized_hat = Signal(G, dft(f).values / G.order ** 0.5)
+    normalized_hat = dft(f, unitary=True)
     if G.order <= _ORACLE_MAX_ORDER:
         direct = reference.stft_direct(normalized_hat, g0)
         times, freqs = np.indices(direct.shape).reshape(2, -1)

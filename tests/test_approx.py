@@ -25,6 +25,7 @@ from mildspec import (
     semidiscrete_extension,
     subgroup_generated,
     tensor_extension,
+    translate,
 )
 from mildspec import reference
 
@@ -52,7 +53,10 @@ class TestBUPU:
         G = GroupSpec((6,))
         bupu = make_bupu(G, grid_subgroup(G, 1), "triangle")
         assert_array_equal(bupu.mother.values, dirac(G, G.zero()).values)
-        assert len(bupu.bumps) == 6
+        bumps = [translate(bupu.mother, lam) for lam in bupu.lattice.coords_array]
+        assert len(bumps) == 6
+        for lam, bump in zip(bupu.lattice.coords_array, bumps):
+            assert_array_equal(bump.values, dirac(G, tuple(lam)).values)
 
     def test_single_coset_gives_constant(self):
         G = GroupSpec((6,))

@@ -344,11 +344,13 @@ class TestExitCodes:
         ("f.json", b'\xff\xfe{"group": [2], "values": [[1, 2], [3, 4]]}', ["dft"],
          "not UTF-8 text"),
         ("f.csv", b"i0,re,im\n0,1,\xff\n", ["dft", "--group", "1"], "not UTF-8 text"),
+        ("f.csv", b"i0,re,im\r\n0," + b"1" * 140000 + b",0\r\n1,0,0\r\n", ["dft", "--group", "2"],
+         "line 2: field larger than field limit"),
         ("f.json", b'{"group": [2], "values": ' + b"[" * 5000 + b"]" * 5000 + b"}", ["dft"],
          "not valid JSON (nested too deeply)"),
         ("s.json", b'{"group": [2], "members": [' + b"[" * 5000 + b"]" * 5000 + b"]}",
          ["mild-converge"], "not valid JSON (nested too deeply)"),
-    ], ids=["json-bytes", "csv-bytes", "deep-values", "deep-members"])
+    ], ids=["json-bytes", "csv-bytes", "csv-long-field", "deep-values", "deep-members"])
     def test_unreadable_input_is_schema_error_naming_the_file(self, tmp_path, name, data,
                                                               args, message):
         src = tmp_path / name

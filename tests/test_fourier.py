@@ -5,11 +5,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
-    COUNTING,
     GroupSpec,
     Signal,
     SupportViolation,
-    UNITARY,
     adjoint_restriction,
     all_subgroups,
     annihilator,
@@ -22,10 +20,8 @@ from mildspec import (
     dirac_comb,
     duality_sampling_periodization,
     finite_gaussian,
-    full_subgroup,
     grid_subgroup,
     idft,
-    mild_ft,
     pair,
     poisson_check,
     pure_frequency,
@@ -34,7 +30,6 @@ from mildspec import (
     restriction,
     signal_to_comb,
     subgroup_generated,
-    trivial_subgroup,
     weil_map,
 )
 from mildspec import reference
@@ -52,15 +47,16 @@ class TestTransform:
             expect = 24.0 * dirac(G, r).values
             assert np.max(np.abs(hat - expect)) < 1e-10
 
-    @pytest.mark.parametrize("fast, slow", [
-        (dft, reference.naive_dft), (idft, reference.naive_idft),
+    # the unitary pair is the counting pair times |G|^power
+    @pytest.mark.parametrize("fast, slow, power", [
+        (dft, reference.naive_dft, -0.5), (idft, reference.naive_idft, 0.5),
     ], ids=["dft", "idft"])
-    @pytest.mark.parametrize("convention", [COUNTING, UNITARY], ids=["counting", "unitary"])
+    @pytest.mark.parametrize("unitary", [False, True], ids=["counting", "unitary"])
     @pytest.mark.parametrize("moduli", [(16,), (4, 6)], ids=["Z16", "Z4xZ6"])
-    def test_matches_naive_oracle(self, rng, fast, slow, convention, moduli):
+    def test_matches_naive_oracle(self, rng, fast, slow, power, unitary, moduli):
         f = random_signal(GroupSpec(moduli), rng)
-        want = slow(f, convention).values
-        got = fast(f, convention).values
+        want = slow(f).values * (f.group.order ** power if unitary else 1.0)
+        got = fast(f, unitary=unitary).values
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
     @pytest.mark.parametrize("moduli", [(24,), (4, 6), (2, 3, 4)])
@@ -91,9 +87,9 @@ class TestTransform:
     def test_unitary_convention_is_isometric(self, rng):
         G = GroupSpec((24,))
         f = random_signal(G, rng)
-        fu = dft(f, convention=UNITARY)
+        fu = dft(f, unitary=True)
         assert abs(fu.norm2 - f.norm2) / f.norm2 < 1e-12
-        back = idft(fu, convention=UNITARY)
+        back = idft(fu, unitary=True)
         assert np.max(np.abs(back.values - f.values)) < 1e-12
 
     def test_double_transform_reflects(self, rng):
@@ -107,7 +103,7 @@ class TestMildTransform:
     def test_pairing_contract(self, rng):
         G = GroupSpec((12,))
         sigma, f = random_signal(G, rng), random_signal(G, rng)
-        lhs = pair(mild_ft(sigma), f)
+        lhs = pair(dft(sigma), f)
         rhs = pair(sigma, dft(f))
         assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
@@ -115,13 +111,13 @@ class TestMildTransform:
         G = GroupSpec((8,))
         x = G.element(3)
         assert_allclose(
-            mild_ft(dirac(G, x)).values, np.conj(character_vector(G, x)), atol=1e-13
+            dft(dirac(G, x)).values, np.conj(character_vector(G, x)), atol=1e-13
         )
 
     def test_comb_transforms_to_dual_comb(self):
         G = GroupSpec((8,))
         lam = grid_subgroup(G, 2)
-        hat = mild_ft(dirac_comb(lam)).values
+        hat = dft(dirac_comb(lam)).values
         expect = np.zeros(8)
         expect[[0, 4]] = 4.0
         assert_allclose(hat, expect, atol=1e-12)
@@ -282,13 +278,13 @@ class TestCombTransform:
 
     def test_trivial_lattice(self):
         G = GroupSpec((8,))
-        comb = comb_ft(trivial_subgroup(G))
+        comb = comb_ft(subgroup_generated(G, []))
         assert comb.subgroup.order == 8
         assert_allclose(comb.values, 1.0, atol=1e-12)
 
     def test_full_lattice(self):
         G = GroupSpec((8,))
-        comb = comb_ft(full_subgroup(G))
+        comb = comb_ft(grid_subgroup(G, 1))
         assert comb.subgroup.order == 1
         assert_allclose(comb.values, 8.0, atol=1e-12)
 
@@ -323,7 +319,7 @@ class TestSubgroupQuotientTransforms:
     def test_full_subgroup_transform_holds_no_table(self, rng):
         # a character table on Z4096 would be 256 MiB
         G = GroupSpec((4096,))
-        mu = restriction(random_signal(G, rng), full_subgroup(G))
+        mu = restriction(random_signal(G, rng), grid_subgroup(G, 1))
         tracemalloc.start()
         try:
             hat = dft_subgroup(mu)

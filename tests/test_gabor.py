@@ -162,7 +162,7 @@ class TestConcentrationNorms:
             for yi in range(xi + 1, 16):
                 x, y = G.element(xi), G.element(yi)
                 sigma = dirac(G, x) - dirac(G, y)
-                gap = g0.values[0].real - g0.values[G.index(G.sub(x, y))].real
+                gap = g0.values[0].real - g0.values[G.index(G.add(x, G.neg(y)))].real
                 assert s0prime_norm(sigma) >= gap - 1e-12
 
 

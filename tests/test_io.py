@@ -355,3 +355,50 @@ class TestReaders:
         # the text is about 2.7 MB, held once as bytes and once as str while it
         # is read; json.load builds 9 MiB of lists and floats on top of that
         assert peak < 8 * 2**20
+
+
+# -- the CSV reader: a load or a SchemaError -----------------------------------
+
+CSV_GROUPS = [(6,), (2, 3), (2, 2, 2)]
+# what a field can be swapped for: not a number, not finite, empty, a NUL, too long
+CSV_SWAPS = ["nan", "1e400", '""', "true", "\x00", "1" * 140000]
+
+
+@st.composite
+def mutated_csv(draw) -> bytes:
+    """A valid CSV signal file on one of CSV_GROUPS, as it is or broken."""
+    G = GroupSpec(draw(st.sampled_from(CSV_GROUPS)))
+    values = draw(st.lists(finite, min_size=2 * G.order, max_size=2 * G.order))
+    header = [f"i{j}" for j in range(G.ndim)] + ["re", "im"]
+    rows = [[*map(str, x), repr(real), repr(imag)]
+            for x, real, imag in zip(G.elements(), values[::2], values[1::2])]
+    kind = draw(st.sampled_from(["none", "field", "drop", "duplicate", "quote", "truncate",
+                                 "bom", "byte"]))
+    if kind == "field":
+        row = draw(st.sampled_from([header, *rows]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(CSV_SWAPS))
+    elif kind == "drop":
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    data = csv_oracle(header, rows)
+    at = draw(st.integers(0, len(data)))
+    if kind == "quote":
+        data = data[:at] + b'"' + data[at:]
+    elif kind == "truncate":
+        data = data[:at]
+    elif kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "byte":
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestCSVReader:
+    @settings(max_examples=300)
+    @given(mutated_csv())
+    def test_outcome_is_a_load_or_a_schema_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("r") / "doc.csv"
+        path.write_bytes(data)
+        for moduli in CSV_GROUPS:
+            outcome(lambda p: io.load_signal(p, group=GroupSpec(moduli)), path)

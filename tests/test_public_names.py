@@ -20,6 +20,30 @@ def _tracer_targets():
     raise AssertionError("perfbench/tracer.py defines no TARGETS")
 
 
+# every addition or removal of a public name shows in the diff of this list
+PUBLIC_NAMES = [
+    "BUPU", "BUPU_SHAPES", "CoefficientArray", "ConvergenceReport", "DistributionSequence",
+    "DomainError", "DualityResult", "FRAME_TOL", "GaborSystem", "GroupMismatchError",
+    "GroupSpec", "NotAFrame", "NotPeriodic", "PeriodicReport", "PoissonResult", "QuasiResult",
+    "QuotientSignal", "QuotientSpec", "SamplingBound", "SchemaError", "Signal", "Subgroup",
+    "SubgroupSignal", "SupportViolation", "TFLattice", "adjoint_restriction", "all_subgroups",
+    "annihilator", "character", "character_vector", "comb_ft", "convergence_report",
+    "default_probes", "dft", "dft_quotient", "dft_subgroup", "dirac", "dirac_comb",
+    "duality_sampling_periodization", "finite_gaussian", "gabor_coefficients",
+    "gabor_synthesis", "grid_subgroup", "idft", "make_bupu", "mild_deviation_coeff",
+    "mild_deviation_pairing", "mild_deviation_stft", "modulate", "pair", "periodize_analysis",
+    "poisson_check", "pure_frequency", "quasi_interpolate", "quotient", "random_signal",
+    "refining_comb_sequence", "restriction", "s0_norm", "s0prime_norm", "sampling_bound",
+    "semidiscrete_extension", "signal_to_comb", "stft", "subgroup_generated", "support",
+    "tensor_extension", "tf_shift", "translate", "weil_map",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    assert len(PUBLIC_NAMES) == 70
+    assert sorted(mildspec.__all__) == PUBLIC_NAMES
+
+
 def test_star_import_binds_no_submodule():
     assert [n for n in mildspec.__all__ if isinstance(getattr(mildspec, n), ModuleType)] == []
     namespace = {}

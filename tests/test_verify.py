@@ -278,9 +278,14 @@ class TestMutationsFailAGate:
 def test_ladder_report_keeps_every_gated_check(group, tmp_path, capsys):
     # the benchmark's ladder holds each report to these names; a rename fails here first
     report = tmp_path / "report.json"
-    main(["verify", "all", "--group", group, "--seed", "1", "--report", str(report)])
-    checks = json.loads(report.read_text())["checks"]
-    gated = {c["name"] for c in checks if c["threshold"] is not None}
+    rc = main(["verify", "all", "--group", group, "--seed", "1", "--report", str(report)])
+    data = json.loads(report.read_text())
+    gated = {c["name"]: c["passed"] for c in data["checks"] if c["threshold"] is not None}
     assert [n for n in EXPECTED["checks"][group] if n not in gated] == []
     for name in PRODUCT_CHECKS:
         assert f"approx: {name}" in gated
+    # and to its verdicts: exactly the known defects fail, and they decide the exit code
+    known = EXPECTED["known_defects"].get(group, [])
+    assert sorted(n for n, ok in gated.items() if not ok) == known
+    assert data["passed"] == (not known)
+    assert rc == (1 if known else 0)
