@@ -300,8 +300,8 @@ def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:
     P = np.array(_periods(lattice))
     g = window.grid()
     read = _shifted_conj(g)
-    k = np.indices(b).reshape(group.ndim, -1).T
-    r = np.indices(tuple(P)).reshape(group.ndim, -1).T
+    k = GroupSpec(b)._coords
+    r = GroupSpec(_periods(lattice))._coords
     C = np.empty((len(k), math.prod(a)), dtype=np.complex128)
     for block in _row_blocks(len(k), group.order):
         h = read(-k[block] * P)

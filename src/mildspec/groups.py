@@ -161,17 +161,19 @@ def character(group: GroupSpec, s, x) -> complex:
     do not drift.  The value is exp of that phase in floating point and
     still rounds: character(GroupSpec((4,)), 1, 1) is 6.1e-17+1j, not 1j.
     """
-    s, x = group.element(s), group.element(x)
-    L = group._char_lcm
-    k = sum(sj * xj * w for sj, xj, w in zip(s, x, group._char_weights)) % L
-    return complex(np.exp(2j * np.pi * (int(k) / L)))
+    rows = np.array([group.element(s)], dtype=np.int64)
+    cols = np.array([group.element(x)], dtype=np.int64)
+    return complex(_character_block(group, rows, cols)[0, 0])
+
+
+def _phases(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Integer phases sum_j r_j c_j (L / N_j) mod L, L = lcm(N_j), for rows (m,d), cols (n,d)."""
+    return (rows * group._char_weights) @ cols.T % group._char_lcm
 
 
 def _character_block(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Matrix exp(2 pi i <r, c>) for coordinate arrays rows (m,d), cols (n,d)."""
-    L = group._char_lcm
-    K = (rows * group._char_weights) @ cols.T % L
-    return np.exp((2j * np.pi / L) * K)
+    return np.exp((2j * np.pi / group._char_lcm) * _phases(group, rows, cols))
 
 
 def character_vector(group: GroupSpec, s) -> np.ndarray:
@@ -184,15 +186,15 @@ def character_vector(group: GroupSpec, s) -> np.ndarray:
 class Subgroup:
     """Subgroup stored as the sorted canonical parent indices of its elements.
 
-    ``indices`` is the only element store.  Row-major index order equals
+    ``indices`` is the only store.  Row-major index order equals
     lexicographic coordinate order, so it lists the elements in sorted order;
-    the membership mask, the coordinate rows, the element tuples, the
-    annihilator and the quotient are derived from it on first use; x is a
-    member when ``mask[parent.index(x)]`` holds.
+    the generators, the membership mask, the coordinate rows, the element
+    tuples, the annihilator and the quotient are derived from it on first
+    use; x is a member when ``mask[parent.index(x)]`` holds.  Deriving the
+    generators checks that the indices are a subgroup's sorted elements.
     """
 
     parent: GroupSpec
-    generators: tuple[tuple[int, ...], ...]
     indices: np.ndarray
 
     def __post_init__(self):
@@ -207,6 +209,24 @@ class Subgroup:
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.coords_array.tolist()))
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Greedy generators: each is the least element outside the span of those before.
+
+        Raises GroupMismatchError unless that span is exactly the indices.
+        """
+        group, idx = self.parent, self.indices
+        gens: list[tuple[int, ...]] = []
+        span = np.zeros(1, dtype=np.intp)
+        candidates = idx[(idx >= 0) & (idx < group.order)]
+        # each step adds an element, so the loop ends on any index set, [0, 0] too
+        while len(outside := candidates[~np.isin(candidates, span)]):
+            gens.append(group.element_at(int(outside[0])))
+            span = _join(group, span, gens[-1])
+        if not np.array_equal(span, idx):
+            raise GroupMismatchError(f"indices are not the sorted elements of a subgroup of {group!r}")
+        return tuple(gens)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -240,14 +260,9 @@ class Subgroup:
     @cached_property
     def _annihilator(self) -> "Subgroup":
         group = self.parent
-        if not np.array_equal(subgroup_generated(group, self.generators).indices, self.indices):
-            raise GroupMismatchError("subgroup generators do not generate its elements")
-        L = group._char_lcm
-        gens = self.generators if self.generators else (group.zero(),)
-        gcoords = np.array(gens, dtype=np.int64)
-        phases = (group._coords * group._char_weights) @ gcoords.T % L
-        indices = np.flatnonzero(np.all(phases == 0, axis=1))
-        return Subgroup(group, _reduced_generators(group, indices), indices)
+        gens = np.array(self.generators, dtype=np.int64).reshape(-1, group.ndim)
+        phases = _phases(group, group._coords, gens)
+        return Subgroup(group, np.flatnonzero(np.all(phases == 0, axis=1)))
 
     @cached_property
     def _quotient(self) -> "QuotientSpec":
@@ -262,8 +277,6 @@ class Subgroup:
                 shift = shift[shift]
         is_rep = label == own
         rep_indices = np.flatnonzero(is_rep)
-        if np.any(label[self.indices]) or len(rep_indices) * self.order != group.order:
-            raise GroupMismatchError("subgroup generators do not generate its elements")
         coset_map = (np.cumsum(is_rep) - 1)[label]
         rep_indices.setflags(write=False)
         coset_map.setflags(write=False)
@@ -278,8 +291,7 @@ class Subgroup:
         return hash((self.parent, self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        gens = ",".join(str(g) for g in self.generators) or "0"
-        return f"Subgroup(<{gens}> of {self.parent!r}, order {self.order})"
+        return f"Subgroup(order {self.order} of {self.parent!r})"
 
 
 def _join(group: GroupSpec, indices: np.ndarray, g) -> np.ndarray:
@@ -300,28 +312,18 @@ def _join(group: GroupSpec, indices: np.ndarray, g) -> np.ndarray:
     return np.sort(cosets, axis=None).astype(np.intp)
 
 
-def _reduced_generators(group: GroupSpec, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Greedy small generating set: repeatedly add the least element outside the span."""
-    gens: list[tuple[int, ...]] = []
-    span = np.zeros(1, dtype=np.intp)
-    while len(span) < len(indices):
-        i = indices[np.argmin(np.isin(indices, span, assume_unique=True))]
-        gens.append(group.element_at(int(i)))
-        span = _join(group, span, group._coords[i])
-    return tuple(gens)
-
-
 def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
     """Smallest subgroup containing the given generators.
 
     Built by joining one generator at a time; in a finite group every
     element's negation is one of its own multiples, so the joins are closed.
+    Only the elements are kept: the result's ``generators`` are its own
+    greedy set, not the ones given here.
     """
-    gens = tuple(group.element(g) for g in generators)
     indices = np.zeros(1, dtype=np.intp)
-    for g in gens:
-        indices = _join(group, indices, g)
-    return Subgroup(group, gens, indices)
+    for g in generators:
+        indices = _join(group, indices, group.element(g))
+    return Subgroup(group, indices)
 
 
 def _grid_steps(group: GroupSpec, steps) -> tuple[int, ...]:
@@ -346,9 +348,9 @@ def grid_subgroup(group: GroupSpec, steps) -> Subgroup:
     are the steps (1, N2) case.
     """
     steps = _grid_steps(group, steps)
-    # one generator a_j e_j per axis that is not collapsed
-    gens = [row for row, a, n in zip(np.diag(steps), steps, group.moduli) if a < n]
-    return subgroup_generated(group, gens)
+    # the multiples k_j a_j in row-major order of k are already sorted
+    box = GroupSpec(tuple(n // a for n, a in zip(group.moduli, steps)))
+    return Subgroup(group, box._coords * np.array(steps) @ np.array(group._strides))
 
 
 def annihilator(subgroup: Subgroup) -> Subgroup:
@@ -357,7 +359,8 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
     Membership is decided in integer arithmetic: s annihilates H iff
     lcm | sum_j s_j h_j (lcm / N_j) for every generator h.  The result
     satisfies |H| * |annihilator(H)| = |G| and annihilator(annihilator(H)) = H.
-    Computed once per subgroup, from its own generators, checked to span it.
+    Computed once per subgroup, from the greedy generators derived from its
+    indices; raises GroupMismatchError if they are not a subgroup's elements.
     """
     return subgroup._annihilator
 
@@ -434,8 +437,6 @@ def all_subgroups(group: GroupSpec) -> list[Subgroup]:
             if key not in found:
                 found[key] = bigger
                 queue.append(bigger)
-    out = [
-        Subgroup(group, _reduced_generators(group, idx), idx) for idx in found.values()
-    ]
+    out = [Subgroup(group, idx) for idx in found.values()]
     out.sort(key=lambda h: (h.order, h.indices.tolist()))
     return out

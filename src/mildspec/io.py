@@ -220,12 +220,13 @@ def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in _csv_rows(reader, path):
-            try:
-                coords = tuple(int(row[f"i{j}"]) for j in range(group.ndim))
-                real, imag = float(row["re"]), float(row["im"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: bad CSV row {row}") from exc
             where = f"{path}: line {reader.line_num}"
+            try:
+                # name is the column being parsed; its text is never echoed
+                coords = tuple(int(row[name := f"i{j}"]) for j in range(group.ndim))
+                real, imag = float(row[name := "re"]), float(row[name := "im"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{where}: '{name}' is missing or malformed") from exc
             for j, (c, n) in enumerate(zip(coords, group.moduli)):
                 if not 0 <= c < n:
                     raise SchemaError(f"{where}: i{j}={c} is outside [0, {n})")

@@ -129,8 +129,7 @@ def periodize_analysis(f: Signal, period) -> PeriodicReport:
     leakage = float(np.max(np.abs(fhat.values) * ~perp.mask))
     spectrum = signal_to_comb(fhat, perp, eps=1e-10 * (1.0 + fhat.norm_inf))
 
-    box = list(itertools.product(*(range(p) for p in steps)))
-    box_coords = np.array(box, dtype=np.int64)
+    box_coords = GroupSpec(steps)._coords
     box_values = f.values[group._index_rows(box_coords)]
     table = np.conj(_character_block(group, perp.coords_array, box_coords))
     one_period = table @ box_values

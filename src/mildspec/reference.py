@@ -10,8 +10,8 @@ the defining sums cannot run, and extension_by_convolution, the weighted
 comb convolved with phi, checks approx's double sum of translates.
 
 JanssenFrame holds the frame operator of a Gabor system on the adjoint
-lattice L^o = prod (N_j/b_j)Z x prod (N_j/a_j)Z, which has prod a_j b_j
-points: the Janssen sum S = kappa sum c_mu pi(mu), applied in
+lattice L^o = (bZ)^perp x (aZ)^perp, which has prod a_j b_j points: the
+Janssen sum S = kappa sum c_mu pi(mu), applied in
 O(|L^o| |G|) or as a dense matrix on small groups; its frame-bound
 estimates; the Wexler-Raz residual of a dual window and its distance from
 span pi(L^o) g; and S^{-1} by conjugate gradients, whose analysis gives the
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .fourier import adjoint_restriction
 from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
-from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block
+from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block, _phases, annihilator
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
 __all__ = [
@@ -206,16 +206,12 @@ _WIDE = np.clongdouble
 _TAU = 4 * np.arccos(np.longdouble(0))
 
 
-def _steps_grid(steps: np.ndarray) -> np.ndarray:
-    """Rows of the box prod Z_{steps_j}, in row-major order (the zero row first)."""
-    return np.indices(tuple(steps)).reshape(len(steps), -1).T
-
-
 class JanssenFrame:
     """The frame operator of (g, aZ x bZ) on the adjoint lattice (Janssen representation).
 
     With kappa = |G| / prod a_j b_j and c_mu = <g, pi(mu) g> for mu = (t, s)
-    in the adjoint lattice L^o = prod (N_j/b_j)Z x prod (N_j/a_j)Z,
+    in the adjoint lattice L^o = (bZ)^perp x (aZ)^perp = prod (N_j/b_j)Z x
+    prod (N_j/a_j)Z, both factors read from groups.annihilator,
 
         S f = kappa sum_{mu in L^o} c_mu pi(mu) f,      pi(t, s) = M_s T_t.
 
@@ -234,22 +230,22 @@ class JanssenFrame:
         group = lattice.group
         if window.group != group:
             raise GroupMismatchError("window and lattice live on different groups")
-        a, b = np.array(lattice.time_steps), np.array(lattice.freq_steps)
-        moduli = np.array(group.moduli)
         coords = group._coords
         self.window = window
         self.kappa = group.order / math.prod(lattice.time_steps + lattice.freq_steps)
         # index of x - t for every time point t of L^o, one row per t
-        times = _steps_grid(b) * (moduli // b)
+        times = annihilator(lattice.freq_lattice).coords_array
         self._shifts = group._index_rows(coords[None, :, :] - times[:, None, :])
-        residue = np.ravel_multi_index(tuple((coords % a).T), tuple(a))
+        residues = GroupSpec(lattice.time_steps)
+        residue = residues._index_rows(coords)
         self._residue = residue
         # the residue classes x mod a as consecutive runs, for np.add.reduceat
         self._by_residue = np.argsort(residue, kind="stable")
-        self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(math.prod(a)))
+        self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(residues.order))
         # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
+        freqs = annihilator(lattice.time_lattice).coords_array
+        phases = _phases(group, freqs, residues._coords)
         L = group._char_lcm
-        phases = (_steps_grid(a) * (moduli // a) * group._char_weights) @ _steps_grid(a).T % L
         self._chars = np.exp((_TAU * 1j / L) * phases.astype(np.longdouble))
         wide = self._inner(window.values)
         self.coefficients = wide.astype(np.complex128)
@@ -362,8 +358,8 @@ def subgroups_by_closure(group: GroupSpec) -> list[Subgroup]:
     """Every subgroup, by breadth-first closure over coordinate tuples.
 
     Brute force: each found subgroup is closed again under every element it
-    misses.  Sorted by (order, sorted elements) with greedy generators, the
-    contract of groups.all_subgroups.
+    misses.  Sorted by (order, sorted elements), the contract of
+    groups.all_subgroups.
     """
     triv = frozenset([group.zero()])
     found = {triv}
@@ -377,10 +373,7 @@ def subgroups_by_closure(group: GroupSpec) -> list[Subgroup]:
                 if bigger not in found:
                     found.add(bigger)
                     queue.append(bigger)
-    out = [
-        Subgroup(group, _reduced_generators(group, e), [group.index(x) for x in sorted(e)])
-        for e in found
-    ]
+    out = [Subgroup(group, [group.index(x) for x in sorted(e)]) for e in found]
     out.sort(key=lambda h: (h.order, h.elements))
     return out
 

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io as stdio
 import json
 import subprocess
 import sys
@@ -7,10 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mildspec import GroupSpec, grid_subgroup, random_signal
+from mildspec import (
+    GaborSystem,
+    GroupSpec,
+    Signal,
+    TFLattice,
+    finite_gaussian,
+    grid_subgroup,
+    random_signal,
+)
 from mildspec import io
-from mildspec.cli import build_parser
+from mildspec.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,6 +100,21 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert line in proc.stdout and "[FAIL]" not in proc.stdout
         assert ": PASS (5 checks)" in proc.stdout
+
+    @pytest.mark.parametrize("suite", ["all", "mild"])
+    @pytest.mark.parametrize("args", [
+        ("--group", "16", "--a", "8", "--b", "8"),
+        ("--group", "4,6", "--a", "2", "--b", "2"),
+    ], ids=["undersampled", "critical-axis"])
+    def test_lattice_that_is_not_a_frame_still_writes_a_report(self, tmp_path, suite, args):
+        # the comb refinement metrics need the canonical dual; the other checks run
+        report = tmp_path / "r.json"
+        proc = run_cli("verify", suite, *args, "--report", report)
+        assert proc.returncode == 0
+        prefix = "mild: " if suite == "all" else ""
+        assert f"[INFO] {prefix}lattice is not a frame: no comb refinement metrics" in proc.stdout
+        assert "comb refinement monotone" not in proc.stdout
+        assert json.loads(report.read_text())["passed"]
 
     def test_zero_group_is_usage_error(self):
         proc = run_cli("verify", "all", "--group", "0")
@@ -359,6 +385,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert f"error: {src}: {message}" in proc.stderr
 
+    @pytest.mark.parametrize("row, message", [
+        ("1," + "x" * 100000 + ",0", "'re' is missing or malformed"),
+        ("1.5,1,0", "'i0' is missing or malformed"),
+        ("1,1", "'im' is missing or malformed"),
+    ], ids=["long-field", "float-coordinate", "short-row"])
+    def test_bad_csv_field_is_named_not_echoed(self, tmp_path, row, message):
+        src = tmp_path / "f.csv"
+        src.write_text(f"i0,re,im\n0,1,0\n{row}\n2,1,0\n3,1,0\n")
+        proc = run_cli("dft", src, "--group", "4", "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: {src}: line 3: {message}"]
+
     def test_group_over_enumeration_bound_is_domain_rejection(self):
         proc = run_cli("verify", "group", "--group", "8192")
         assert proc.returncode == 1
@@ -521,3 +559,80 @@ class TestExitCodeTable:
 
         assert [c for _, c in _EXIT_CODES] == [3, 4, 1, 3, 2]
 
+
+
+# option values for fuzzed argv: groups stay at order <= 64; "@name" is a file
+# of the fixture directory, valid, malformed, missing or a directory
+_GROUPS = ["1", "4", "8", "6", "2,3", "4,4", "8,8", "64", "-4", "2,,3"]
+_INTS = ["0", "-3", "1", "2", "3", "4", "7", "8", str(10 ** 30), "2,3", "1,1,1", "1x2", "two"]
+_FLOATS = ["0", "1e-12", "1e300", "inf"]
+_SHAPES = ["triangle", "bspline2", "indicator", "square"]
+_FILES = ["@sig8.json", "@sig8.csv", "@sig6.json", "@coeffs.json", "@seq.json", "@samples.json",
+          "@bad.json", "@missing.json", "@dir"]
+_WINDOWS = ["gauss", "@sig8.json", "@sig6.json", "@bad.json", "@missing.json", "@dir"]
+_OUTS = ["@out.json", "@out.csv", "@dir", "@nodir/out.json"]
+_TF = {"--group": _GROUPS, "--a": _INTS, "--b": _INTS}
+# subcommand -> (pools of its positionals, pool of each option; None for a switch)
+_ARGV = {
+    "verify": ([["group", "fourier", "gabor", "mild", "approx", "all", "none"]],
+               {**_TF, "--seed": _INTS, "--lattice": _INTS, "--tolerance": _FLOATS,
+                "--report": _OUTS}),
+    "dft": ([_FILES], {"--out": _OUTS, "--inverse": None, "--unitary": None, "--group": _GROUPS}),
+    "stft": ([_FILES], {"--window": _WINDOWS, "--out": _OUTS, "--group": _GROUPS}),
+    "gabor": ([["analyze", "synth", "both"], _FILES],
+              {**_TF, "--window": _WINDOWS, "--out": _OUTS}),
+    "weil": ([_FILES], {"--lattice": _INTS, "--out": _OUTS, "--group": _GROUPS}),
+    "restrict": ([_FILES], {"--lattice": _INTS, "--out": _OUTS, "--group": _GROUPS}),
+    "extend": ([_FILES], {"--group": _GROUPS, "--lattice": _INTS, "--shape": _SHAPES,
+                          "--out": _OUTS}),
+    "mild-converge": ([_FILES], {"--limit": _FILES, "--out": _OUTS}),
+    "approx": ([], {"--group": _GROUPS, "--lattice": _INTS, "--shape": _SHAPES,
+                    "--target": ["gauss", "dirac", *_FILES], "--out": _OUTS}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV)))
+    positionals, options = _ARGV[command]
+    argv = [command, *(draw(st.sampled_from(pool)) for pool in positionals)]
+    for flag, pool in options.items():
+        # each option is left out about as often as any one of its values is drawn
+        value = draw(st.sampled_from([False, True] if pool is None else [None, *pool]))
+        if value is True:
+            argv.append(flag)
+        elif value:
+            argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    G = GroupSpec((8,))
+    f = random_signal(G, np.random.default_rng(0))
+    io.save_signal(d / "sig8.json", f)
+    io.save_signal(d / "sig8.csv", f)
+    io.save_signal(d / "sig6.json", random_signal(GroupSpec((2, 3)), np.random.default_rng(1)))
+    system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+    io.save_coefficients(d / "coeffs.json", system.analyze(f))
+    pairs = [[float(v.real), float(v.imag)] for v in f.values]
+    (d / "seq.json").write_text(json.dumps({"group": [8], "members": [pairs, pairs], "limit": pairs}))
+    io.save_signal(d / "samples.json", Signal(GroupSpec((4,)), f.values[::2]))
+    (d / "bad.json").write_text("{not json")
+    (d / "dir").mkdir()
+    return d
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=800)
+    @given(_argv())
+    def test_every_argv_exits_with_a_documented_code(self, fuzz_dir, argv):
+        argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3, 4), (argv, err.getvalue())

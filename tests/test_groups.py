@@ -118,6 +118,15 @@ class TestCharacter:
         for i, x in enumerate(G.elements()):
             assert_allclose(vec[i], character(G, s, x), atol=1e-14)
 
+    @pytest.mark.parametrize("moduli", [(13,), (24,), (60,), (6, 10)])
+    def test_scalar_and_vector_agree_bit_for_bit(self, moduli):
+        # one phase expression: the scalar value is an entry of the vector
+        G = GroupSpec(moduli)
+        for s in G.elements():
+            vec = character_vector(G, s)
+            for x in G.elements():
+                assert character(G, s, x) == vec[G.index(x)]
+
     def test_unit_modulus(self):
         G = GroupSpec((7,))
         for s in G.elements():
@@ -142,6 +151,18 @@ class TestSubgroups:
         H = subgroup_generated(G, [G.element((1, 1))])
         assert H.elements == ((0, 0), (1, 1), (2, 2), (3, 3))
         assert H.axis_steps is None  # not a per-axis grid
+
+    @pytest.mark.parametrize("moduli, steps", [
+        ((4, 6), (2, 3)), ((4, 6), (4, 1)), ((2, 4, 8), (1, 4, 8)), ((6, 10), (6, 10)),
+        ((12, 18), (3, 2)),
+    ])
+    def test_grid_subgroup_is_the_join_of_its_axes(self, moduli, steps):
+        G = GroupSpec(moduli)
+        H = grid_subgroup(G, steps)
+        axes = [tuple(row) for row, a, n in zip(np.diag(steps), steps, moduli) if a < n]
+        assert H == subgroup_generated(G, axes)
+        # the greedy generators take the least element first: the last axis
+        assert H.generators == tuple(reversed(axes))
 
     def test_grid_subgroup_steps(self):
         G = GroupSpec((8,))
@@ -240,15 +261,20 @@ class TestQuotient:
         assert Q.representatives == ((0,), (1,), (2,))
 
     def test_generators_must_generate_the_elements(self):
-        # quotient labels and annihilator phases follow the generators, so
-        # they must span the stored elements; [0, 3] is not even a subgroup
+        # the greedy generators derived from the indices must span exactly
+        # them; quotient labels and annihilator phases follow the generators
         G = GroupSpec((8,))
-        for generators, indices in [((), [0, 4]), ((2,), [0, 4]), ((3,), [0, 3])]:
-            H = Subgroup(G, tuple(G.element(g) for g in generators), indices)
-            with pytest.raises(GroupMismatchError, match="do not generate its elements"):
+        for indices in ([0, 3], [0, 0], [4, 0], [1, 5], []):
+            H = Subgroup(G, indices)
+            assert repr(H) == f"Subgroup(order {len(indices)} of Z8)"
+            match = "not the sorted elements of a subgroup"
+            with pytest.raises(GroupMismatchError, match=match):
+                H.generators
+            with pytest.raises(GroupMismatchError, match=match):
                 quotient(G, H)
-            with pytest.raises(GroupMismatchError, match="do not generate its elements"):
+            with pytest.raises(GroupMismatchError, match=match):
                 annihilator(H)
+        assert Subgroup(G, [0, 4]).generators == ((4,),)
 
     def test_large_quotient_by_order_two_subgroup(self):
         G = GroupSpec((65536,))
@@ -293,7 +319,7 @@ def _same_subgroup_lists(fast, oracle):
     assert len(fast) == len(oracle)
     for H, R in zip(fast, oracle):
         assert_array_equal(H.indices, R.indices)
-        assert H.generators == R.generators
+        assert H.generators == reference._reduced_generators(H.parent, R.elements)
 
 
 def _oracle_coset_map(G, H):
@@ -317,12 +343,13 @@ class TestAgainstClosureOracle:
             assert H.axis_steps == R.axis_steps
             assert H.elements == R.elements
             A = annihilator(H)
+            gens = reference._reduced_generators(G, R.elements)
             perp = by_elements[frozenset(
                 s for s in G.elements()
-                if all(abs(character(G, s, h) - 1.0) < 1e-9 for h in R.generators)
+                if all(abs(character(G, s, h) - 1.0) < 1e-9 for h in gens)
             )]
             assert_array_equal(A.indices, perp.indices)
-            assert A.generators == perp.generators
+            assert A.generators == reference._reduced_generators(G, perp.elements)
             assert quotient(G, H).coset_map.tolist() == _oracle_coset_map(G, R)
 
     @settings(max_examples=25)
