@@ -298,19 +298,18 @@ def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:
     group = lattice.group
     a, b = lattice.time_steps, lattice.freq_steps
     P = np.array(_periods(lattice))
+    Zb, Zp, Za = GroupSpec(b), GroupSpec(P), GroupSpec(a)
     g = window.grid()
     read = _shifted_conj(g)
-    k = GroupSpec(b)._coords
-    r = GroupSpec(_periods(lattice))._coords
+    k = Zb._coords
+    r = Zp._coords
     C = np.empty((len(k), math.prod(a)), dtype=np.complex128)
     for block in _row_blocks(len(k), group.order):
         h = read(-k[block] * P)
         np.multiply(g, h, out=h)
         C[block] = _fold(h, a).reshape(len(h), -1)
-    m = (k[None, :, :] - k[:, None, :]) % np.array(b)
-    m_idx = np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)), b)
-    u = (r[:, None, :] + k[None, :, :] * P) % np.array(a)
-    u_idx = np.ravel_multi_index(tuple(np.moveaxis(u, -1, 0)), a)
+    m_idx = Zb._index_rows(k[None, :, :] - k[:, None, :])
+    u_idx = Za._index_rows(r[:, None, :] + k[None, :, :] * P)
     blocks = math.prod(P) * C[m_idx[None, :, :], u_idx[:, :, None]]
     return (blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2
 

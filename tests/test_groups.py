@@ -386,8 +386,9 @@ class TestAgainstClosureOracle:
 
     def test_generated_subgroup_matches_closure(self):
         G = GroupSpec((4, 6))
-        H = subgroup_generated(G, [(1, 2), (2, 3)])
-        elements = reference._closure(G, [G.zero()], H.generators)
+        gens = [(1, 2), (2, 3)]
+        H = subgroup_generated(G, gens)
+        elements = reference._closure(G, [G.zero()], gens)
         assert H.elements == tuple(sorted(elements))
 
     def test_large_grid_subgroup_indices(self):
