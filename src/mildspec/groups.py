@@ -15,6 +15,7 @@ frequencies) exact rather than float-approximate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,6 +64,8 @@ class GroupSpec:
             raise ValueError("a group needs at least one axis")
         if any(n < 1 for n in mod):
             raise ValueError(f"axis moduli must be >= 1, got {mod}")
+        if math.prod(mod) > np.iinfo(np.intp).max:
+            raise ValueError(f"group order is above {np.iinfo(np.intp).max}, the largest array index")
         object.__setattr__(self, "moduli", mod)
 
     @cached_property
@@ -187,11 +190,11 @@ class Subgroup:
     """Subgroup stored as the sorted canonical parent indices of its elements.
 
     ``indices`` is the only store.  Row-major index order equals
-    lexicographic coordinate order, so it lists the elements in sorted order;
-    the generators, the membership mask, the coordinate rows, the element
-    tuples, the annihilator and the quotient are derived from it on first
-    use; x is a member when ``mask[parent.index(x)]`` holds.  Deriving the
-    generators checks that the indices are a subgroup's sorted elements.
+    lexicographic coordinate order, so it lists the elements in sorted order.
+    The constructor derives the generators, which checks that the indices are
+    a subgroup's sorted elements; the membership mask, the coordinate rows,
+    the element tuples, the annihilator and the quotient are derived on first
+    use.  x is a member when ``mask[parent.index(x)]`` holds.
     """
 
     parent: GroupSpec
@@ -201,6 +204,7 @@ class Subgroup:
         idx = np.asarray(self.indices, dtype=np.intp)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
+        self.generators  # deriving them is the check that idx is a subgroup
 
     @property
     def order(self) -> int:
@@ -214,17 +218,18 @@ class Subgroup:
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Greedy generators: each is the least element outside the span of those before.
 
-        Raises GroupMismatchError unless that span is exactly the indices.
+        Raises GroupMismatchError, from the constructor, unless that span is exactly the indices.
         """
         group, idx = self.parent, self.indices
         gens: list[tuple[int, ...]] = []
-        span = np.zeros(1, dtype=np.intp)
+        inside = np.zeros(group.order, dtype=bool)
+        inside[0] = True  # the span of no generators
         candidates = idx[(idx >= 0) & (idx < group.order)]
         # each step adds an element, so the loop ends on any index set, [0, 0] too
-        while len(outside := candidates[~np.isin(candidates, span)]):
+        while len(outside := candidates[~inside[candidates]]):
             gens.append(group.element_at(int(outside[0])))
-            span = _join(group, span, gens[-1])
-        if not np.array_equal(span, idx):
+            inside[_box_image(group, _triangular(group, gens))] = True
+        if not np.array_equal(np.flatnonzero(inside), idx):
             raise GroupMismatchError(f"indices are not the sorted elements of a subgroup of {group!r}")
         return tuple(gens)
 
@@ -266,16 +271,11 @@ class Subgroup:
 
     @cached_property
     def _quotient(self) -> "QuotientSpec":
-        group = self.parent
-        own = np.arange(group.order)
-        label = own
-        for g in self.generators:
-            shift = group._index_rows(group._coords + g)
-            g_order = math.lcm(*(n // math.gcd(n, c) for n, c in zip(group.moduli, g)))
-            for _ in range((g_order - 1).bit_length()):
-                label = np.minimum(label, label[shift])
-                shift = shift[shift]
-        is_rep = label == own
+        group, reps = self.parent, self.parent._coords
+        for i, row in enumerate(_triangular(group, self.generators)):
+            reps = (reps - (reps[:, i] // row[i])[:, None] * row) % group.moduli
+        label = group._index_rows(reps)
+        is_rep = label == np.arange(group.order)
         rep_indices = np.flatnonzero(is_rep)
         coset_map = (np.cumsum(is_rep) - 1)[label]
         rep_indices.setflags(write=False)
@@ -294,36 +294,43 @@ class Subgroup:
         return f"Subgroup(order {self.order} of {self.parent!r})"
 
 
-def _join(group: GroupSpec, indices: np.ndarray, g) -> np.ndarray:
-    """Sorted indices of H + <g>, for H given by its sorted indices.
+def _triangular(group: GroupSpec, rows) -> np.ndarray:
+    """Upper-triangular basis B, B_jj | N_j, of the subgroup that reduced coordinate rows generate.
 
-    With k the least k > 0 such that k g lies in H, the cosets H + j g for
-    0 <= j < k are disjoint and cover the join, so one broadcast lists every
-    element exactly once.
+    Euclid's steps on whole rows, the rows N_j e_j among them, clear each column
+    but one pivot row; reducing mod N adds only multiples of rows N_k e_k not yet used.
     """
-    g = np.asarray(g, dtype=np.int64)
-    member = np.zeros(group.order, dtype=bool)
-    member[indices] = True
-    # the exponent lcm(N_j) kills g, so the multiples up to it contain k g
-    multiples = group._index_rows(np.arange(1, group._char_lcm + 1)[:, None] * g)
-    k = int(np.argmax(member[multiples])) + 1
-    shifts = np.arange(k)[:, None, None] * g
-    cosets = group._index_rows(group._coords[indices][None, :, :] + shifts)
-    return np.sort(cosets, axis=None).astype(np.intp)
+    rows = [list(r) for r in rows] + np.diag(group.moduli).tolist()
+    basis = []
+    for j in range(group.ndim):
+        while len(live := [r for r in rows if r[j]]) > 1:
+            p = min(live, key=lambda r: r[j])
+            for r in live:
+                q = r[j] // p[j] if r is not p else 0
+                r[j:] = [(a - q * b) % n for a, b, n in zip(r[j:], p[j:], group.moduli[j:])]
+        basis.append(live[0])
+        rows.remove(live[0])
+    return np.array(basis, dtype=np.int64)
+
+
+def _box_image(group: GroupSpec, basis: np.ndarray) -> np.ndarray:
+    """Sorted indices of kB mod N over the box 0 <= k_i < N_i / B_ii, B triangular.
+
+    Each element appears once: where k and k' first differ, at axis i, their
+    images differ by a nonzero multiple of B_ii below N_i.
+    """
+    box = GroupSpec(tuple(n // int(h) for n, h in zip(group.moduli, np.diag(basis))))
+    return np.sort(group._index_rows(box._coords @ basis)).astype(np.intp)
 
 
 def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
     """Smallest subgroup containing the given generators.
 
-    Built by joining one generator at a time; in a finite group every
-    element's negation is one of its own multiples, so the joins are closed.
+    Read off a triangular basis of the generators and the rows N_j e_j.
     Only the elements are kept: the result's ``generators`` are its own
     greedy set, not the ones given here.
     """
-    indices = np.zeros(1, dtype=np.intp)
-    for g in generators:
-        indices = _join(group, indices, group.element(g))
-    return Subgroup(group, indices)
+    return Subgroup(group, _box_image(group, _triangular(group, map(group.element, generators))))
 
 
 def _grid_steps(group: GroupSpec, steps) -> tuple[int, ...]:
@@ -347,10 +354,7 @@ def grid_subgroup(group: GroupSpec, steps) -> Subgroup:
     Z_N1 x {0} (the discrete stand-in for a continuous-direction subgroup)
     are the steps (1, N2) case.
     """
-    steps = _grid_steps(group, steps)
-    # the multiples k_j a_j in row-major order of k are already sorted
-    box = GroupSpec(tuple(n // a for n, a in zip(group.moduli, steps)))
-    return Subgroup(group, box._coords * np.array(steps) @ np.array(group._strides))
+    return Subgroup(group, _box_image(group, np.diag(_grid_steps(group, steps))))
 
 
 def annihilator(subgroup: Subgroup) -> Subgroup:
@@ -360,7 +364,7 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
     lcm | sum_j s_j h_j (lcm / N_j) for every generator h.  The result
     satisfies |H| * |annihilator(H)| = |G| and annihilator(annihilator(H)) = H.
     Computed once per subgroup, from the greedy generators derived from its
-    indices; raises GroupMismatchError if they are not a subgroup's elements.
+    indices.
     """
     return subgroup._annihilator
 
@@ -399,44 +403,50 @@ class QuotientSpec:
 def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
     """Quotient of the group by a subgroup, with lex-min coset representatives.
 
-    Each element is labelled with the least (row-major, so lex-min) index of
-    its coset: per generator g, label(x) = min(label(x), label(x + 2^k g)) for
-    each 2^k below the order of g reaches every multiple of g.  Computed once per subgroup.
+    Each element is labelled with the index of its coset's lex-min member,
+    its reduction by a triangular basis B of the subgroup: row i brings
+    coordinate i into [0, B_ii) and leaves those before it.  Computed once per subgroup.
     """
     if subgroup.parent != group:
         raise GroupMismatchError("subgroup belongs to a different group")
     return subgroup._quotient
 
 
-_ENUMERATION_MAX_ORDER = 4096
+_ENUMERATION_BOUND = 4096
+
+
+def _normal_forms(group: GroupSpec, form: np.ndarray, i: int) -> Iterator[np.ndarray]:
+    """Hermite normal forms of the subgroups that agree with form below row i.
+
+    Row i is (0, ..., h_i, o_i,i+1, ...) with h_i | N_i and 0 <= o_ij < h_j,
+    and (N_i / h_i) times row i must lie in the span of the rows below it, so
+    that the lattice contains diag(N) Z^d.  Rows up to i of form are N_k e_k.
+    """
+    n = group.moduli[i]
+    inside = np.zeros(group.order, dtype=bool)
+    inside[_box_image(group, form)] = True
+    offsets = GroupSpec((1,) * (i + 1) + tuple(np.diag(form)[i + 1:].tolist()))._coords
+    for h in (h for h in range(1, n + 1) if n % h == 0):
+        for o in offsets[inside[group._index_rows(n // h * offsets)]]:
+            row_set = form.copy()
+            row_set[i] = o
+            row_set[i, i] = h
+            yield from _normal_forms(group, row_set, i - 1) if i else [row_set]
 
 
 def all_subgroups(group: GroupSpec) -> list[Subgroup]:
     """Every subgroup, sorted by order and then by sorted element list.
 
-    Every subgroup is a join of cyclic subgroups, so a breadth-first search
-    from the trivial subgroup that joins each found subgroup with one
-    generator per distinct cyclic subgroup reaches them all.  Subgroups are
-    keyed by their index bytes; the desk-scale bound on |G| stays.
+    Each subgroup is the box image of its one Hermite normal form, so nothing
+    is searched or deduplicated.  The group order, and then the number of
+    forms, counted before any subgroup is built, are held to the bound.
     """
-    if group.order > _ENUMERATION_MAX_ORDER:
-        raise DomainError(
-            f"group order {group.order} exceeds the enumeration bound {_ENUMERATION_MAX_ORDER}"
-        )
-    trivial = np.zeros(1, dtype=np.intp)
-    cyclic: dict[bytes, np.ndarray] = {}
-    for x in group._coords[1:]:
-        cyclic.setdefault(_join(group, trivial, x).tobytes(), x)
-    found = {trivial.tobytes(): trivial}
-    queue = [trivial]
-    while queue:
-        current = queue.pop()
-        for x in cyclic.values():
-            bigger = _join(group, current, x)
-            key = bigger.tobytes()
-            if key not in found:
-                found[key] = bigger
-                queue.append(bigger)
-    out = [Subgroup(group, idx) for idx in found.values()]
+    if group.order > _ENUMERATION_BOUND:
+        raise DomainError(f"group order {group.order} exceeds the enumeration bound {_ENUMERATION_BOUND}")
+    forms = _normal_forms(group, np.diag(group.moduli), group.ndim - 1)
+    forms = list(itertools.islice(forms, _ENUMERATION_BOUND + 1))
+    if len(forms) > _ENUMERATION_BOUND:
+        raise DomainError(f"subgroup count of {group!r} exceeds the enumeration bound {_ENUMERATION_BOUND}")
+    out = [Subgroup(group, _box_image(group, form)) for form in forms]
     out.sort(key=lambda h: (h.order, h.indices.tolist()))
     return out

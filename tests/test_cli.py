@@ -403,6 +403,28 @@ class TestExitCodes:
         assert "exceeds the enumeration bound 4096" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_subgroup_count_over_enumeration_bound_is_domain_rejection(self):
+        # (Z2)^8 has order 256 but 417199 subgroups
+        proc = run_cli("verify", "group", "--group", ",".join(["2"] * 8))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: subgroup count of Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2 exceeds the enumeration bound 4096"
+        ]
+
+    def test_group_order_beyond_array_indices_is_schema_error(self, tmp_path):
+        # a trivial lattice on a huge group used to reach the window with an OverflowError
+        coeffs = tmp_path / "c.json"
+        n = 10**400
+        coeffs.write_text(json.dumps(
+            {"group": [n], "lattice": {"a": [n], "b": [n]}, "coeffs": [[1, 0]]}
+        ))
+        proc = run_cli("gabor", "synth", coeffs, "--out", tmp_path / "x.json")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error: {coeffs}: bad 'group' (group order is above {np.iinfo(np.intp).max}, "
+            "the largest array index)"
+        ]
+
     def test_strings_and_booleans_in_pairs_are_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"group": [4], "values": [["1.5", true], [0, "-2"], [1, 0], [1, 0]]}')

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mildspec import (
+    DomainError,
     GroupMismatchError,
     GroupSpec,
     Subgroup,
@@ -14,6 +17,7 @@ from mildspec import (
     character,
     character_vector,
     dft_quotient,
+    dirac_comb,
     dft_subgroup,
     grid_subgroup,
     quotient,
@@ -39,6 +43,9 @@ class TestGroupSpec:
             GroupSpec(())
         with pytest.raises(ValueError):
             GroupSpec((4, -2))
+        for moduli in ((10**400,), (2**32, 2**32)):  # every index array is intp
+            with pytest.raises(ValueError, match="largest array index"):
+                GroupSpec(moduli)
 
     def test_element_reduction(self):
         G = GroupSpec((4, 6))
@@ -181,6 +188,29 @@ class TestSubgroups:
         assert H.mask[G.index(-2)]  # index reduces its argument first
         assert H.elements.index(G.element(4)) == 2
 
+    def test_restriction_and_comb_refuse_a_non_subgroup(self, rng):
+        # {0, 3} is not closed in Z8: it used to give a two-value restriction
+        # and a comb on {0, 3} without an error
+        G = GroupSpec((8,))
+        f = random_signal(G, rng)
+        with pytest.raises(GroupMismatchError, match="not the sorted elements of a subgroup"):
+            restriction(f, Subgroup(G, [0, 3]))
+        with pytest.raises(GroupMismatchError, match="not the sorted elements of a subgroup"):
+            dirac_comb(Subgroup(G, [0, 3]))
+
+    def test_building_and_annihilating_leaves_numpy_ma_unimported(self):
+        # np.isin on a sparse span goes through np.unique, which imports numpy.ma
+        code = (
+            "import sys\n"
+            "from mildspec import GroupSpec, annihilator, grid_subgroup, subgroup_generated\n"
+            "annihilator(grid_subgroup(GroupSpec((512,)), 2))\n"
+            "annihilator(subgroup_generated(GroupSpec((64, 64)), [(1, 3)]))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestAnnihilator:
     def test_even_subgroup_of_z8(self):
@@ -261,19 +291,12 @@ class TestQuotient:
         assert Q.representatives == ((0,), (1,), (2,))
 
     def test_generators_must_generate_the_elements(self):
-        # the greedy generators derived from the indices must span exactly
-        # them; quotient labels and annihilator phases follow the generators
+        # the constructor derives the greedy generators, which must span
+        # exactly the indices; quotient labels and annihilator phases follow them
         G = GroupSpec((8,))
-        for indices in ([0, 3], [0, 0], [4, 0], [1, 5], []):
-            H = Subgroup(G, indices)
-            assert repr(H) == f"Subgroup(order {len(indices)} of Z8)"
-            match = "not the sorted elements of a subgroup"
-            with pytest.raises(GroupMismatchError, match=match):
-                H.generators
-            with pytest.raises(GroupMismatchError, match=match):
-                quotient(G, H)
-            with pytest.raises(GroupMismatchError, match=match):
-                annihilator(H)
+        for indices in ([0, 3], [0, 0], [4, 0], [1, 5], [], [0, 8]):
+            with pytest.raises(GroupMismatchError, match="not the sorted elements of a subgroup"):
+                Subgroup(G, indices)
         assert Subgroup(G, [0, 4]).generators == ((4,),)
 
     def test_large_quotient_by_order_two_subgroup(self):
@@ -289,12 +312,30 @@ class TestAllSubgroups:
     @pytest.mark.parametrize(
         "moduli,count",
         [((6,), 4), ((7,), 2), ((2, 2), 5), ((4, 6), 16), ((36,), 9), ((24,), 8),
-         ((16, 16), 83)],
+         ((16, 16), 83), ((64, 64), 367), ((4096,), 13)]
+        + [((2,) * d, n) for d, n in zip(range(1, 7), (2, 5, 16, 67, 374, 2825))]
+        + [((3,) * d, n) for d, n in zip(range(1, 6), (2, 6, 28, 212, 2664))],
     )
     def test_counts(self, moduli, count):
         # counts cross-checked against brute-force closure enumeration; the
-        # Z16 x Z16 count is from Hampejs, Holighaus, Toth & Wiesmeyr (J. Numbers 2014)
+        # Z16 x Z16 count is from Hampejs, Holighaus, Toth & Wiesmeyr (J. Numbers 2014),
+        # the (Z_p)^d counts are the sums of Gaussian binomial coefficients
         assert len(all_subgroups(GroupSpec(moduli))) == count
+
+    def test_two_axis_counts_match_the_closed_form(self):
+        # Z_m x Z_n has sum over a | m, b | n of gcd(a, b) subgroups (Hampejs et al.)
+        def closed_form(m, n):
+            return sum(math.gcd(a, b) for a in range(1, m + 1) if m % a == 0
+                       for b in range(1, n + 1) if n % b == 0)
+        pairs = [(m, n) for m in range(1, 25) for n in range(1, 25)] + [(n, n) for n in range(25, 49)]
+        for m, n in pairs:
+            assert len(all_subgroups(GroupSpec((m, n)))) == closed_form(m, n), (m, n)
+
+    def test_subgroup_count_over_the_bound_is_refused(self):
+        # (Z2)^7 has order 128 but 29212 subgroups
+        with pytest.raises(DomainError, match="subgroup count of Z2xZ2xZ2xZ2xZ2xZ2xZ2 exceeds "
+                                              "the enumeration bound 4096"):
+            all_subgroups(GroupSpec((2,) * 7))
 
     def test_each_is_closed(self):
         G = GroupSpec((4, 6))
@@ -383,6 +424,23 @@ class TestAgainstClosureOracle:
             assert_allclose(
                 dft_quotient(q).values,
                 reference.dft_quotient_direct(q, H).values, rtol=0, atol=1e-12 * G.order)
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3)
+        .filter(lambda m: math.prod(m) <= 64)
+        .flatmap(lambda m: st.tuples(
+            st.just(tuple(m)),
+            st.lists(st.tuples(*(st.integers(0, n - 1) for n in m)), min_size=1, max_size=3),
+        ))
+    )
+    def test_random_generated_subgroups_match_closure(self, case):
+        moduli, gens = case
+        G = GroupSpec(moduli)
+        H = subgroup_generated(G, gens)
+        elements = sorted(reference._closure(G, [G.zero()], gens))
+        assert_array_equal(H.indices, [G.index(x) for x in elements])
+        assert H.generators == reference._reduced_generators(G, elements)
 
     def test_generated_subgroup_matches_closure(self):
         G = GroupSpec((4, 6))
