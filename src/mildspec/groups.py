@@ -7,7 +7,8 @@ group is indexed by the same spec: frequency s acts through the character
 
     chi_s(x) = exp(2 pi i sum_j s_j x_j / N_j),
 
-so subgroups, annihilators and quotients all live in one coordinate system.
+so subgroups, annihilators and quotients all live in one coordinate system,
+and every subgroup is built one way: the box image of a triangular basis.
 Character phases are computed from integer residues mod lcm(N_j), which keeps
 algebraic identities (annihilator membership, biduality, restriction of pure
 frequencies) exact rather than float-approximate.
@@ -316,17 +317,16 @@ def _triangular(group: GroupSpec, rows) -> np.ndarray:
 def _box_image(group: GroupSpec, basis: np.ndarray) -> np.ndarray:
     """Sorted indices of kB mod N over the box 0 <= k_i < N_i / B_ii, B triangular.
 
-    Each element appears once: where k and k' first differ, at axis i, their
-    images differ by a nonzero multiple of B_ii below N_i.
+    Each element appears once: at the first axis i where k and k' differ,
+    kB - k'B is (k_i - k'_i) B_ii, which is not 0 mod N_i.
     """
     box = GroupSpec(tuple(n // int(h) for n, h in zip(group.moduli, np.diag(basis))))
     return np.sort(group._index_rows(box._coords @ basis)).astype(np.intp)
 
 
 def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
-    """Smallest subgroup containing the given generators.
+    """Smallest subgroup containing the given generators, from their triangular basis.
 
-    Read off a triangular basis of the generators and the rows N_j e_j.
     Only the elements are kept: the result's ``generators`` are its own
     greedy set, not the ones given here.
     """
@@ -428,10 +428,10 @@ def _normal_forms(group: GroupSpec, form: np.ndarray, i: int) -> Iterator[np.nda
     offsets = GroupSpec((1,) * (i + 1) + tuple(np.diag(form)[i + 1:].tolist()))._coords
     for h in (h for h in range(1, n + 1) if n % h == 0):
         for o in offsets[inside[group._index_rows(n // h * offsets)]]:
-            row_set = form.copy()
-            row_set[i] = o
-            row_set[i, i] = h
-            yield from _normal_forms(group, row_set, i - 1) if i else [row_set]
+            filled = form.copy()
+            filled[i] = o
+            filled[i, i] = h
+            yield from _normal_forms(group, filled, i - 1) if i else [filled]
 
 
 def all_subgroups(group: GroupSpec) -> list[Subgroup]:
