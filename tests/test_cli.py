@@ -540,7 +540,7 @@ class TestExitCodeTable:
         (lambda tmp: ["dft", _malformed(tmp), "--out", tmp / "x.json"], 3),
         # GroupMismatchError
         (lambda tmp: ["restrict", _signal(tmp), "--lattice", "5", "--out", tmp / "x.json"], 4),
-        # domain rejections: SupportViolation, NotPeriodic, NotAFrame, DomainError
+        # domain rejections: SupportViolation, NotPeriodic, NotAFrame, DomainError, MemoryError
         (lambda tmp: ["gabor", "analyze", _signal(tmp), "--a", "4", "--b", "4",
                       "--out", tmp / "x.json"], 1),
         # OSError: the input path is a directory
@@ -574,6 +574,24 @@ class TestExitCodeTable:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             "error: deviation metrics are not finite: the result overflowed"]
+        assert not out.exists()
+
+    def test_failed_allocation_is_a_domain_rejection(self, tmp_path, monkeypatch, capsys):
+        # the command raises what NumPy raises for a group too large to hold, without allocating
+        from mildspec import cli
+
+        message = ("Unable to allocate 1.00 TiB for an array with shape (1099511627776,) "
+                   "and data type bool")
+
+        def refuse(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_extend", refuse)
+        out = tmp_path / "o.json"
+        code = main(["extend", str(tmp_path / "two.json"), "--group", "1099511627776",
+                     "--lattice", "549755813888", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_one_case_per_row(self):

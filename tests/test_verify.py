@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from mildspec import (
     GaborSystem, GroupSpec, Signal, TFLattice, finite_gaussian, random_signal, reference)
 from mildspec.cli import main
-from mildspec.verify import _judged, _product_checks, run_suite, verify_approx, verify_gabor
+from mildspec.verify import (
+    _judged, _product_checks, run_suite, verify_approx, verify_fourier, verify_gabor,
+    verify_group, verify_mild)
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text())
@@ -62,7 +64,8 @@ class TestRunner:
             self, moduli, ab, step, absent):
         G = GroupSpec(moduli)
         plain = run_suite("all", G, ab, ab, step, seed=1).checks
-        loose = run_suite("all", G, ab, ab, step, seed=1, tolerance=0.5).checks
+        report = run_suite("all", G, ab, ab, step, seed=1, tolerance=0.5)
+        loose = report.checks
         assert [(c.name, c.residual, c.passed) for c in loose] == [
             (c.name, c.residual, c.passed) for c in plain]
         for before, after in zip(plain, loose):
@@ -74,6 +77,51 @@ class TestRunner:
             else:
                 assert after.threshold == 0.5, name
         assert FLAGS - {c.name.split(": ", 1)[1] for c in plain} == absent
+        # each public suite takes the tolerance as a keyword and gives the rows of "all"
+        direct = [
+            *verify_group(G, seed=1, tolerance=0.5),
+            *verify_fourier(G, seed=1, tolerance=0.5),
+            *verify_gabor(G, ab, ab, seed=1, tolerance=0.5),
+            *verify_mild(G, ab, ab, seed=1, tolerance=0.5),
+            *verify_approx(G, step, seed=1, tolerance=0.5),
+        ]
+        assert [c._replace(name=c.name.split(": ", 1)[1]) for c in loose] == direct
+        # a check is its report row
+        assert report.to_json_dict()["checks"] == [c._asdict() for c in loose]
+
+    def test_lines_of_a_gate_a_flag_and_an_info_check(self):
+        checks = {c.name: c for c in verify_approx(GroupSpec((24,)), 8, seed=1, tolerance=0.5)}
+        assert [checks[name].line() for name in (
+            "recovery error shrinks as the lattice refines",
+            "extension interpolates the samples",
+            "sampled-l1 to concentration-norm ratio",
+        )] == [
+            "[PASS] recovery error shrinks as the lattice refines: "
+            "residual=-1.540625e-02 threshold=5.0e-01",
+            "[PASS] extension interpolates the samples: residual=0.000000e+00 threshold=0.0e+00",
+            "[INFO] sampled-l1 to concentration-norm ratio: value=1.307261e-02",
+        ]
+
+    def test_suites_are_looked_up_on_the_module(self, monkeypatch):
+        # a tracer wraps a suite by replacing the module attribute, so a suite
+        # reached any other way would run without its span
+        from mildspec import verify
+
+        calls = []
+
+        def recording(name):
+            suite = getattr(verify, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return suite(*args, **kwargs)
+            return run
+
+        for name in ("verify_group", "verify_gabor"):
+            monkeypatch.setattr(verify, name, recording(name))
+        for suite in ("group", "gabor", "all"):
+            run_suite(suite, GroupSpec((24,)), 2, 2, 8, seed=1)
+        assert calls == ["verify_group", "verify_gabor", "verify_group", "verify_gabor"]
 
 
 class TestGaborStreaming:
