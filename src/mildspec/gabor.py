@@ -38,22 +38,22 @@ frame bounds (A, B) are the extreme block eigenvalues and the canonical
 dual window S^{-1} g comes from one batched block solve.  All three are
 read off a GaborSystem (apply_frame, frame_bounds, canonical_dual), and
 is_frame, A > FRAME_TOL * B, is the one frame test: canonical_dual raises
-NotAFrame exactly when it fails.  Useful constants
-under the counting convention: the full lattice a = b = 1 gives
-S = |G| ||g||_2^2 Id, and Moyal's identity reads sum_{t,s} |V_g f|^2 =
-|G| ||g||_2^2 ||f||_2^2.
+NotAFrame exactly when it fails.  Useful constants under the counting
+convention: the full lattice a = b = 1 gives S = |G| ||g||_2^2 Id, and
+Moyal's identity reads sum_{t,s} |V_g f|^2 = |G| ||g||_2^2 ||f||_2^2.
 
 The same S lives on the adjoint lattice L^o = PZ x (N/a)Z, the time-frequency
 shifts that commute with every pi(lambda); it has prod a_j b_j points.  In
 this normalization the Janssen representation reads
 
-    S = kappa sum_{mu in L^o} <g, pi(mu) g> pi(mu),   kappa = |G| / prod a_j b_j,
+    S = kappa sum_{mu in L^o} c_mu pi(mu),   c_mu = <g, pi(mu) g>,   kappa = |G| / prod a_j b_j,
 
-so kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu| with
-c_mu = <g, pi(mu) g>, and a window gamma is dual to g exactly when
-kappa <gamma, pi(mu) g> = delta_{mu,0} on L^o (Wexler-Raz); the canonical dual
-is the one dual in span pi(L^o) g.  reference.JanssenFrame computes all of
-this without the blocks, as a second route.
+so kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu|, and a
+window gamma is dual to g exactly when kappa <gamma, pi(mu) g> = delta_{mu,0}
+on L^o (Wexler-Raz).  The Gram matrix Gamma of the atoms pi(mu) g has
+kappa spec(Gamma) spanning [A, B] (Ron-Shen), and the canonical dual, the one
+dual in span pi(L^o) g, is sum_mu d_mu pi(mu) g with Gamma d = e_0 / kappa.
+reference.JanssenFrame computes all of this without the blocks, as a second route.
 """
 
 from __future__ import annotations

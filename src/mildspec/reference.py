@@ -9,22 +9,23 @@ on the frequency side, checks gabor's shifted-window fold at orders where
 the defining sums cannot run, and extension_by_convolution, the weighted
 comb convolved with phi, checks approx's double sum of translates.
 
-JanssenFrame holds the frame operator of a Gabor system on the adjoint
-lattice L^o = (bZ)^perp x (aZ)^perp, which has prod a_j b_j points: the
-Janssen sum S = kappa sum c_mu pi(mu), applied in
-O(|L^o| |G|) or as a dense matrix on small groups; its frame-bound
-estimates; the Wexler-Raz residual of a dual window and its distance from
-span pi(L^o) g; and S^{-1} by conjugate gradients, whose analysis gives the
-minimal-norm coefficients.  stft_cells evaluates the defining STFT sum at
-chosen cells, so it runs at any order.  None of these shares code with
-gabor's Walnut blocks or its shifted-window fold _tf_rows.  The dense
-synthesis matrix, the dense frame operators and the full direct-sum STFT
-stay as oracles for the tests.
+JanssenFrame is the frame operator of a Gabor system on the adjoint lattice
+L^o = (bZ)^perp x (aZ)^perp, of prod a_j b_j points: the Janssen sum
+S = kappa sum c_mu pi(mu), applied in O(|L^o| |G|) or as a dense matrix,
+its frame-bound estimates, the Wexler-Raz residual, and the Gram matrix of
+the atoms pi(mu) g, read from the c_mu in O(|L^o|^2).  Its eigenvalues are
+the frame bounds; one dense solve with it gives the canonical dual and the
+projection onto span pi(L^o) g, and S^{-1} is the dual system's Janssen sum.
+stft_cells evaluates the defining STFT sum at chosen cells, at any order.
+None of these shares code with gabor's Walnut blocks or its shifted-window
+fold.  The dense synthesis matrix, the dense frame operators and the full
+direct-sum STFT stay as oracles for the tests.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -175,30 +176,6 @@ def stft_cells(f: Signal, window: Signal, times: np.ndarray, freqs: np.ndarray) 
     return out
 
 
-def _conjugate_gradients(apply, rhs: np.ndarray) -> np.ndarray:
-    """x with apply(x) = rhs for a Hermitian positive definite operator.
-
-    Plain conjugate gradients from x = 0.  In exact arithmetic they end after
-    as many steps as the operator has distinct eigenvalues; in floating point
-    they stop once the residual is at roundoff, or after 2 len(rhs) steps.
-    """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rr = np.vdot(r, r).real
-    stop = (np.finfo(float).eps * np.linalg.norm(rhs)) ** 2
-    for _ in range(2 * len(rhs)):
-        if rr <= stop:
-            break
-        q = apply(p)
-        step = rr / np.vdot(p, q).real
-        x += step * p
-        r -= step * q
-        rr, rr_old = np.vdot(r, r).real, rr
-        p = r + (rr / rr_old) * p
-    return x
-
-
 # The Janssen sum cancels down to multipliers as small as the lower frame
 # bound A, so its coefficients are formed in extended precision where the
 # platform has it (x86 long double: 64-bit mantissa) and rounded once.
@@ -210,20 +187,16 @@ class JanssenFrame:
     """The frame operator of (g, aZ x bZ) on the adjoint lattice (Janssen representation).
 
     With kappa = |G| / prod a_j b_j and c_mu = <g, pi(mu) g> for mu = (t, s)
-    in the adjoint lattice L^o = (bZ)^perp x (aZ)^perp = prod (N_j/b_j)Z x
-    prod (N_j/a_j)Z, both factors read from groups.annihilator,
+    in L^o = (bZ)^perp x (aZ)^perp = prod (N_j/b_j)Z x prod (N_j/a_j)Z,
 
         S f = kappa sum_{mu in L^o} c_mu pi(mu) f,      pi(t, s) = M_s T_t.
 
     Every chi_s with s in (N/a)Z depends on x mod a only, so the sum over the
     frequencies of L^o folds into one multiplier per time shift t, a function
-    on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t).  The prod b_j
-    shift-index rows x -> x - t, the residues x mod a and the prod a_j
-    character rows are built once, so an apply costs O(|L^o| |G|) at most,
-    with no loop over points.  Only index shifts, exact-phase characters and
-    inner products are used: nothing here reads gabor's Walnut blocks or its
-    shifted-window fold.  The coefficients c_mu and the multipliers are formed
-    in extended precision and rounded once (see _WIDE).
+    on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t): an apply costs
+    O(|L^o| |G|), with index shifts and exact-phase characters built once.
+    The c_mu and the multipliers are formed in extended precision and
+    rounded once.
     """
 
     def __init__(self, window: Signal, lattice: TFLattice):
@@ -232,21 +205,20 @@ class JanssenFrame:
             raise GroupMismatchError("window and lattice live on different groups")
         coords = group._coords
         self.window = window
+        self.lattice = lattice
         self.kappa = group.order / math.prod(lattice.time_steps + lattice.freq_steps)
+        self._times = annihilator(lattice.freq_lattice)
+        self._freqs = annihilator(lattice.time_lattice)
         # index of x - t for every time point t of L^o, one row per t
-        times = annihilator(lattice.freq_lattice).coords_array
-        self._shifts = group._index_rows(coords[None, :, :] - times[:, None, :])
+        self._shifts = group._index_rows(coords[None] - self._times.coords_array[:, None])
         residues = GroupSpec(lattice.time_steps)
-        residue = residues._index_rows(coords)
-        self._residue = residue
+        self._residue = residue = residues._index_rows(coords)
         # the residue classes x mod a as consecutive runs, for np.add.reduceat
         self._by_residue = np.argsort(residue, kind="stable")
         self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(residues.order))
         # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
-        freqs = annihilator(lattice.time_lattice).coords_array
-        phases = _phases(group, freqs, residues._coords)
-        L = group._char_lcm
-        self._chars = np.exp((_TAU * 1j / L) * phases.astype(np.longdouble))
+        phases = _phases(group, self._freqs.coords_array, residues._coords)
+        self._chars = np.exp((_TAU * 1j / group._char_lcm) * phases.astype(np.longdouble))
         wide = self._inner(window.values)
         self.coefficients = wide.astype(np.complex128)
         self._multipliers = (self.kappa * wide @ self._chars).astype(np.complex128)
@@ -259,10 +231,6 @@ class JanssenFrame:
             terms = values.astype(_WIDE) * np.conj(self.window.values[self._shifts[block]])
             folded[block] = np.add.reduceat(terms[:, self._by_residue], self._class_starts, axis=1)
         return folded @ np.conj(self._chars).T
-
-    def inner_products(self, f: Signal) -> np.ndarray:
-        """<f, pi(mu) g> for every mu in L^o, shape (time points, frequency points)."""
-        return self._inner(f.values).astype(np.complex128)
 
     def _combine(self, multipliers: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_t m_t(x mod a) v(x - t) for multipliers of shape (time points, prod a)."""
@@ -291,8 +259,7 @@ class JanssenFrame:
     def bound_estimates(self) -> tuple[float, float]:
         """kappa (c_0 - sum_{mu != 0} |c_mu|) <= A and B <= kappa sum_mu |c_mu|."""
         total = float(np.sum(np.abs(self.coefficients)))
-        c0 = float(self.coefficients[0, 0].real)
-        return self.kappa * (2 * c0 - total), self.kappa * total
+        return self.kappa * (2 * float(self.coefficients[0, 0].real) - total), self.kappa * total
 
     def wexler_raz_residual(self, gamma: Signal) -> float:
         """max_mu |kappa <gamma, pi(mu) g> - delta_{mu,0}|: 0 exactly for the dual windows."""
@@ -300,29 +267,59 @@ class JanssenFrame:
         r[0, 0] -= 1
         return float(np.max(np.abs(r)))
 
+    def gram(self) -> np.ndarray:
+        """Gram matrix of the atoms pi(mu) g, in the flat (time outer) order of coefficients.
+
+        pi(t, s)^* pi(t', s') = chi_{s'-s}(t) pi(t' - t, s' - s), so Gamma[mu, mu']
+        = <pi(mu') g, pi(mu) g> = chi_{s'-s}(t) conj(c_{mu'-mu}): O(|L^o|^2), no pass over G.
+        """
+        group = self.window.group
+        t, s = self._times.coords_array, self._freqs.coords_array
+        # position of x' - x in each factor of L^o, row x, column x'
+        dt = np.searchsorted(self._times.indices, group._index_rows(t[None] - t[:, None]))
+        ds = np.searchsorted(self._freqs.indices, group._index_rows(s[None] - s[:, None]))
+        # exact phases <s, t>, row t and column s; chi_{s'-s}(t) for every t, s, s'
+        L, phases = group._char_lcm, _phases(group, t, s)
+        chars = np.exp((2j * np.pi / L) * ((phases[:, None, :] - phases[:, :, None]) % L))
+        entries = chars[:, :, None] * np.conj(self.coefficients)[dt[:, None, :, None], ds[:, None]]
+        return entries.reshape(self.coefficients.size, -1)
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The frame bounds (A, B): kappa spec(Gamma) spans exactly [A, B] (Ron-Shen duality)."""
+        eig = np.linalg.eigvalsh(self.gram())
+        return self.kappa * float(eig[0]), self.kappa * float(eig[-1])
+
+    def _in_span(self, rhs: np.ndarray) -> np.ndarray:
+        """sum_mu d_mu pi(mu) g with Gamma d = rhs: one dense solve on L^o."""
+        d = np.linalg.solve(self.gram(), rhs.ravel())
+        return self.synthesize(d.reshape(self.coefficients.shape))
+
+    @cached_property
+    def dual(self) -> Signal:
+        """The canonical dual: the sum with Gamma d = e_0 / kappa, Wexler-Raz on the span."""
+        e0 = np.eye(1, self.coefficients.size)[0] / self.kappa
+        return Signal(self.window.group, self._in_span(e0))
+
     def span_residual(self, gamma: Signal) -> float:
         """||gamma - P gamma|| / ||gamma||, P the projection onto span pi(L^o) g.
 
-        The least-squares coefficients solve the Gram system of the atoms
-        pi(mu) g by conjugate gradients; of all dual windows only the
-        canonical one lies in the span.
+        P gamma solves Gamma d = <gamma, pi(mu) g>; of all duals only the canonical one is in it.
         """
-        rhs = self.inner_products(gamma)
+        projection = self._in_span(self._inner(gamma.values).astype(np.complex128))
+        return float(np.linalg.norm(gamma.values - projection)) / gamma.norm2
 
-        def gram(d):
-            atoms = self.synthesize(d.reshape(rhs.shape))
-            return self.inner_products(Signal(gamma.group, atoms)).ravel()
-
-        d = _conjugate_gradients(gram, rhs.ravel()).reshape(rhs.shape)
-        return float(np.linalg.norm(gamma.values - self.synthesize(d))) / gamma.norm2
+    @cached_property
+    def _dual_frame(self) -> JanssenFrame:
+        return JanssenFrame(self.dual, self.lattice)
 
     def solve(self, h: Signal) -> Signal:
-        """S^{-1} h by conjugate gradients on the Janssen sum (the accelerated frame algorithm).
+        """S^{-1} h, whose analysis with g gives the minimal-norm coefficients of h.
 
-        Analysis of the result with g gives the minimal-norm coefficients of h.
+        S commutes with every pi(lambda), so S^{-1} = S^{-1} S S^{-1} is the
+        frame operator of (dual, lattice), applied as its Janssen sum.
         """
-        x = _conjugate_gradients(lambda v: self._combine(self._multipliers, v), h.values)
-        return Signal(h.group, x)
+        return self._dual_frame.apply(h)
 
 
 def _closure(group: GroupSpec, seed, extra) -> set[tuple[int, ...]]:

@@ -14,8 +14,9 @@ Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
 meet columns of the STFT of f from reference.stft_columns one block at a
 time, so no |G| x |G| grid is held.  Its frame checks have a second route
-at every order on the adjoint lattice (reference.JanssenFrame), which
-costs O(prod a_j b_j |G|), so no check builds the dense synthesis matrix.
+at every order on the adjoint lattice L^o (reference.JanssenFrame): the
+Janssen sum in O(|L^o| |G|), and the bounds, the dual and S^-1 from the
+Gram matrix of the atoms of L^o, so no check builds the synthesis matrix.
 The approx suite checks that the transform and the concentration norm
 factorize over a product on G x Z2, for every G; the identity holds for
 any second factor, and Z2 keeps its STFT at 4 |G|^2 cells.
@@ -342,7 +343,7 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
         return
     yield _info("frame condition number", B / A)
 
-    # the second route lives on the adjoint lattice: the Janssen sum
+    # the second route lives on the adjoint lattice: the Janssen sum and its atoms' Gram matrix
     janssen = reference.JanssenFrame(g0, lattice)
     Sf = janssen.apply(f).values
     yield ("structured frame operator matches Janssen",
@@ -351,8 +352,11 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
     lower, upper = janssen.bound_estimates
     yield "lower frame bound above Janssen estimate", max(0.0, lower - A) / B, 1e-12
     yield "upper frame bound below Janssen estimate", max(0.0, B - upper) / B, 1e-12
-
+    yield ("frame bounds match adjoint Gram eigenvalues",
+           float(np.max(np.abs(np.subtract((A, B), janssen.bounds)))) / B, 1e-12)
     gd = system.canonical_dual
+    yield ("canonical dual matches adjoint Gram dual",
+           _rel(gd.values - janssen.dual.values, janssen.dual.values), 1e-12 * (B / A))
     if G.order <= _ORACLE_MAX_ORDER:
         S = janssen.matrix()
         eig = np.linalg.eigvalsh(S)
@@ -363,9 +367,8 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
     # biorthogonality on the adjoint lattice, and the span that singles out the canonical dual
     yield ("dual window satisfies Wexler-Raz",
            max(janssen.wexler_raz_residual(gd), janssen.span_residual(gd)), 1e-10 * (B / A))
-    Sgd = system.apply_frame(gd)
     yield ("canonical dual inverts the frame operator",
-           float(np.max(np.abs(Sgd.values - g0.values))) / g0.norm2, 1e-9)
+           float(np.max(np.abs(system.apply_frame(gd).values - g0.values))) / g0.norm2, 1e-9)
     worst = 0.0
     for _ in range(10):
         x = random_signal(G, rng)
@@ -374,7 +377,7 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
         worst = max(worst, _rel(back - x.values, x.values))
     yield "expansion reconstructs", worst, 1e-9
 
-    # V_gd h against V_g(S^-1 h), S^-1 by conjugate gradients on the Janssen sum
+    # V_gd h against V_g(S^-1 h), S^-1 the Janssen sum of the adjoint Gram dual
     worst = peak = 0.0
     for (_, coeffs), (_, minimal) in zip(
         _tf_rows(h.values, gd, lattice), _tf_rows(janssen.solve(h).values, g0, lattice)

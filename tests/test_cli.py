@@ -193,6 +193,8 @@ GABOR_SECOND_ROUTES = [
     "dual window satisfies Wexler-Raz",
     "canonical coefficients have minimal norm",
     "short-time transform matches defining sum",
+    "frame bounds match adjoint Gram eigenvalues",
+    "canonical dual matches adjoint Gram dual",
 ]
 GABOR_BOUND_GATES = [
     "lower frame bound above Janssen estimate",

@@ -217,15 +217,31 @@ class TestJanssenOracles:
         gd = system.canonical_dual
         assert janssen.wexler_raz_residual(gd) <= 1e-13 * (B / A)
         assert janssen.span_residual(gd) <= 1e-13 * (B / A)
+        # the Gram matrix of the adjoint atoms: kappa times its extreme eigenvalues are (A, B),
+        # and one solve with it gives the canonical dual
+        atoms = _adjoint_atoms(janssen, G)
+        assert _rel(janssen.gram(), atoms.conj().T @ atoms) <= 1e-12
+        assert np.max(np.abs(np.subtract(janssen.bounds, (A, B)))) <= 1e-12 * B
+        assert _rel(janssen.dual.values, gd.values) <= 1e-12 * (B / A)
         # a dual window off the span: add a signal orthogonal to every pi(mu) g
         x = random_signal(G, rng)
         x_perp = x.values - janssen.synthesize(
-            np.linalg.lstsq(_adjoint_atoms(janssen, G), x.values, rcond=None)[0].reshape(
-                janssen.coefficients.shape))
+            np.linalg.lstsq(atoms, x.values, rcond=None)[0].reshape(janssen.coefficients.shape))
         if np.linalg.norm(x_perp) > 1e-6 * x.norm2:
             other = Signal(G, gd.values + x_perp / np.linalg.norm(x_perp) * gd.norm2)
             assert janssen.wexler_raz_residual(other) <= 1e-10 * (B / A)
             assert janssen.span_residual(other) > 0.1
+
+    def test_solve_holds_on_an_ill_conditioned_critical_frame(self, rng):
+        # redundancy 1 and B/A = 5.2e9: S^-1 h agrees with the dense solve to a few eps B/A
+        G = GroupSpec((2, 14))
+        lattice = TFLattice(G, (1, 1), (2, 14))
+        system = GaborSystem(finite_gaussian(G), lattice)
+        A, B = system.frame_bounds
+        janssen = reference.JanssenFrame(system.window, lattice)
+        h = random_signal(G, rng)
+        dense = np.linalg.solve(janssen.matrix(), h.values)
+        assert _rel(janssen.solve(h).values, dense) <= 4 * np.finfo(float).eps * (B / A)
 
 
 def _adjoint_atoms(janssen, G):
@@ -298,15 +314,20 @@ class TestMutationsFailAGate:
         assert _failed(verify_gabor(GroupSpec((24,)), 2, 2, seed=1)) == {
             "transform rotates the time-frequency plane"}
 
-    @pytest.mark.parametrize("moduli, ab", [((24,), 2), ((2, 4, 8), (1, 1, 2))], ids=str)
-    def test_canonical_dual_scaled(self, moduli, ab, monkeypatch):
+    @pytest.mark.parametrize("moduli, ab, scale, gate", [
+        pytest.param((24,), 2, 1e-9, "dual window satisfies Wexler-Raz", id="(24,)-2"),
+        pytest.param((2, 4, 8), (1, 1, 2), 1e-9, "dual window satisfies Wexler-Raz",
+                     id="(2, 4, 8)-(1, 1, 2)"),
+        pytest.param((256,), 2, 1e-10, "canonical dual matches adjoint Gram dual",
+                     id="(256,)-2-1e-10"),
+    ])
+    def test_canonical_dual_scaled(self, moduli, ab, scale, gate, monkeypatch):
         from mildspec import gabor
 
         dual = gabor.GaborSystem.canonical_dual
         monkeypatch.setattr(gabor.GaborSystem, "canonical_dual", property(
-            lambda system: Signal(system.group, dual.fget(system).values * (1 + 1e-9))))
-        assert "dual window satisfies Wexler-Raz" in _failed(
-            verify_gabor(GroupSpec(moduli), ab, ab, seed=1))
+            lambda system: Signal(system.group, dual.fget(system).values * (1 + scale))))
+        assert gate in _failed(verify_gabor(GroupSpec(moduli), ab, ab, seed=1))
 
     @pytest.mark.parametrize("ab, caught_by_others", [(16, True), (8, False)])
     def test_walnut_blocks_rolled_by_one_residue(self, ab, caught_by_others, monkeypatch):
@@ -317,9 +338,11 @@ class TestMutationsFailAGate:
         monkeypatch.setattr(gabor, "_frame_blocks", lambda window, lattice: np.roll(
             frame_blocks(window, lattice), 1, axis=0))
         failed = _failed(verify_gabor(GroupSpec((1024,)), ab, ab, seed=1))
-        assert "structured frame operator matches Janssen" in failed
-        # at a = b = 8 the blocks differ by 1e-11 relative, and only the Janssen gate sees it
-        assert (failed != {"structured frame operator matches Janssen"}) == caught_by_others
+        exact = {"structured frame operator matches Janssen",
+                 "canonical dual matches adjoint Gram dual"}
+        assert exact <= failed
+        # at a = b = 8 the blocks differ by 1e-11 relative, and only the roundoff-level gates see it
+        assert (failed != exact) == caught_by_others
 
 
 @pytest.mark.parametrize("group", sorted(EXPECTED["checks"]))
