@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--group", type=_group_type, required=True,
                    help="comma-separated moduli, e.g. 24 or 4,6")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative seed of the suites' test signals and sampled cells")
     p.add_argument("--a", type=_steps_type, default=None, help="time step per axis")
     p.add_argument("--b", type=_steps_type, default=None, help="frequency step per axis")
     p.add_argument("--lattice", type=_steps_type, default=None,

@@ -26,7 +26,10 @@ json's own scanner and decodes the array of [re, im] pairs of a signal
 characters, cut after a pair, straight into one float64 array.  The slices
 joined by their commas are the array's text, so the numbers are json's to
 the bit.  A document the walk does not take whole goes to json.loads and
-the list path, which give every error message.
+the list path, which give every error message.  The CSV signal reader
+finds its columns by header name once and checks rows in blocks of _CHUNK
+on index arrays; only a block with a bad row is checked again row by row, to
+name the first bad row.
 
 Malformed input raises SchemaError, which names the file and the field, row
 or element: text that is not UTF-8, JSON nested deeper than json decodes,
@@ -42,6 +45,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -204,47 +208,100 @@ def _write_rows(fh, prefix: str, coords: list[str], flat: np.ndarray) -> None:
     fh.write(template % tuple(flat.tolist()))
 
 
-def _csv_rows(reader: csv.DictReader, path: Path):
-    """The rows of a CSV reader; a line it cannot parse raises SchemaError."""
+def _first_bad_row(block, columns: dict, group: GroupSpec, seen: np.ndarray) -> str | None:
+    """Where and how the first bad row of a block of (line number, row) pairs fails.
+
+    The checks of one row, in their order: each field parses (i0, ..., re,
+    im), each coordinate is in range, each value is finite, and the element
+    has no earlier row.
+    """
+    taken = set()
+    for line, row in block:
+        try:
+            # name is the column being parsed; its text is never echoed
+            coords = tuple(int(row[columns[name := f"i{j}"]]) for j in range(group.ndim))
+            real, imag = float(row[columns[name := "re"]]), float(row[columns[name := "im"]])
+        except (KeyError, IndexError, ValueError):
+            return f"line {line}: '{name}' is missing or malformed"
+        for j, (c, n) in enumerate(zip(coords, group.moduli)):
+            if not 0 <= c < n:
+                return f"line {line}: i{j}={c} is outside [0, {n})"
+        for name, v in (("re", real), ("im", imag)):
+            if not math.isfinite(v):
+                return f"line {line}: '{name}' is not finite"
+        i = group.index(coords)
+        if seen[i] or i in taken:
+            return f"line {line}: element {coords} is given twice"
+        taken.add(i)
+    return None
+
+
+def _csv_block(block, columns: dict, group: GroupSpec, seen: np.ndarray, path: Path):
+    """Element indices and (re, im) rows of a block of (line number, row) pairs.
+
+    The fields parse by int and float, and range, finiteness and repeats are
+    checked on index arrays; seen marks the elements of earlier blocks and
+    takes this block's.  A block with a bad row goes to _first_bad_row.
+    """
+    if not block:
+        return np.empty(0, dtype=np.intp), np.empty((0, 2))
+    names = [f"i{j}" for j in range(group.ndim)] + ["re", "im"]
     try:
-        yield from reader
-    except csv.Error as exc:
-        # DictReader updates its own line_num only after a row parses
-        raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+        get = operator.itemgetter(*[columns[name] for name in names])
+        fields = list(zip(*[get(row) for _, row in block]))
+        coords = np.stack(
+            [np.fromiter(map(int, f), np.int64, len(block)) for f in fields[:-2]], axis=1)
+        pairs = np.stack(
+            [np.fromiter(map(float, f), np.float64, len(block)) for f in fields[-2:]], axis=1)
+    except (KeyError, IndexError, ValueError, OverflowError):
+        pass
+    else:
+        if np.all((coords >= 0) & (coords < group.moduli)) and np.isfinite(pairs).all():
+            index = group._index_rows(coords)
+            if not seen[index].any() and np.unique(index).size == index.size:
+                seen[index] = True
+                return index, pairs
+    raise SchemaError(f"{path}: {_first_bad_row(block, columns, group, seen)}")
 
 
 def _load_csv_signal(path: Path, group: GroupSpec) -> Signal:
-    """Strict CSV read: coordinates in range, finite values, every element exactly once."""
-    values = np.empty(group.order, dtype=np.complex128)
+    """Strict CSV read: coordinates in range, finite values, every element exactly once.
+
+    As csv.DictReader reads a file: the first row names the columns, a name
+    given twice means its last column, and a blank line is no row.  Rows are
+    checked in blocks of _CHUNK, so the first bad row in file order is the
+    one reported, also before a line the csv module cannot parse or text
+    that is not UTF-8.
+    """
+    values = np.empty((group.order, 2))
     seen = np.zeros(group.order, dtype=bool)
+    columns, block, stop = {}, [], None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in _csv_rows(reader, path):
-            where = f"{path}: line {reader.line_num}"
-            try:
-                # name is the column being parsed; its text is never echoed
-                coords = tuple(int(row[name := f"i{j}"]) for j in range(group.ndim))
-                real, imag = float(row[name := "re"]), float(row[name := "im"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{where}: '{name}' is missing or malformed") from exc
-            for j, (c, n) in enumerate(zip(coords, group.moduli)):
-                if not 0 <= c < n:
-                    raise SchemaError(f"{where}: i{j}={c} is outside [0, {n})")
-            for name, v in (("re", real), ("im", imag)):
-                if not math.isfinite(v):
-                    raise SchemaError(f"{where}: '{name}' is not finite")
-            i = group.index(coords)
-            if seen[i]:
-                raise SchemaError(f"{where}: element {coords} is given twice")
-            seen[i] = True
-            values[i] = complex(real, imag)
+        reader = csv.reader(fh)
+        try:
+            columns = {name: p for p, name in enumerate(next(reader, []))}
+            for row in reader:
+                if row:
+                    block.append((reader.line_num, row))
+                    if len(block) == _CHUNK:
+                        index, pairs = _csv_block(block, columns, group, seen, path)
+                        values[index] = pairs
+                        block = []
+        except csv.Error as exc:
+            stop = SchemaError(f"{path}: line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            stop = exc
+    index, pairs = _csv_block(block, columns, group, seen, path)
+    values[index] = pairs
+    if stop is not None:
+        raise stop
     missing = np.flatnonzero(~seen)
     if missing.size:
         raise SchemaError(
             f"{path}: element {tuple(group._coords[missing[0]].tolist())} has no row "
             f"({missing.size} of {group.order} elements missing)"
         )
-    return Signal(group, values)
+    return Signal(group, values.view(np.complex128).reshape(-1))
 
 
 def _load_json(path) -> dict:

@@ -288,8 +288,12 @@ def finite_gaussian(group: GroupSpec) -> Signal:
     return _finite_gaussian(group.moduli)
 
 
-def random_signal(group: GroupSpec, rng: np.random.Generator) -> Signal:
-    """Complex standard-normal test signal."""
+def random_signal(group: GroupSpec, rng) -> Signal:
+    """Complex standard-normal test signal: real parts, then imaginary parts.
+
+    rng is any object with standard_normal(n) giving n float64 normals:
+    a NumPy Generator, or the verify suites' seeded stream.
+    """
     re = rng.standard_normal(group.order)
     im = rng.standard_normal(group.order)
     return Signal(group, re + 1j * im)

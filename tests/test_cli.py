@@ -547,7 +547,7 @@ class TestExitCodeTable:
                       "--out", tmp / "x.json"], 1),
         # OSError: the input path is a directory
         (lambda tmp: ["dft", tmp, "--out", tmp / "x.json"], 3),
-        # any other ValueError: NumPy rejects a negative seed
+        # any other ValueError: the suites' seeded stream rejects a negative seed
         (lambda tmp: ["verify", "group", "--group", "4", "--seed", "-1"], 2),
     ], ids=["schema", "group-mismatch", "domain", "os-error", "value-error"])
     def test_row(self, tmp_path, make_args, code):
@@ -555,6 +555,9 @@ class TestExitCodeTable:
         assert proc.returncode == code
         assert proc.stderr.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stderr.splitlines()[-1] == (
+                "error: seed must be a non-negative integer, got seed=-1")
 
     @pytest.mark.parametrize("command, order", [("dft", 2), ("stft", 4)])
     def test_overflow_is_a_domain_rejection(self, tmp_path, command, order):

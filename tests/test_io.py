@@ -402,3 +402,122 @@ class TestCSVReader:
         path.write_bytes(data)
         for moduli in CSV_GROUPS:
             outcome(lambda p: io.load_signal(p, group=GroupSpec(moduli)), path)
+
+
+def csv_reference(path, group: GroupSpec) -> Signal:
+    """The CSV signal reader as a row-by-row loop over csv.DictReader: the messages and bytes
+    io.load_signal must give."""
+    values = np.empty(group.order, dtype=np.complex128)
+    seen = np.zeros(group.order, dtype=bool)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = iter(reader)
+            while True:
+                try:
+                    row = next(rows)
+                except StopIteration:
+                    break
+                except csv.Error as exc:
+                    raise SchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    coords = tuple(int(row[name := f"i{j}"]) for j in range(group.ndim))
+                    real, imag = float(row[name := "re"]), float(row[name := "im"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise SchemaError(f"{where}: '{name}' is missing or malformed") from exc
+                for j, (c, n) in enumerate(zip(coords, group.moduli)):
+                    if not 0 <= c < n:
+                        raise SchemaError(f"{where}: i{j}={c} is outside [0, {n})")
+                for name, v in (("re", real), ("im", imag)):
+                    if not np.isfinite(v):
+                        raise SchemaError(f"{where}: '{name}' is not finite")
+                i = group.index(coords)
+                if seen[i]:
+                    raise SchemaError(f"{where}: element {coords} is given twice")
+                seen[i] = True
+                values[i] = complex(real, imag)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    missing = np.flatnonzero(~seen)
+    if missing.size:
+        raise SchemaError(
+            f"{path}: element {tuple(group._coords[missing[0]].tolist())} has no row "
+            f"({missing.size} of {group.order} elements missing)")
+    return Signal(group, values)
+
+
+# what a coordinate can be swapped for: out of range, past int64, spaced, signed, underscored
+COORD_SWAPS = ["-1", "6", "99999999999999999999", " 1", "+1", "1_0", "0x1", "1.0"]
+
+
+@st.composite
+def edited_csv(draw) -> bytes:
+    """A CSV signal file on one of CSV_GROUPS with its rows or columns edited."""
+    G = GroupSpec(draw(st.sampled_from(CSV_GROUPS)))
+    header = [f"i{j}" for j in range(G.ndim)] + ["re", "im"]
+    rows = [[*map(str, x), repr(float(k)), "-0.0"] for k, x in enumerate(G.elements())]
+    rows = draw(st.permutations(rows))
+    # edits that change a row's length come after those that need every field
+    kinds = ["coordinate", "twice", "repeat", "long", "short", "blank"]
+    for kind in sorted(draw(st.lists(st.sampled_from(kinds), max_size=3)), key=kinds.index):
+        at = draw(st.integers(0, len(rows) - 1))
+        if kind == "coordinate":
+            rows[at][draw(st.integers(0, G.ndim - 1))] = draw(st.sampled_from(COORD_SWAPS))
+        elif kind == "twice":
+            # a column named twice: DictReader keeps the last one
+            col = draw(st.integers(0, len(header) - 1))
+            header = header + [header[col]]
+            rows = [row + [row[col] if draw(st.booleans()) else "1"] for row in rows]
+        elif kind == "short":
+            rows[at] = rows[at][:draw(st.integers(0, max(len(rows[at]) - 1, 0)))]
+        elif kind == "long":
+            rows[at] = rows[at] + ["7"]
+        elif kind == "blank":
+            rows.insert(at, [])
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
+    return csv_oracle(header, rows)
+
+
+class TestCSVReaderAgainstRowLoop:
+    """The block reader against csv_reference: the same bytes or the same SchemaError text."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(mutated_csv(), edited_csv()))
+    def test_same_outcome(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("r") / "doc.csv"
+        path.write_bytes(data)
+        for moduli in CSV_GROUPS:
+            G = GroupSpec(moduli)
+            assert outcome(lambda p: io.load_signal(p, group=G), path) == outcome(
+                lambda p: csv_reference(p, G), path)
+
+    @pytest.mark.parametrize("edit", [
+        "none", "repeat-across-blocks", "repeat-in-last-block", "bad-coordinate-late",
+        "range-then-unparsable", "bad-row-then-bad-bytes", "missing-last",
+    ])
+    def test_same_outcome_across_blocks(self, tmp_path, edit):
+        G = GroupSpec((2 * _CHUNK + 5,))
+        lines = ["i0,re,im"] + [f"{i},{i / 7!r},-{i}" for i in range(G.order)]
+        if edit == "repeat-across-blocks":
+            lines[_CHUNK + 9] = "3,1,0"
+        elif edit == "repeat-in-last-block":
+            lines[2 * _CHUNK + 4] = f"{2 * _CHUNK + 1},1,0"
+        elif edit == "bad-coordinate-late":
+            lines[2 * _CHUNK + 2] = "x,1,0"
+        elif edit == "range-then-unparsable":
+            lines[_CHUNK + 1] = f"{G.order},1,0"
+            lines[_CHUNK + 2] = "1,y,0"
+        elif edit == "bad-row-then-bad-bytes":
+            lines[_CHUNK + 1] = "-1,1,0"
+        elif edit == "missing-last":
+            lines.pop()
+        data = "\r\n".join(lines).encode() + b"\r\n"
+        if edit == "bad-row-then-bad-bytes":
+            data += b"\xff" * 3 + b'"'
+        path = tmp_path / "big.csv"
+        path.write_bytes(data)
+        got = outcome(lambda p: io.load_signal(p, group=G), path)
+        assert got == outcome(lambda p: csv_reference(p, G), path)
+        assert (got[0] is SchemaError) == (edit != "none")

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +13,8 @@ from mildspec import (
     GaborSystem, GroupSpec, Signal, TFLattice, finite_gaussian, random_signal, reference)
 from mildspec.cli import main
 from mildspec.verify import (
-    _judged, _product_checks, run_suite, verify_approx, verify_fourier, verify_gabor,
-    verify_group, verify_mild)
+    _ORACLE_MAX_ORDER, _judged, _product_checks, _Stream, run_suite, verify_approx,
+    verify_fourier, verify_gabor, verify_group, verify_mild)
 
 EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json").read_text())
@@ -99,7 +101,7 @@ class TestRunner:
             "[PASS] recovery error shrinks as the lattice refines: "
             "residual=-1.540625e-02 threshold=5.0e-01",
             "[PASS] extension interpolates the samples: residual=0.000000e+00 threshold=0.0e+00",
-            "[INFO] sampled-l1 to concentration-norm ratio: value=1.307261e-02",
+            "[INFO] sampled-l1 to concentration-norm ratio: value=5.796464e-03",
         ]
 
     def test_suites_are_looked_up_on_the_module(self, monkeypatch):
@@ -122,6 +124,75 @@ class TestRunner:
         for suite in ("group", "gabor", "all"):
             run_suite(suite, GroupSpec((24,)), 2, 2, 8, seed=1)
         assert calls == ["verify_group", "verify_gabor", "verify_group", "verify_gabor"]
+
+
+def _in_a_process(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSeededStream:
+    DRAWS = ("from mildspec.verify import _Stream\n"
+             "for seed, part in ((0, 0), (7, 0), (7, 1)):\n"
+             "    s = _Stream(seed, part)\n"
+             "    print(s.standard_normal(9).tobytes().hex(),\n"
+             "          s.integers(3, 11, (2, 5)).tobytes().hex())\n")
+
+    def test_a_seed_gives_the_same_draws_in_every_process(self):
+        first, second = _in_a_process(self.DRAWS), _in_a_process(self.DRAWS)
+        assert first == second
+        # different seeds, and the two parts of one seed, draw apart
+        assert len(set(first.split())) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    def test_normals_have_mean_zero_and_variance_one(self, seed):
+        n = 10**5
+        x = _Stream(seed).standard_normal(n)
+        assert x.shape == (n,) and x.dtype == np.float64
+        # 5 sigma: the mean has variance 1/n, the sample variance about 2/n
+        assert abs(x.mean()) < 5 / math.sqrt(n)
+        assert abs(x.var() - 1.0) < 5 * math.sqrt(2 / n)
+
+    @pytest.mark.parametrize("lo, hi, size", [(0, 1, 5), (0, 24, (200, 3)), (-3, 4, (2, 256)),
+                                              (0, 2**40, (3, 1, 2))], ids=str)
+    def test_integers_stay_in_range_with_the_requested_shape(self, lo, hi, size):
+        x = _Stream(5).integers(lo, hi, size)
+        assert x.shape == np.empty(size).shape and x.dtype == np.int64
+        assert x.min() >= lo and x.max() < hi
+        if hi - lo <= 24:
+            assert set(x.ravel().tolist()) == set(range(lo, hi))
+
+    def test_a_verify_process_imports_no_numpy_random_or_hashlib(self):
+        # Z256 is above the oracle cap, so the cell stream runs too
+        assert 256 > _ORACLE_MAX_ORDER
+        out = _in_a_process(
+            "import contextlib, io, sys\n"
+            "from mildspec.cli import main\n"
+            "for args in (['verify', 'all', '--group', '24'],\n"
+            "             ['verify', 'gabor', '--group', '256']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0\n"
+            "    print(args[1], *[m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+            "                     if m in sys.modules])\n")
+        assert out.splitlines() == ["all", "gabor"]
+
+
+class TestCapLines:
+    NAMES = ("defining-sum cells sampled (share of |G|^2)",
+             "dense frame oracle not built above order 128")
+
+    def test_above_the_oracle_cap_the_report_says_what_it_did_not_run(self):
+        checks = {c.name: c for c in verify_gabor(GroupSpec((256,)), 2, 2, seed=1)}
+        assert [checks[name].line() for name in self.NAMES] == [
+            "[INFO] defining-sum cells sampled (share of |G|^2): value=3.906250e-03",
+            "[INFO] dense frame oracle not built above order 128: value=2.560000e+02",
+        ]
+
+    def test_at_the_cap_the_report_has_neither_line(self):
+        names = {c.name for c in verify_gabor(GroupSpec((128,)), 2, 2, seed=1)}
+        assert "structured frame operator matches dense oracle" in names
+        assert names.isdisjoint(self.NAMES)
 
 
 class TestGaborStreaming:
