@@ -415,7 +415,7 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
                max(abs(A - eig[0]) / eig[-1], abs(B - eig[-1]) / eig[-1],
                    _rel(gd.values - dense_dual, dense_dual)), 1e-10)
     else:
-        yield _info(f"dense frame oracle not built above order {_ORACLE_MAX_ORDER}", G.order)
+        yield _info("dense frame oracle not built above order cap", _ORACLE_MAX_ORDER)
     # biorthogonality on the adjoint lattice, and the span that singles out the canonical dual
     yield ("dual window satisfies Wexler-Raz",
            max(janssen.wexler_raz_residual(gd), janssen.span_residual(gd)), 1e-10 * (B / A))

@@ -485,6 +485,9 @@ class TestCSVReaderAgainstRowLoop:
 
     @settings(max_examples=300)
     @given(st.one_of(mutated_csv(), edited_csv()))
+    @example(data=b"i0,re,im\r\n\r\n9,0,0\r\n")
+    @example(data=b"i0,re,im\r\n\r\n\r\n0,0,0\r\n")
+    @example(data=b"i0,re,im\r\n0,0,0\r\n\r\n\r\n0,1,0\r\n")
     def test_same_outcome(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("r") / "doc.csv"
         path.write_bytes(data)
@@ -492,6 +495,22 @@ class TestCSVReaderAgainstRowLoop:
             G = GroupSpec(moduli)
             assert outcome(lambda p: io.load_signal(p, group=G), path) == outcome(
                 lambda p: csv_reference(p, G), path)
+
+    @pytest.mark.parametrize("moduli, data, message", [
+        ((6,), b"i0,re,im\r\n\r\n9,0,0\r\n", "line 3: i0=9 is outside [0, 6)"),
+        ((2, 3), b"i0,re,im\r\n\r\n\r\n0,0,0\r\n", "line 4: 'i1' is missing or malformed"),
+        ((6,), b"i0,re,im\r\n0,0,0\r\n\r\n\r\n0,1,0\r\n", "line 5: element (0,) is given twice"),
+    ])
+    def test_a_row_after_blank_lines_is_named_by_its_own_line(self, tmp_path, moduli, data,
+                                                              message):
+        # DictReader's fieldnames getter sets line_num again after the blank lines are
+        # skipped, so the row's own line is named, not the first blank one
+        path = tmp_path / "blank.csv"
+        path.write_bytes(data)
+        G = GroupSpec(moduli)
+        got = outcome(lambda p: io.load_signal(p, group=G), path)
+        assert got == (SchemaError, f"{path}: {message}")
+        assert got == outcome(lambda p: csv_reference(p, G), path)
 
     @pytest.mark.parametrize("edit", [
         "none", "repeat-across-blocks", "repeat-in-last-block", "bad-coordinate-late",

@@ -180,13 +180,13 @@ class TestSeededStream:
 
 class TestCapLines:
     NAMES = ("defining-sum cells sampled (share of |G|^2)",
-             "dense frame oracle not built above order 128")
+             "dense frame oracle not built above order cap")
 
     def test_above_the_oracle_cap_the_report_says_what_it_did_not_run(self):
         checks = {c.name: c for c in verify_gabor(GroupSpec((256,)), 2, 2, seed=1)}
         assert [checks[name].line() for name in self.NAMES] == [
             "[INFO] defining-sum cells sampled (share of |G|^2): value=3.906250e-03",
-            "[INFO] dense frame oracle not built above order 128: value=2.560000e+02",
+            "[INFO] dense frame oracle not built above order cap: value=1.280000e+02",
         ]
 
     def test_at_the_cap_the_report_has_neither_line(self):
