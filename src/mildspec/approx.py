@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -181,6 +181,14 @@ def sampling_bound(f: Signal, lattice: Subgroup) -> SamplingBound:
 class QuasiResult(NamedTuple):
     approximation: Signal
     sup_error: float
+
+
+def _halving_chain(steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The lattice steps, then each even step halved, until no step is even."""
+    yield steps
+    while any(s % 2 == 0 for s in steps):
+        steps = tuple(s // 2 if s % 2 == 0 else s for s in steps)
+        yield steps
 
 
 def quasi_interpolate(f: Signal, lattice: Subgroup, shape: str = "triangle") -> QuasiResult:

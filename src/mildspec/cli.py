@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import io
-from .approx import BUPU_SHAPES, quasi_interpolate, semidiscrete_extension, make_bupu
+from .approx import BUPU_SHAPES, _halving_chain, make_bupu, quasi_interpolate, semidiscrete_extension
 from .errors import (
     DomainError,
     GroupMismatchError,
@@ -228,14 +228,10 @@ def cmd_approx(args) -> int:
     else:
         target = io.load_signal(args.target, group=G)
     rows = []
-    while True:
-        H = grid_subgroup(G, steps)
-        err = quasi_interpolate(target, H, shape=args.shape).sup_error
+    for steps in _halving_chain(steps):
+        err = quasi_interpolate(target, grid_subgroup(G, steps), shape=args.shape).sup_error
         rows.append(["x".join(str(s) for s in steps), repr(float(err))])
         print(f"gap {rows[-1][0]}: sup error {err:.6e}")
-        if any(s % 2 for s in steps) or all(s == 1 for s in steps):
-            break
-        steps = tuple(max(1, s // 2) for s in steps)
     if args.out:
         io.write_csv(args.out, ["gap", "sup_error"], rows)
     return 0

@@ -13,13 +13,15 @@ candidate limit sigma0:
 The three vanish together, and along refining comb sequences they decrease
 together; their measured ratios are reported, never asserted.
 
-The default probe set (Gaussian atoms M_s T_t g0 on a coarse net, plus every
-point mass) needs no STFT per probe: |V_g0| is covariant under
+The probe set of d_pair is fixed: the Gaussian atoms M_s T_t g0 on the
+probe net, the lattice aZ x aZ with a_j the largest divisor of N_j at most
+max(N_j // 4, 1), and every point mass.  |V_g0| is covariant under
 time-frequency shifts, so every atom has the norm s0_norm(g0), and
 |V_g0 delta_x(t, s)| = g0(x - t) gives every point mass the norm
-|G| ||g0||_1 / ||g0||_2^2.  With these two constants d_pair is one matrix
-product over the atoms plus max |sigma - sigma0| over the point masses.
-Probe sets passed by the caller are normed one STFT each.
+|G| ||g0||_1 / ||g0||_2^2.  g0 is real, so pair(delta, M_s T_t g0) =
+V_g0 delta(t, -s): over the net, whose frequencies are closed under
+negation, the atom half of d_pair is one lattice STFT maximum, and no atom
+is built.  reference.pairing_deviations over default_probes is its oracle.
 
 The module also certifies structural facts: the support of a signal (the
 values above 1e-10 of its peak), and the periodicity law saying a signal is
@@ -32,7 +34,7 @@ the comb-form certificate for any measure on a lattice.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +58,7 @@ from .signals import (
     dirac_comb,
     finite_gaussian,
     signal_to_comb,
+    tf_shift,
     translate,
 )
 
@@ -139,16 +142,10 @@ def periodize_analysis(f: Signal, period) -> PeriodicReport:
     return PeriodicReport(H, spectrum, one_period, weight_residual, leakage)
 
 
-def _default_atoms(group: GroupSpec) -> np.ndarray:
-    """Gaussian atoms M_s T_t g0 on the coarse net of default_probes, one per row."""
-    g0 = finite_gaussian(group)
-    step = tuple(max(n // 4, 1) for n in group.moduli)
-    net = np.array(list(itertools.product(
-        *(range(0, n, s) for n, s in zip(group.moduli, step))
-    )), dtype=np.int64)
-    shifted = np.stack([translate(g0, t).values for t in net])
-    chars = _character_block(group, net, group._coords)
-    return (shifted[:, None, :] * chars[None, :, :]).reshape(-1, group.order)
+def _probe_net(group: GroupSpec) -> TFLattice:
+    """The atoms' lattice aZ x aZ: a_j is N_j over its smallest divisor k >= 4, else 1."""
+    step = tuple(next((n // k for k in range(4, n + 1) if n % k == 0), 1) for n in group.moduli)
+    return TFLattice(group, step, step)
 
 
 def _default_probe_norms(group: GroupSpec) -> tuple[float, float]:
@@ -158,42 +155,29 @@ def _default_probe_norms(group: GroupSpec) -> tuple[float, float]:
 
 
 def default_probes(group: GroupSpec) -> list[Signal]:
-    """Gaussian atoms on a coarse time-frequency net, plus every point mass."""
-    probes = [Signal(group, row) for row in _default_atoms(group)]
-    probes.extend(dirac(group, x) for x in group.elements())
-    return probes
+    """Gaussian atoms over the probe net's points, then every point mass: the oracle's input."""
+    g0 = finite_gaussian(group)
+    atoms = [tf_shift(g0, t, s) for t, s in _probe_net(group).points()]
+    return atoms + [dirac(group, x) for x in group.elements()]
 
 
-def _pairing_deviations(deltas: np.ndarray, group: GroupSpec, probes) -> np.ndarray:
-    """d_pair of each row of deltas (members, |G|); probes None means the defaults."""
-    if probes is None:
-        atom_norm, point_norm = _default_probe_norms(group)
-        atoms = np.abs(deltas @ _default_atoms(group).T).max(axis=1) / (1.0 + atom_norm)
-        points = np.abs(deltas).max(axis=1) / (1.0 + point_norm)
-        return np.maximum(atoms, points)
-    probes = list(probes)
-    if not probes:
-        raise ValueError("the probe set must be non-empty")
-    for p in probes:
-        if p.group != group:
-            raise GroupMismatchError("probe lives on a different group")
-    values = np.array([p.values for p in probes])
-    norms = np.array([s0_norm(p) for p in probes])
-    return (np.abs(deltas @ values.T) / (1.0 + norms)).max(axis=1)
+def _pairing_deviations(deltas: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """d_pair of each row of deltas (members, |G|): an STFT maximum on the net, and max |delta|."""
+    g0 = finite_gaussian(group)
+    net = _probe_net(group)
+    atom_norm, point_norm = _default_probe_norms(group)
+    atoms = np.array([_tf_abs_max(delta, g0, net) for delta in deltas])
+    points = np.abs(deltas).max(axis=1) / (1.0 + point_norm)
+    return np.maximum(atoms / (1.0 + atom_norm), points)
 
 
-def mild_deviation_pairing(sigma: Signal, sigma0: Signal, probes=None) -> float:
-    """max over probes of |pair(sigma - sigma0, f)| / (1 + s0_norm(f))."""
-    if sigma.group != sigma0.group:
-        raise GroupMismatchError("signals live on different groups")
-    delta = (sigma.values - sigma0.values)[None, :]
-    return float(_pairing_deviations(delta, sigma.group, probes)[0])
+def mild_deviation_pairing(sigma: Signal, sigma0: Signal) -> float:
+    """max over the default probes f of |pair(sigma - sigma0, f)| / (1 + s0_norm(f))."""
+    return float(_pairing_deviations((sigma - sigma0).values[None, :], sigma.group)[0])
 
 
 def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = None) -> float:
     """Largest pointwise STFT deviation; default window is the Gaussian."""
-    if sigma.group != sigma0.group:
-        raise GroupMismatchError("signals live on different groups")
     if window is None:
         window = finite_gaussian(sigma.group)
     return _tf_abs_max((sigma - sigma0).values, window, TFLattice(sigma.group, 1, 1))
@@ -246,15 +230,11 @@ class ConvergenceReport:
         return all(b <= a + slack for a, b in zip(series, series[1:]))
 
 
-def convergence_report(
-    sequence: DistributionSequence,
-    system: GaborSystem,
-    probes=None,
-) -> ConvergenceReport:
+def convergence_report(sequence: DistributionSequence, system: GaborSystem) -> ConvergenceReport:
     """Evaluate all three deviation metrics for every member of a sequence.
 
-    d_pair is evaluated for all members at once; without probes it uses the
-    closed-form norms of the default probes.  d_stft uses the Gaussian window.
+    d_pair pairs with the default probes by their closed-form norms and one
+    lattice STFT on the probe net per member; d_stft uses the Gaussian window.
     Metrics that overflow from finite members raise DomainError.
     """
     group = sequence.group
@@ -263,7 +243,7 @@ def convergence_report(
     deltas = np.array(
         [(m - sequence.limit).values for m in sequence.members], dtype=np.complex128
     ).reshape(len(sequence.members), group.order)
-    d_pair = [float(v) for v in _pairing_deviations(deltas, group, probes)]
+    d_pair = [float(v) for v in _pairing_deviations(deltas, group)]
     dual = system.canonical_dual
     plane = TFLattice(group, 1, 1)
     g0 = finite_gaussian(group)
@@ -281,6 +261,11 @@ def convergence_report(
     return ConvergenceReport(tuple(d_pair), tuple(d_stft), tuple(d_coeff), ratios)
 
 
+def _smallest_prime_factor(n: int) -> int:
+    """By trial division up to sqrt(n): n itself when n is prime or 1."""
+    return next((q for q in range(2, math.isqrt(n) + 1) if n % q == 0), n)
+
+
 def refining_comb_sequence(group: GroupSpec) -> DistributionSequence:
     """Normalized combs on a refining chain of grid lattices.
 
@@ -294,8 +279,7 @@ def refining_comb_sequence(group: GroupSpec) -> DistributionSequence:
     chain = [tuple(steps)]
     while any(s > 1 for s in steps):
         j = max(range(len(steps)), key=lambda k: steps[k])
-        p = min(q for q in range(2, steps[j] + 1) if steps[j] % q == 0)
-        steps[j] //= p
+        steps[j] //= _smallest_prime_factor(steps[j])
         chain.append(tuple(steps))
     members = []
     for st in chain:

@@ -20,6 +20,8 @@ stft_cells evaluates the defining STFT sum at chosen cells, at any order.
 None of these shares code with gabor's Walnut blocks or its shifted-window
 fold.  The dense synthesis matrix, the dense frame operators and the full
 direct-sum STFT stay as oracles for the tests.
+pairing_deviations is d_pair over explicit probes by one s0_norm each and
+one dense product; over mild.default_probes it is the oracle of mild's d_pair.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .fourier import adjoint_restriction
-from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks
+from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks, s0_norm
 from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block, _phases, annihilator
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
@@ -47,6 +49,7 @@ __all__ = [
     "frame_apply_direct",
     "frame_matrix_dense",
     "stft_cells",
+    "pairing_deviations",
     "JanssenFrame",
     "subgroups_by_closure",
     "translate_sum_direct",
@@ -174,6 +177,13 @@ def stft_cells(f: Signal, window: Signal, times: np.ndarray, freqs: np.ndarray) 
         atoms = _character_block(group, coords[freqs[block]], coords) * shifted
         out[block] = np.conj(atoms) @ f.values
     return out
+
+
+def pairing_deviations(deltas: np.ndarray, probes) -> np.ndarray:
+    """max over probes f of |pair(delta, f)| / (1 + s0_norm(f)) per row of deltas (members, |G|)."""
+    values = np.array([p.values for p in probes])
+    norms = np.array([s0_norm(p) for p in probes])
+    return (np.abs(deltas @ values.T) / (1.0 + norms)).max(axis=1)
 
 
 # The Janssen sum cancels down to multipliers as small as the lower frame

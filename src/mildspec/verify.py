@@ -32,6 +32,7 @@ STFT at 4 |G|^2 cells.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from collections.abc import Callable, Iterator
@@ -44,6 +45,7 @@ import numpy as np
 from . import reference
 from .approx import (
     BUPU_SHAPES,
+    _halving_chain,
     make_bupu,
     quasi_interpolate,
     sampling_bound,
@@ -66,6 +68,7 @@ from .fourier import (
 from .gabor import GaborSystem, TFLattice, _tf_rows, _tf_synthesis, s0_norm, s0prime_norm
 from .groups import GroupSpec, all_subgroups, annihilator, character, grid_subgroup, quotient
 from .mild import (
+    _smallest_prime_factor,
     convergence_report,
     periodize_analysis,
     refining_comb_sequence,
@@ -470,11 +473,13 @@ def verify_mild(G: GroupSpec, a, b, seed: int = 0):
         # d_coeff needs the canonical dual, as verify_gabor's checks do
         yield _info("lattice is not a frame: no comb refinement metrics", system.frame_bounds[0])
 
-    # periodic signals: spectrum confined to the annihilator comb
-    N0 = G.moduli[0]
-    p = next((q for q in (2, 3, 5, 7) if N0 % q == 0 and q < N0), None)
-    if p is not None:
-        period = (p,) + tuple(G.moduli[1:])
+    # periodic signals: spectrum confined to the annihilator comb; the period is
+    # the smallest prime factor of the first composite axis, N_k on the others
+    j = next((j for j, n in enumerate(G.moduli) if _smallest_prime_factor(n) < n), None)
+    if j is None:
+        yield _info("periodicity checks not run: no composite axis", 0)
+    else:
+        period = G.moduli[:j] + (_smallest_prime_factor(G.moduli[j]),) + G.moduli[j + 1:]
         H = grid_subgroup(G, period)
         base = random_signal(G, rng)
         per = Signal(G, _translate_sum(base, H))
@@ -534,14 +539,10 @@ def verify_approx(G: GroupSpec, step, seed: int = 0):
     )
 
     g0 = finite_gaussian(G)
-    errs = []
-    current = lattice
-    for _ in range(3):
-        errs.append(quasi_interpolate(g0, current, shape="triangle").sup_error)
-        steps = current.axis_steps
-        if steps is None or all(s % 2 for s in steps):
-            break
-        current = grid_subgroup(G, tuple(max(1, s // 2) if s % 2 == 0 else s for s in steps))
+    errs = [
+        quasi_interpolate(g0, grid_subgroup(G, steps), shape="triangle").sup_error
+        for steps in itertools.islice(_halving_chain(lattice.axis_steps), 3)
+    ]
     increments = [errs[i + 1] - errs[i] for i in range(len(errs) - 1)]
     yield ("recovery error shrinks as the lattice refines",
            max(increments) if increments else 0.0, 0.0)

@@ -511,6 +511,13 @@ class TestApproxCommand:
         assert gaps == [16, 8, 4, 2, 1]
         assert all(b < a for a, b in zip(errs[:-1], errs[1:]) if a > 0)
 
+    def test_each_even_step_halves_until_none_is_even(self, tmp_path):
+        # the default lattice of Z2xZ4xZ8 is 1x2x4: its odd first step stays
+        out = tmp_path / "errors.csv"
+        proc = run_cli("approx", "--group", "2,4,8", "--out", out)
+        assert proc.returncode == 0
+        assert [r[0] for r in read_rows(out)[1:]] == ["1x2x4", "1x1x2", "1x1x1"]
+
     def test_dirac_target(self):
         proc = run_cli("approx", "--group", "32", "--lattice", "4", "--target", "dirac")
         assert proc.returncode == 0

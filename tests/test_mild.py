@@ -38,6 +38,7 @@ from mildspec import (
     translate,
 )
 from mildspec import reference
+from mildspec.mild import _pairing_deviations, _probe_net
 from mildspec.signals import _translate_sum
 
 
@@ -212,20 +213,18 @@ class TestDeviations:
         G = GroupSpec((12,))
         sigma, sigma0 = random_signal(G, rng), random_signal(G, rng)
         probes = [dirac(G, x) for x in G.elements()]
-        got = mild_deviation_pairing(sigma, sigma0, probes=probes)
         delta = sigma - sigma0
+        got = reference.pairing_deviations(delta.values[None, :], probes)[0]
         expect = max(
             abs(pair(delta, p)) / (1.0 + s0_norm(p)) for p in probes
         )
         assert abs(got - expect) < 1e-12
 
-    def test_group_mismatch_and_empty_probes(self, rng):
+    def test_group_mismatch(self, rng):
         f = random_signal(GroupSpec((8,)), rng)
         g = random_signal(GroupSpec((12,)), rng)
         with pytest.raises(GroupMismatchError):
             mild_deviation_pairing(f, g)
-        with pytest.raises(ValueError):
-            mild_deviation_pairing(f, f, probes=[])
 
 
 class TestMetricAgreement:
@@ -348,6 +347,9 @@ class TestStationaryUnderLimitShift:
 
 # groups whose default probes are normed one STFT each in the tests below
 PROBE_GROUPS = [(24,), (4, 6), (2, 4, 8), (12, 18)]
+# d_pair against the explicit probes of reference.pairing_deviations: the groups
+# above, nets that are not max(N // 4, 1) on some axis, and a square group
+ORACLE_GROUPS = [*PROBE_GROUPS, (9,), (14,), (6, 9), (8, 8)]
 
 
 class TestDefaultProbes:
@@ -363,6 +365,17 @@ class TestDefaultProbes:
         for p, x in zip(probes[len(atoms):], G.elements()):
             assert np.array_equal(p.values, dirac(G, x).values)
 
+    def test_probe_net_is_a_lattice_of_quarter_steps(self):
+        for n in range(1, 65):
+            net = _probe_net(GroupSpec((n,)))
+            quarter = max(n // 4, 1)
+            (a,) = net.time_steps
+            assert net.freq_steps == (a,) and n % a == 0 and a <= quarter, n
+            assert all(n % d for d in range(a + 1, quarter + 1)), n
+            if n % quarter == 0:
+                assert a == quarter, n
+        assert _probe_net(GroupSpec((9, 16))).time_steps == (1, 4)
+
     @pytest.mark.parametrize("moduli", PROBE_GROUPS, ids=str)
     def test_closed_form_norms_match_explicit_stfts(self, moduli):
         from mildspec import s0_norm
@@ -377,30 +390,42 @@ class TestDefaultProbes:
         for p in probes[n_atoms:]:
             assert abs(s0_norm(p) - point_norm) < 1e-12 * point_norm
 
-    @pytest.mark.parametrize("moduli", PROBE_GROUPS[:3], ids=str)
-    def test_report_with_default_probes_matches_explicit_probes(self, moduli):
+    @pytest.mark.parametrize("moduli", ORACLE_GROUPS, ids=str)
+    def test_report_with_default_probes_matches_explicit_probes(self, moduli, rng):
         G = GroupSpec(moduli)
         system = GaborSystem(finite_gaussian(G), TFLattice(G, 1, 1))
         seq = refining_comb_sequence(G)
-        implicit = convergence_report(seq, system)
-        explicit = convergence_report(seq, system, probes=default_probes(G))
-        assert_allclose(implicit.d_pair, explicit.d_pair, rtol=1e-12, atol=1e-15)
-        assert implicit.d_stft == explicit.d_stft
-        assert implicit.d_coeff == explicit.d_coeff
+        # the comb differences peak at (t, s) = (0, 0), on every net; random pairs need not
+        pairs = [(random_signal(G, rng), random_signal(G, rng)) for _ in range(2)]
+        deltas = np.array([(m - seq.limit).values for m in seq.members]
+                          + [(x - y).values for x, y in pairs])
+        explicit = reference.pairing_deviations(deltas, default_probes(G))
+        report = convergence_report(seq, system)
+        assert_allclose(report.d_pair, explicit[:len(seq)], rtol=1e-12, atol=1e-15)
+        single = [mild_deviation_pairing(m, seq.limit) for m in seq.members]
+        single += [mild_deviation_pairing(x, y) for x, y in pairs]
+        assert_allclose(single, explicit, rtol=1e-12, atol=1e-15)
 
     def test_pairing_deviation_with_default_probes_matches_explicit(self, rng):
         G = GroupSpec((4, 6))
         sigma, sigma0 = random_signal(G, rng), random_signal(G, rng)
         got = mild_deviation_pairing(sigma, sigma0)
-        expect = mild_deviation_pairing(sigma, sigma0, probes=default_probes(G))
+        delta = (sigma - sigma0).values[None, :]
+        expect = reference.pairing_deviations(delta, default_probes(G))[0]
         assert abs(got - expect) < 1e-12 * expect
 
-    def test_explicit_probe_on_another_group_is_rejected(self, rng):
-        G = GroupSpec((8,))
+    def test_pairing_builds_no_atom_matrix(self):
+        # the (atoms, |G|) matrix of the explicit probes on Z64xZ64 is 16 MiB
+        G = GroupSpec((64, 64))
         seq = refining_comb_sequence(G)
-        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
-        with pytest.raises(GroupMismatchError):
-            convergence_report(seq, system, probes=[dirac(GroupSpec((4,)), 0)])
+        deltas = np.array([(m - seq.limit).values for m in seq.members])
+        tracemalloc.start()
+        try:
+            _pairing_deviations(deltas, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_report_never_holds_a_full_grid(self, rng):
         # the Z4096 STFT grid is 256 MiB, the dense frame operator as large

@@ -56,11 +56,10 @@ FLAGS = {
 
 
 class TestRunner:
-    # the command line's default lattices; Z2 has no proper period, so no aperiodic input
+    # the command line's default lattices; Z2xZ4xZ8 takes its period on Z4, its first composite axis
     @pytest.mark.parametrize("moduli, ab, step, absent", [
         ((24,), 2, 8, {"undersampled lattice rejected"}),
-        ((2, 4, 8), (1, 1, 2), (1, 2, 4),
-         {"undersampled lattice rejected", "aperiodic input rejected"}),
+        ((2, 4, 8), (1, 1, 2), (1, 2, 4), {"undersampled lattice rejected"}),
     ], ids=["Z24", "Z2xZ4xZ8"])
     def test_tolerance_replaces_every_gate_threshold_and_nothing_else(
             self, moduli, ab, step, absent):
@@ -193,6 +192,28 @@ class TestCapLines:
         names = {c.name for c in verify_gabor(GroupSpec((128,)), 2, 2, seed=1)}
         assert "structured frame operator matches dense oracle" in names
         assert names.isdisjoint(self.NAMES)
+
+
+PERIODICITY_CHECKS = ("periodic spectrum leakage", "comb weights match one-period transform",
+                      "aperiodic input rejected")
+NO_PERIOD_LINE = "periodicity checks not run: no composite axis"
+
+
+class TestMildPeriodicity:
+    # the first composite axis carries the period, even behind a prime first axis
+    @pytest.mark.parametrize("moduli, ab", [((2, 4, 8), (1, 1, 2)), ((3, 9), (1, 3)),
+                                            ((2, 14), (1, 2)), ((121,), 11)], ids=str)
+    def test_a_composite_axis_runs_the_periodicity_checks(self, moduli, ab):
+        checks = {c.name: c for c in verify_mild(GroupSpec(moduli), ab, ab, seed=1)}
+        for name in PERIODICITY_CHECKS:
+            assert checks[name].passed and checks[name].threshold is not None, name
+        assert NO_PERIOD_LINE not in checks
+
+    @pytest.mark.parametrize("moduli", [(13,), (2, 3), (1,)], ids=str)
+    def test_without_a_composite_axis_the_report_says_so(self, moduli):
+        checks = {c.name: c for c in verify_mild(GroupSpec(moduli), 1, 1, seed=1)}
+        assert checks.keys().isdisjoint(PERIODICITY_CHECKS)
+        assert checks[NO_PERIOD_LINE].line() == f"[INFO] {NO_PERIOD_LINE}: value=0.000000e+00"
 
 
 class TestGaborStreaming:
