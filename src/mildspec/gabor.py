@@ -164,23 +164,23 @@ _BLOCK_CELLS = 1 << 16
 
 def _row_blocks(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of rows, each block at most _BLOCK_CELLS cells of the given width."""
-    step = max(1, _BLOCK_CELLS // width)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))
 
 
 def _shifted_conj(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Reader of conj g(x - t) for a block of time points t (rows of coordinates).
+    """Reader of conj g(x - t) for an array of time points t (coordinates on the last axis).
 
     Every shift of g is a window of one copy of conj g wrap-padded by N - 1
     per axis: the window at offset (N - 1 - t) mod N reads conj g(x - t), so
     a block of shifts is one indexed read of a sliding-window view.  The
-    read returns a new array of shape (len(t),) + moduli.
+    read returns a new array of shape t.shape[:-1] + moduli.
     """
     moduli = np.array(grid.shape)
     padded = np.pad(np.conj(grid), [(n - 1, 0) for n in grid.shape], mode="wrap")
     views = sliding_window_view(padded, grid.shape)
-    return lambda times: views[tuple(((moduli - 1 - times) % moduli).T)]
+    return lambda times: views[tuple(np.moveaxis((moduli - 1 - times) % moduli, -1, 0))]
 
 
 def _periods(lattice: TFLattice) -> tuple[int, ...]:
@@ -191,30 +191,30 @@ def _periods(lattice: TFLattice) -> tuple[int, ...]:
 def _tf_rows(
     values: np.ndarray, window: Signal, lattice: TFLattice
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Lattice STFT of a signal's values, one block of time points at a time.
+    """Lattice STFT of one signal's values (|G|,) or of a stack (m, |G|), by blocks.
 
-    Yields (block, V) with V[i, k] = V_g f(t_i, s_k) for the time points
-    t_i of the block and every lattice frequency s_k, both in element order.
-    Each windowed signal is folded over PZ (the aliasing identity), so one
-    FFT of size prod P gives all lattice frequencies; on the full lattice
-    nothing is folded.
+    Yields (block, V), V[..., i, k] = V_g f(t_i, s_k) for the time points t_i of
+    the block and every lattice frequency s_k, in element order.  Each signal reads
+    its windows off one shared view and multiplies them in place; a block has at
+    most _BLOCK_CELLS cells over the stack.  The products are folded over PZ (the
+    aliasing identity), so one FFT of size prod P gives all lattice frequencies.
     """
     group = lattice.group
     if window.group != group:
         raise GroupMismatchError("window and lattice live on different groups")
     read = _shifted_conj(window.grid())
-    fgrid = values.reshape(group.moduli)
+    fgrid = values.reshape(values.shape[:-1] + (1,) + group.moduli)
     times = lattice.time_lattice.coords_array
     periods = _periods(lattice)
-    axes = tuple(range(1, group.ndim + 1))
-    for block in _row_blocks(len(times), group.order):
-        windowed = read(times[block])
+    for block in _row_blocks(len(times), values.size):
+        windowed = read(np.broadcast_to(times[block], values.shape[:-1] + times[block].shape))
         np.multiply(fgrid, windowed, out=windowed)
         folded = _fold(windowed, periods)
         # the FFT runs in place, and no name keeps a block alive into the next read
         del windowed
-        yield block, np.fft.fftn(folded, axes=axes, out=folded).reshape(len(folded), -1)
-        del folded
+        spectra = np.fft.fftn(folded, axes=range(-group.ndim, 0), out=folded)
+        yield block, spectra.reshape(folded.shape[:-group.ndim] + (math.prod(periods),))
+        del folded, spectra
 
 
 def _tf_analysis(values: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
@@ -227,9 +227,11 @@ def _tf_analysis(values: np.ndarray, window: Signal, lattice: TFLattice) -> np.n
     return out
 
 
-def _tf_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> float:
-    """max |lattice STFT|, one block at a time."""
-    return max(float(np.max(np.abs(rows))) for _, rows in _tf_rows(values, window, lattice))
+def _tf_abs_max(values: np.ndarray, window: Signal, lattice: TFLattice) -> np.ndarray:
+    """max |lattice STFT| of each signal, shape values.shape[:-1], in one pass over the stack."""
+    # map holds no block while the kernel reads the next one, as a bound name would
+    maxima = map(lambda item: np.abs(item[1]).max(axis=(-2, -1)), _tf_rows(values, window, lattice))
+    return np.max(list(maxima), axis=0)
 
 
 def _tf_synthesis(
@@ -285,7 +287,7 @@ def s0prime_norm(sigma: Signal) -> float:
     Equals max over (t, s) of |pair(sigma, M_s T_t g0)|; the bilinear pairing
     only reflects the frequency axis, which leaves the max unchanged.
     """
-    return _tf_abs_max(sigma.values, finite_gaussian(sigma.group), TFLattice(sigma.group, 1, 1))
+    return float(_tf_abs_max(sigma.values, finite_gaussian(sigma.group), TFLattice(sigma.group, 1, 1)))
 
 
 def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:

@@ -16,12 +16,14 @@ together; their measured ratios are reported, never asserted.
 The probe set of d_pair is fixed: the Gaussian atoms M_s T_t g0 on the
 probe net, the lattice aZ x aZ with a_j the largest divisor of N_j at most
 max(N_j // 4, 1), and every point mass.  |V_g0| is covariant under
-time-frequency shifts, so every atom has the norm s0_norm(g0), and
+time-frequency shifts, so every atom has the norm s0_norm(g0), the product
+of the axis Gaussians' norms as g0 is their tensor product, and
 |V_g0 delta_x(t, s)| = g0(x - t) gives every point mass the norm
 |G| ||g0||_1 / ||g0||_2^2.  g0 is real, so pair(delta, M_s T_t g0) =
 V_g0 delta(t, -s): over the net, whose frequencies are closed under
 negation, the atom half of d_pair is one lattice STFT maximum, and no atom
 is built.  reference.pairing_deviations over default_probes is its oracle.
+Each metric is one pass of that kernel over the stack of all differences.
 
 The module also certifies structural facts: the support of a signal (the
 values above 1e-10 of its peak), and the periodicity law saying a signal is
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, GroupMismatchError, NotPeriodic
 from .fourier import dft
-from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm, s0prime_norm
+from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm
 from .groups import (
     GroupSpec,
     Subgroup,
@@ -149,9 +151,10 @@ def _probe_net(group: GroupSpec) -> TFLattice:
 
 
 def _default_probe_norms(group: GroupSpec) -> tuple[float, float]:
-    """s0_norm of every default Gaussian atom and of every point mass."""
+    """s0_norm of every default Gaussian atom (a product over the axes) and of every point mass."""
     g0 = finite_gaussian(group)
-    return s0_norm(g0), group.order * g0.norm1 / g0.norm2**2
+    atom_norm = math.prod(s0_norm(finite_gaussian(GroupSpec((n,)))) for n in group.moduli)
+    return atom_norm, group.order * g0.norm1 / g0.norm2**2
 
 
 def default_probes(group: GroupSpec) -> list[Signal]:
@@ -162,34 +165,31 @@ def default_probes(group: GroupSpec) -> list[Signal]:
 
 
 def _pairing_deviations(deltas: np.ndarray, group: GroupSpec) -> np.ndarray:
-    """d_pair of each row of deltas (members, |G|): an STFT maximum on the net, and max |delta|."""
-    g0 = finite_gaussian(group)
-    net = _probe_net(group)
+    """d_pair of deltas, one difference or a stack: an STFT maximum on the net, and max |delta|."""
     atom_norm, point_norm = _default_probe_norms(group)
-    atoms = np.array([_tf_abs_max(delta, g0, net) for delta in deltas])
-    points = np.abs(deltas).max(axis=1) / (1.0 + point_norm)
+    atoms = _tf_abs_max(deltas, finite_gaussian(group), _probe_net(group))
+    points = np.abs(deltas).max(axis=-1) / (1.0 + point_norm)
     return np.maximum(atoms / (1.0 + atom_norm), points)
 
 
 def mild_deviation_pairing(sigma: Signal, sigma0: Signal) -> float:
     """max over the default probes f of |pair(sigma - sigma0, f)| / (1 + s0_norm(f))."""
-    return float(_pairing_deviations((sigma - sigma0).values[None, :], sigma.group)[0])
+    return float(_pairing_deviations((sigma - sigma0).values, sigma.group))
 
 
 def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = None) -> float:
     """Largest pointwise STFT deviation; default window is the Gaussian."""
     if window is None:
         window = finite_gaussian(sigma.group)
-    return _tf_abs_max((sigma - sigma0).values, window, TFLattice(sigma.group, 1, 1))
+    return float(_tf_abs_max((sigma - sigma0).values, window, TFLattice(sigma.group, 1, 1)))
 
 
 def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> float:
     """Largest deviation of canonical Gabor coefficients on the system's lattice."""
-    if sigma.group != sigma0.group:
-        raise GroupMismatchError("signals live on different groups")
-    if system.group != sigma.group:
+    delta = sigma - sigma0
+    if system.group != delta.group:
         raise GroupMismatchError("system lives on a different group")
-    return _tf_abs_max(sigma.values - sigma0.values, system.canonical_dual, system.lattice)
+    return float(_tf_abs_max(delta.values, system.canonical_dual, system.lattice))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +207,10 @@ class DistributionSequence:
 
     @cached_property
     def uniform_bound(self) -> float:
-        """max s0prime_norm over the members (uniform boundedness certificate)."""
-        return max((s0prime_norm(m) for m in self.members), default=0.0)
+        """max s0prime_norm over the members (uniform boundedness certificate), 0 for none."""
+        members = np.array([m.values for m in self.members]).reshape(-1, self.group.order)
+        peaks = _tf_abs_max(members, finite_gaussian(self.group), TFLattice(self.group, 1, 1))
+        return float(peaks.max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -233,22 +235,17 @@ class ConvergenceReport:
 def convergence_report(sequence: DistributionSequence, system: GaborSystem) -> ConvergenceReport:
     """Evaluate all three deviation metrics for every member of a sequence.
 
-    d_pair pairs with the default probes by their closed-form norms and one
-    lattice STFT on the probe net per member; d_stft uses the Gaussian window.
-    Metrics that overflow from finite members raise DomainError.
+    Each metric is one kernel pass over the stack of the members' differences
+    from the limit; d_pair uses the closed-form probe norms, d_stft the
+    Gaussian window.  Metrics that overflow from finite members raise DomainError.
     """
     group = sequence.group
     if system.group != group:
         raise GroupMismatchError("system lives on a different group")
-    deltas = np.array(
-        [(m - sequence.limit).values for m in sequence.members], dtype=np.complex128
-    ).reshape(len(sequence.members), group.order)
-    d_pair = [float(v) for v in _pairing_deviations(deltas, group)]
-    dual = system.canonical_dual
-    plane = TFLattice(group, 1, 1)
-    g0 = finite_gaussian(group)
-    d_stft = [_tf_abs_max(delta, g0, plane) for delta in deltas]
-    d_coeff = [_tf_abs_max(delta, dual, system.lattice) for delta in deltas]
+    deltas = np.array([(m - sequence.limit).values for m in sequence.members]).reshape(-1, group.order)
+    d_pair = _pairing_deviations(deltas, group).tolist()
+    d_stft = _tf_abs_max(deltas, finite_gaussian(group), TFLattice(group, 1, 1)).tolist()
+    d_coeff = _tf_abs_max(deltas, system.canonical_dual, system.lattice).tolist()
 
     ratios: dict[str, float] = {}
     for name, series in (("pair", d_pair), ("coeff", d_coeff)):

@@ -27,6 +27,7 @@ from mildspec import (
     translate,
 )
 from mildspec import reference
+from mildspec.gabor import _tf_abs_max, _tf_analysis
 
 
 class TestSTFT:
@@ -573,6 +574,38 @@ class TestStreamedSTFT:
         finally:
             tracemalloc.stop()
         assert peak < 16 * G.order**2 / 4
+
+
+class TestStackedKernel:
+    """A stack of signals takes one kernel pass, and each row reads as if it were alone."""
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_stack_maxima_are_the_single_signal_maxima(self, data):
+        lattice, rng = _draw_lattice(data)
+        G = lattice.group
+        window = random_signal(G, rng)
+        count = data.draw(st.integers(1, 4), label="signals")
+        rows = [random_signal(G, rng).values for _ in range(count)]
+        zero = data.draw(st.integers(0, len(rows)), label="zero row")
+        rows.insert(zero, np.zeros(G.order, dtype=np.complex128))
+        got = _tf_abs_max(np.array(rows), window, lattice)
+        want = np.array([np.max(np.abs(_tf_analysis(row, window, lattice))) for row in rows])
+        if G.order > 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            # the one cell is f conj(g): NumPy rounds a one-element in-place complex product
+            # plainly, and a longer one with the fused multiply-add of its vector loop
+            assert_allclose(got, want, rtol=2**-52, atol=0)
+        assert got[zero] == 0.0
+
+    def test_stack_spanning_several_row_blocks(self, rng):
+        # four rows of 512 cells per time point: blocks of _BLOCK_CELLS // 2048 = 32 time points
+        G = GroupSpec((512,))
+        plane, g0 = TFLattice(G, 1, 1), finite_gaussian(G)
+        rows = np.array([random_signal(G, rng).values for _ in range(4)])
+        want = [s0prime_norm(Signal(G, row)) for row in rows]
+        assert _tf_abs_max(rows, g0, plane).tolist() == want
 
 
 def _numpy_synthesis_rows(c, g, lattice, rows):

@@ -220,11 +220,17 @@ class TestDeviations:
         )
         assert abs(got - expect) < 1e-12
 
-    def test_group_mismatch(self, rng):
+    @pytest.mark.parametrize("deviation", [
+        mild_deviation_pairing,
+        mild_deviation_stft,
+        lambda f, g: mild_deviation_coeff(
+            f, g, GaborSystem(finite_gaussian(f.group), TFLattice(f.group, 2, 2))),
+    ], ids=["pairing", "stft", "coeff"])
+    def test_group_mismatch(self, rng, deviation):
         f = random_signal(GroupSpec((8,)), rng)
         g = random_signal(GroupSpec((12,)), rng)
-        with pytest.raises(GroupMismatchError):
-            mild_deviation_pairing(f, g)
+        with pytest.raises(GroupMismatchError, match="signals live on different groups"):
+            deviation(f, g)
 
 
 class TestMetricAgreement:
@@ -267,10 +273,17 @@ class TestSequences:
         G = GroupSpec((12,))
         members = tuple(random_signal(G, rng) for _ in range(3))
         seq = DistributionSequence(G, members, members[0])
-        assert seq.uniform_bound == pytest.approx(
-            max(s0prime_norm(m) for m in members)
-        )
+        # one pass over the stack reads each member as s0prime_norm does alone
+        assert seq.uniform_bound == max(s0prime_norm(m) for m in members)
         assert len(seq) == 3
+
+    def test_empty_sequence(self):
+        G = GroupSpec((4, 8))
+        seq = DistributionSequence(G, (), finite_gaussian(G))
+        report = convergence_report(seq, GaborSystem(finite_gaussian(G), TFLattice(G, 1, 2)))
+        assert (report.d_pair, report.d_stft, report.d_coeff) == ((), (), ())
+        assert report.equivalence_ratios == {}
+        assert seq.uniform_bound == 0.0
 
     def test_overflowing_difference_is_a_domain_error(self):
         G = GroupSpec((8,))
@@ -426,6 +439,18 @@ class TestDefaultProbes:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_atom_norm_makes_no_pass_over_the_plane(self, monkeypatch):
+        # s0_norm(g0) is the product of the axis Gaussians' norms; the Z64xZ64 plane has 2^24 cells
+        from mildspec import mild
+
+        G = GroupSpec((64, 64))
+        seq = refining_comb_sequence(G)
+        deltas = np.array([(m - seq.limit).values for m in seq.members])
+        normed, s0_norm = [], mild.s0_norm
+        monkeypatch.setattr(mild, "s0_norm", lambda f: normed.append(f.group) or s0_norm(f))
+        _pairing_deviations(deltas, G)
+        assert normed and all(g.ndim == 1 for g in normed)
 
     def test_report_never_holds_a_full_grid(self, rng):
         # the Z4096 STFT grid is 256 MiB, the dense frame operator as large
