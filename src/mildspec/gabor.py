@@ -278,7 +278,7 @@ def s0_norm(f: Signal) -> float:
     """Concentration norm against the Gaussian window: sum |V_g0 f| / ||g0||_2^2."""
     g0 = finite_gaussian(f.group)
     rows = _tf_rows(f.values, g0, TFLattice(f.group, 1, 1))
-    return float(sum(np.sum(np.abs(v)) for _, v in rows)) / (g0.norm2**2)
+    return float(sum(map(lambda item: np.sum(np.abs(item[1])), rows))) / (g0.norm2**2)
 
 
 def s0prime_norm(sigma: Signal) -> float:

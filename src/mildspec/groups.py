@@ -9,9 +9,9 @@ group is indexed by the same spec: frequency s acts through the character
 
 so subgroups, annihilators and quotients all live in one coordinate system,
 and every subgroup is built one way: the box image of a triangular basis.
-Character phases are computed from integer residues mod lcm(N_j), which keeps
-algebraic identities (annihilator membership, biduality, restriction of pure
-frequencies) exact rather than float-approximate.
+Character phases are integer residues mod L = lcm(N_j), which keeps algebraic
+identities (annihilator membership, biduality, pure frequencies) exact, and
+every character value is read off one table of the L roots of unity.
 """
 
 from __future__ import annotations
@@ -159,31 +159,38 @@ class GroupSpec:
 def character(group: GroupSpec, s, x) -> complex:
     """Value of the character chi_s at x, exp(2 pi i sum s_j x_j / N_j).
 
-    The phase numerator is reduced as an integer mod lcm(N_j) before the
-    exponential, so which characters and points give the same phase is
-    exact: membership in an annihilator and the biduality of G and its dual
-    do not drift.  The value is exp of that phase in floating point and
-    still rounds: character(GroupSpec((4,)), 1, 1) is 6.1e-17+1j, not 1j.
+    The phase numerator is summed in Python integers and reduced mod lcm(N_j)
+    before the exponential, so which characters and points give the same
+    phase is exact at any order: membership in an annihilator and biduality
+    do not drift.  The value is exp of that phase in floating point and still
+    rounds: character(GroupSpec((4,)), 1, 1) is 6.1e-17+1j, not 1j.
     """
-    rows = np.array([group.element(s)], dtype=np.int64)
-    cols = np.array([group.element(x)], dtype=np.int64)
-    return complex(_character_block(group, rows, cols)[0, 0])
+    L = group._char_lcm
+    k = sum(a * b * (L // n) for a, b, n in zip(group.element(s), group.element(x), group.moduli))
+    return complex(_roots_of_unity(k % L, L))
+
+
+def _roots_of_unity(phases, L: int, dtype=np.complex128):
+    """exp(2 pi i k / L) for integer phases k in complex128, or in clongdouble with a long double 2 pi."""
+    tau = 2 * math.pi if dtype is np.complex128 else 4 * np.arccos(np.longdouble(0))
+    return np.exp((tau * 1j / L) * phases)
 
 
 def _phases(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Integer phases sum_j r_j c_j (L / N_j) mod L, L = lcm(N_j), for rows (m,d), cols (n,d)."""
+    """Integer phases sum_j r_j c_j (L / N_j) mod L, L = lcm(N_j), for rows (m,d), cols (n,d),
+    exact in int64 while |G|^2 < 2^63 (each term is below L N_j): every caller holds |G| entries."""
     return (rows * group._char_weights) @ cols.T % group._char_lcm
 
 
-def _character_block(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix exp(2 pi i <r, c>) for coordinate arrays rows (m,d), cols (n,d)."""
-    return np.exp((2j * np.pi / group._char_lcm) * _phases(group, rows, cols))
+def _character_block(group: GroupSpec, rows, cols, dtype=np.complex128) -> np.ndarray:
+    """Matrix exp(2 pi i <r, c>) for coordinate arrays rows (m,d), cols (n,d): reads of the L roots."""
+    L = group._char_lcm
+    return _roots_of_unity(np.arange(L), L, dtype)[_phases(group, rows, cols)]
 
 
 def character_vector(group: GroupSpec, s) -> np.ndarray:
     """chi_s sampled over the whole group in canonical order."""
-    row = np.array([group.element(s)], dtype=np.int64)
-    return _character_block(group, row, group._coords)[0]
+    return _character_block(group, np.array([group.element(s)]), group._coords)[0]
 
 
 @dataclass(frozen=True, eq=False)

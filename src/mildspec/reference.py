@@ -1,13 +1,13 @@
 """Slow reference implementations used as oracles.
 
-Everything here is written from the defining sums, with exact integer
-character phases and no FFT shortcuts, and none of it calls the kernels it
-checks; the fast paths are tested against these at small sizes and the
-runtime verify suites reuse them.  Two exceptions are second FFT routes
-that share nothing with the kernel they check: stft_columns, the STFT read
-on the frequency side, checks gabor's shifted-window fold at orders where
-the defining sums cannot run, and extension_by_convolution, the weighted
-comb convolved with phi, checks approx's double sum of translates.
+Everything here is written from the defining sums, with characters read off the
+L roots of unity at exact integer phases and no FFT shortcuts, and none of it
+calls the kernels it checks; the fast paths are tested against these at small
+sizes and the runtime verify suites reuse them.  Two exceptions are second FFT
+routes that share nothing with the kernel they check: stft_columns, the STFT
+read on the frequency side, checks gabor's shifted-window fold at orders where
+the defining sums cannot run, and extension_by_convolution, the weighted comb
+convolved with phi, checks approx's double sum of translates.
 
 JanssenFrame is the frame operator of a Gabor system on the adjoint lattice
 L^o = (bZ)^perp x (aZ)^perp, of prod a_j b_j points: the Janssen sum
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import GroupMismatchError
 from .fourier import adjoint_restriction
 from .gabor import _BLOCK_CELLS, GaborSystem, TFLattice, _row_blocks, s0_norm
-from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block, _phases, annihilator
+from .groups import GroupSpec, QuotientSpec, Subgroup, _character_block, annihilator
 from .signals import QuotientSignal, Signal, SubgroupSignal, tf_shift, translate
 
 __all__ = [
@@ -190,7 +190,6 @@ def pairing_deviations(deltas: np.ndarray, probes) -> np.ndarray:
 # bound A, so its coefficients are formed in extended precision where the
 # platform has it (x86 long double: 64-bit mantissa) and rounded once.
 _WIDE = np.clongdouble
-_TAU = 4 * np.arccos(np.longdouble(0))
 
 
 class JanssenFrame:
@@ -227,8 +226,7 @@ class JanssenFrame:
         self._by_residue = np.argsort(residue, kind="stable")
         self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(residues.order))
         # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
-        phases = _phases(group, self._freqs.coords_array, residues._coords)
-        self._chars = np.exp((_TAU * 1j / group._char_lcm) * phases.astype(np.longdouble))
+        self._chars = _character_block(group, self._freqs.coords_array, residues._coords, _WIDE)
         wide = self._inner(window.values)
         self.coefficients = wide.astype(np.complex128)
         self._multipliers = (self.kappa * wide @ self._chars).astype(np.complex128)
@@ -288,9 +286,9 @@ class JanssenFrame:
         # position of x' - x in each factor of L^o, row x, column x'
         dt = np.searchsorted(self._times.indices, group._index_rows(t[None] - t[:, None]))
         ds = np.searchsorted(self._freqs.indices, group._index_rows(s[None] - s[:, None]))
-        # exact phases <s, t>, row t and column s; chi_{s'-s}(t) for every t, s, s'
-        L, phases = group._char_lcm, _phases(group, t, s)
-        chars = np.exp((2j * np.pi / L) * ((phases[:, None, :] - phases[:, :, None]) % L))
+        # chi_{s'-s}(t) for every t, s, s', from the exact phases <t, s' - s>
+        steps = (s[None] - s[:, None]).reshape(-1, group.ndim)
+        chars = _character_block(group, t, steps).reshape(len(t), len(s), len(s))
         entries = chars[:, :, None] * np.conj(self.coefficients)[dt[:, None, :, None], ds[:, None]]
         return entries.reshape(self.coefficients.size, -1)
 

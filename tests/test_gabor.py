@@ -27,7 +27,8 @@ from mildspec import (
     translate,
 )
 from mildspec import reference
-from mildspec.gabor import _tf_abs_max, _tf_analysis
+from mildspec.gabor import _BLOCK_CELLS, _tf_abs_max, _tf_analysis, _tf_rows
+from mildspec.groups import _phases
 
 
 class TestSTFT:
@@ -575,6 +576,21 @@ class TestStreamedSTFT:
             tracemalloc.stop()
         assert peak < 16 * G.order**2 / 4
 
+    def test_s0_norm_holds_one_row_block(self, rng):
+        # Z1024: blocks of 64 time points, 1 MiB each; the sum keeps none while the next is read
+        G = GroupSpec((1024,))
+        f, g0 = random_signal(G, rng), finite_gaussian(G)
+        s0_norm(f)
+        tracemalloc.start()
+        try:
+            value = s0_norm(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 16 * _BLOCK_CELLS
+        blocks = _tf_rows(f.values, g0, TFLattice(G, 1, 1))
+        assert value == float(sum(np.sum(np.abs(v)) for _, v in blocks)) / g0.norm2**2
+
 
 class TestStackedKernel:
     """A stack of signals takes one kernel pass, and each row reads as if it were alone."""
@@ -606,6 +622,28 @@ class TestStackedKernel:
         rows = np.array([random_signal(G, rng).values for _ in range(4)])
         want = [s0prime_norm(Signal(G, row)) for row in rows]
         assert _tf_abs_max(rows, g0, plane).tolist() == want
+
+
+class TestJanssenCharacters:
+    """The Janssen frame reads its characters off the L roots of unity: exp of the same phases."""
+
+    @pytest.mark.parametrize("moduli,a,b", [((24,), 2, 3), ((60,), 4, 5), ((4, 8), (2, 2), (2, 4)),
+                                            ((6, 10), (2, 5), (3, 2)), ((2, 4, 8), (1, 2, 2), (2, 2, 4))],
+                             ids=str)
+    def test_characters_and_gram_are_the_exponentials(self, rng, moduli, a, b):
+        G = GroupSpec(moduli)
+        frame = reference.JanssenFrame(random_signal(G, rng), TFLattice(G, a, b))
+        L, tau = G._char_lcm, 4 * np.arccos(np.longdouble(0))
+        wide = _phases(G, frame._freqs.coords_array, GroupSpec(frame.lattice.time_steps)._coords)
+        want = np.exp((tau * 1j / L) * wide.astype(np.longdouble))
+        assert want.dtype == frame._chars.dtype and np.array_equal(frame._chars, want)
+        t, s = frame._times.coords_array, frame._freqs.coords_array
+        phases = _phases(G, t, s)
+        chars = np.exp((2j * np.pi / L) * ((phases[:, None, :] - phases[:, :, None]) % L))
+        dt = np.searchsorted(frame._times.indices, G._index_rows(t[None] - t[:, None]))
+        ds = np.searchsorted(frame._freqs.indices, G._index_rows(s[None] - s[:, None]))
+        entries = chars[:, :, None] * np.conj(frame.coefficients)[dt[:, None, :, None], ds[:, None]]
+        assert frame.gram().tobytes() == entries.reshape(frame.coefficients.size, -1).tobytes()
 
 
 def _numpy_synthesis_rows(c, g, lattice, rows):

@@ -1,6 +1,9 @@
+import cmath
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from mildspec import (
     weil_map,
 )
 from mildspec import reference
+from mildspec.groups import _character_block, _phases
 
 
 class TestGroupSpec:
@@ -133,6 +137,34 @@ class TestCharacter:
             vec = character_vector(G, s)
             for x in G.elements():
                 assert character(G, s, x) == vec[G.index(x)]
+
+    @pytest.mark.parametrize("n", [10**12 + 39, 2**40 - 87, 3 * 2**33])
+    def test_large_groups_match_the_exact_phase(self, n):
+        # s x L / N passes 2^63 here: an int64 phase wraps and gives a wrong unit number
+        G, draws = GroupSpec((n,)), random.Random(n)
+        for _ in range(200):
+            s, x = draws.randrange(n), draws.randrange(n)
+            assert abs(character(G, s, x) - cmath.exp(2j * cmath.pi * (s * x % n) / n)) < 1e-9
+
+    def test_scalar_builds_no_table(self):
+        G = GroupSpec((2**40,))
+        tracemalloc.start()
+        try:
+            value = character(G, 3, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert abs(value - cmath.exp(2j * cmath.pi * 15 / 2**40)) < 1e-15
+
+    @pytest.mark.parametrize("moduli", [(24,), (64,), (128,), (4, 8), (8, 8), (2, 4, 8), (60,),
+                                        (6, 10), (4096,), (64, 64)], ids=str)
+    def test_block_reads_the_exponential_of_each_phase(self, moduli):
+        # a read of the table of L roots is exp of the same argument, bit for bit
+        G = GroupSpec(moduli)
+        rows, cols = G._coords[:64], G._coords
+        want = np.exp((2j * np.pi / G._char_lcm) * _phases(G, rows, cols))
+        assert _character_block(G, rows, cols).tobytes() == want.tobytes()
 
     def test_unit_modulus(self):
         G = GroupSpec((7,))
