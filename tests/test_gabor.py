@@ -546,7 +546,7 @@ class TestStreamedSTFT:
 
     @pytest.mark.parametrize("moduli", [(2048,), (32, 64)], ids=str)
     def test_grid_spanning_several_row_blocks(self, rng, moduli):
-        # rows of 2048 cells come in blocks of _BLOCK_CELLS // 2048 = 32 rows,
+        # rows of 2048 cells come in blocks of _BLOCK_CELLS // 2048 = 16 rows,
         # so rows 511 and 512 (and 1023 and 1024) sit in different blocks
         G = GroupSpec(moduli)
         g0 = finite_gaussian(G)
@@ -560,7 +560,7 @@ class TestStreamedSTFT:
         assert s0prime_norm(f) == float(np.max(np.abs(V)))
 
     def test_norms_never_hold_the_full_grid(self, rng):
-        # the Z4096 grid is 256 MiB; a row block is 1 MiB
+        # the Z4096 grid is 256 MiB; a row block is 512 KiB
         from mildspec import mild_deviation_stft
 
         G = GroupSpec((4096,))
@@ -577,7 +577,7 @@ class TestStreamedSTFT:
         assert peak < 16 * G.order**2 / 4
 
     def test_s0_norm_holds_one_row_block(self, rng):
-        # Z1024: blocks of 64 time points, 1 MiB each; the sum keeps none while the next is read
+        # Z1024: blocks of 32 time points, 512 KiB each; the sum keeps none while the next is read
         G = GroupSpec((1024,))
         f, g0 = random_signal(G, rng), finite_gaussian(G)
         s0_norm(f)
@@ -616,7 +616,7 @@ class TestStackedKernel:
         assert got[zero] == 0.0
 
     def test_stack_spanning_several_row_blocks(self, rng):
-        # four rows of 512 cells per time point: blocks of _BLOCK_CELLS // 2048 = 32 time points
+        # four rows of 512 cells per time point: blocks of _BLOCK_CELLS // 2048 = 16 time points
         G = GroupSpec((512,))
         plane, g0 = TFLattice(G, 1, 1), finite_gaussian(G)
         rows = np.array([random_signal(G, rng).values for _ in range(4)])
@@ -711,7 +711,30 @@ class TestTimeFrequencyKernels:
         got = system.synthesize(CoefficientArray(lattice, c)).values
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
+    def test_kernels_hold_their_output_and_a_few_blocks(self, rng):
+        # Z512 at a = b = 2: 1 MiB of coefficients, in blocks of 64 time points whose
+        # windowed signals fill one block.  Besides its output, the analysis holds a
+        # block and its fold, the synthesis a block of terms and its tones (half a
+        # block each here), and each at most one more block of FFT copies and ufunc
+        # buffers, which vary between NumPy releases.  With NumPy 2.4.6 the peaks are
+        # 1.77 and 0.90 MiB against bounds of 2.5 and 1.5 MiB
+        block = 16 * _BLOCK_CELLS
+        G = GroupSpec((512,))
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        f = random_signal(G, rng)
+        c = gabor_coefficients(f, system)
+        peaks = []
+        for run in (lambda: gabor_coefficients(f, system), lambda: gabor_synthesis(c, system)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= c.values.nbytes + 3 * block
+        assert peaks[1] <= f.values.nbytes + 3 * block
+
     def test_frame_blocks_spanning_several_row_blocks(self, rng):
-        # prod b = 256 window shifts of 512 cells are two blocks of _BLOCK_CELLS
+        # prod b = 256 window shifts of 512 cells are four blocks of _BLOCK_CELLS
         G = GroupSpec((512,))
         _assert_blocks_match_dense(GaborSystem(random_signal(G, rng), TFLattice(G, 1, 256)))
