@@ -53,7 +53,7 @@ window gamma is dual to g exactly when kappa <gamma, pi(mu) g> = delta_{mu,0}
 on L^o (Wexler-Raz).  The Gram matrix Gamma of the atoms pi(mu) g has
 kappa spec(Gamma) spanning [A, B] (Ron-Shen), and the canonical dual, the one
 dual in span pi(L^o) g, is sum_mu d_mu pi(mu) g with Gamma d = e_0 / kappa.
-reference.JanssenFrame computes all of this without the blocks, as a second route.
+reference.JanssenFrame, a second route without the blocks, solves Gamma in prod a_j fibers.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ JanssenFrame is the frame operator of a Gabor system on the adjoint lattice
 L^o = (bZ)^perp x (aZ)^perp, of prod a_j b_j points: the Janssen sum
 S = kappa sum c_mu pi(mu), applied in O(|L^o| |G|) or as a dense matrix,
 its frame-bound estimates, the Wexler-Raz residual, and the Gram matrix of
-the atoms pi(mu) g, read from the c_mu in O(|L^o|^2).  Its eigenvalues are
-the frame bounds; one dense solve with it gives the canonical dual and the
+the atoms pi(mu) g as prod a_j fibers of size prod b_j.  Their eigenvalues
+are the frame bounds; one solve per fiber gives the canonical dual and the
 projection onto span pi(L^o) g, and S^{-1} is the dual system's Janssen sum.
 stft_cells evaluates the defining STFT sum at chosen cells, at any order.
 None of these shares code with gabor's Walnut blocks or its shifted-window
@@ -204,8 +204,8 @@ class JanssenFrame:
     frequencies of L^o folds into one multiplier per time shift t, a function
     on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t): an apply costs
     O(|L^o| |G|), with index shifts and exact-phase characters built once.
-    The c_mu and the multipliers are formed in extended precision and
-    rounded once.
+    The c_mu, the multipliers and the Gram fibers are formed in extended
+    precision and rounded once.
     """
 
     def __init__(self, window: Signal, lattice: TFLattice):
@@ -227,7 +227,7 @@ class JanssenFrame:
         self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(residues.order))
         # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
         self._chars = _character_block(group, self._freqs.coords_array, residues._coords, _WIDE)
-        wide = self._inner(window.values)
+        self._wide = wide = self._inner(window.values)
         self.coefficients = wide.astype(np.complex128)
         self._multipliers = (self.kappa * wide @ self._chars).astype(np.complex128)
 
@@ -275,38 +275,38 @@ class JanssenFrame:
         r[0, 0] -= 1
         return float(np.max(np.abs(r)))
 
-    def gram(self) -> np.ndarray:
-        """Gram matrix of the atoms pi(mu) g, in the flat (time outer) order of coefficients.
+    @cached_property
+    def _fibers(self) -> np.ndarray:
+        """The fibers H_k = sum_{d in F} chi_d(k) H[d] of Gamma: prod a_j blocks of size prod b_j.
 
-        pi(t, s)^* pi(t', s') = chi_{s'-s}(t) pi(t' - t, s' - s), so Gamma[mu, mu']
-        = <pi(mu') g, pi(mu) g> = chi_{s'-s}(t) conj(c_{mu'-mu}): O(|L^o|^2), no pass over G.
+        Gamma[mu, mu'] = <pi(mu') g, pi(mu) g> = H[s'-s][t, t'] = chi_{s'-s}(t) conj(c_{mu'-mu}).
         """
-        group = self.window.group
-        t, s = self._times.coords_array, self._freqs.coords_array
-        # position of x' - x in each factor of L^o, row x, column x'
+        group, box, t = self.window.group, self.lattice.time_steps, self._times.coords_array
+        # position of t' - t among the time points, row t, column t'
         dt = np.searchsorted(self._times.indices, group._index_rows(t[None] - t[:, None]))
-        ds = np.searchsorted(self._freqs.indices, group._index_rows(s[None] - s[:, None]))
-        # chi_{s'-s}(t) for every t, s, s', from the exact phases <t, s' - s>
-        steps = (s[None] - s[:, None]).reshape(-1, group.ndim)
-        chars = _character_block(group, t, steps).reshape(len(t), len(s), len(s))
-        entries = chars[:, :, None] * np.conj(self.coefficients)[dt[:, None, :, None], ds[:, None]]
-        return entries.reshape(self.coefficients.size, -1)
+        chars = _character_block(group, self._freqs.coords_array, t, _WIDE)[:, :, None]
+        entries = (chars * np.conj(self._wide).T[:, dt]).reshape(box + dt.shape)
+        fibers = np.fft.ifftn(entries, axes=tuple(range(len(box))), norm="forward")
+        return fibers.reshape((-1,) + dt.shape).astype(np.complex128)
 
     @property
     def bounds(self) -> tuple[float, float]:
         """The frame bounds (A, B): kappa spec(Gamma) spans exactly [A, B] (Ron-Shen duality)."""
-        eig = np.linalg.eigvalsh(self.gram())
-        return self.kappa * float(eig[0]), self.kappa * float(eig[-1])
+        eig = np.linalg.eigvalsh(self._fibers)
+        return self.kappa * float(eig.min()), self.kappa * float(eig.max())
 
     def _in_span(self, rhs: np.ndarray) -> np.ndarray:
-        """sum_mu d_mu pi(mu) g with Gamma d = rhs: one dense solve on L^o."""
-        d = np.linalg.solve(self.gram(), rhs.ravel())
-        return self.synthesize(d.reshape(self.coefficients.shape))
+        """sum_mu d_mu pi(mu) g with Gamma d = rhs: a DFT over F and one solve per fiber."""
+        shape = (len(rhs),) + self.lattice.time_steps
+        axes = tuple(range(1, len(shape)))
+        spectra = np.fft.fftn(rhs.reshape(shape), axes=axes).reshape(rhs.shape).T
+        d = np.linalg.solve(self._fibers, spectra[:, :, None])[:, :, 0].T
+        return self.synthesize(np.fft.ifftn(d.reshape(shape), axes=axes).reshape(rhs.shape))
 
     @cached_property
     def dual(self) -> Signal:
         """The canonical dual: the sum with Gamma d = e_0 / kappa, Wexler-Raz on the span."""
-        e0 = np.eye(1, self.coefficients.size)[0] / self.kappa
+        e0 = np.eye(1, self.coefficients.size).reshape(self.coefficients.shape) / self.kappa
         return Signal(self.window.group, self._in_span(e0))
 
     def span_residual(self, gamma: Signal) -> float:

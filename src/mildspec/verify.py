@@ -21,7 +21,7 @@ meet columns of the STFT of f from reference.stft_columns one block at a
 time, so no |G| x |G| grid is held.  Its frame checks have a second route
 at every order on the adjoint lattice L^o (reference.JanssenFrame): the
 Janssen sum in O(|L^o| |G|), and the bounds, the dual and S^-1 from the
-Gram matrix of the atoms of L^o, so no check builds the synthesis matrix.
+fibers of the Gram matrix of the atoms of L^o, so no check builds the synthesis matrix.
 Above _ORACLE_MAX_ORDER two [INFO] lines name what that cap left out: the
 share of the |G|^2 defining-sum cells that were sampled, and the dense
 frame oracle, which is not built.  The approx suite checks that the

@@ -637,13 +637,15 @@ class TestJanssenCharacters:
         wide = _phases(G, frame._freqs.coords_array, GroupSpec(frame.lattice.time_steps)._coords)
         want = np.exp((tau * 1j / L) * wide.astype(np.longdouble))
         assert want.dtype == frame._chars.dtype and np.array_equal(frame._chars, want)
-        t, s = frame._times.coords_array, frame._freqs.coords_array
-        phases = _phases(G, t, s)
-        chars = np.exp((2j * np.pi / L) * ((phases[:, None, :] - phases[:, :, None]) % L))
+        # the Gram fibers: H[d][t, t'] = chi_d(t) conj(c_{t'-t, d}) in long double, summed over d
+        t, box = frame._times.coords_array, frame.lattice.time_steps
+        phases = _phases(G, frame._freqs.coords_array, t)
+        chars = np.exp((tau * 1j / L) * phases.astype(np.longdouble))
         dt = np.searchsorted(frame._times.indices, G._index_rows(t[None] - t[:, None]))
-        ds = np.searchsorted(frame._freqs.indices, G._index_rows(s[None] - s[:, None]))
-        entries = chars[:, :, None] * np.conj(frame.coefficients)[dt[:, None, :, None], ds[:, None]]
-        assert frame.gram().tobytes() == entries.reshape(frame.coefficients.size, -1).tobytes()
+        entries = (chars[:, :, None] * np.conj(frame._wide).T[:, dt]).reshape(box + dt.shape)
+        fibers = np.fft.ifftn(entries, axes=tuple(range(len(box))), norm="forward")
+        assert fibers.dtype == frame._wide.dtype == want.dtype
+        assert frame._fibers.tobytes() == fibers.astype(np.complex128).tobytes()
 
 
 def _numpy_synthesis_rows(c, g, lattice, rows):

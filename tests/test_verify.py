@@ -310,9 +310,15 @@ class TestJanssenOracles:
         assert janssen.wexler_raz_residual(gd) <= 1e-13 * (B / A)
         assert janssen.span_residual(gd) <= 1e-13 * (B / A)
         # the Gram matrix of the adjoint atoms: kappa times its extreme eigenvalues are (A, B),
-        # and one solve with it gives the canonical dual
+        # and one solve with it gives the canonical dual; the fibers split it exactly
         atoms = _adjoint_atoms(janssen, G)
-        assert _rel(janssen.gram(), atoms.conj().T @ atoms) <= 1e-12
+        gram = atoms.conj().T @ atoms
+        eig = np.linalg.eigvalsh(gram)
+        fibered = np.sort(np.linalg.eigvalsh(janssen._fibers).ravel())
+        assert np.max(np.abs(fibered - eig)) <= 1e-12 * eig[-1]
+        rhs = janssen._inner(f.values).astype(np.complex128)
+        in_span = janssen.synthesize(np.linalg.solve(gram, rhs.ravel()).reshape(rhs.shape))
+        assert _rel(janssen._in_span(rhs), in_span) <= 1e-12 * (B / A)
         assert np.max(np.abs(np.subtract(janssen.bounds, (A, B)))) <= 1e-12 * B
         assert _rel(janssen.dual.values, gd.values) <= 1e-12 * (B / A)
         # a dual window off the span: add a signal orthogonal to every pi(mu) g
@@ -334,6 +340,26 @@ class TestJanssenOracles:
         h = random_signal(G, rng)
         dense = np.linalg.solve(janssen.matrix(), h.values)
         assert _rel(janssen.solve(h).values, dense) <= 4 * np.finfo(float).eps * (B / A)
+
+    def test_bounds_and_dual_hold_only_the_fibers(self):
+        # |L^o| = 2048: a dense Gram matrix alone would take 64 MiB, the 64 fibers take 1 MiB
+        G = GroupSpec((4096,))
+        tracemalloc.start()
+        try:
+            janssen = reference.JanssenFrame(finite_gaussian(G), TFLattice(G, 64, 32))
+            peaks = []
+            for read in (lambda: janssen.bounds, lambda: janssen.dual):
+                tracemalloc.reset_peak()
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 16 << 20
+
+    def test_minimal_norm_on_an_ill_conditioned_cyclic_frame(self):
+        # B/A = 7.5e8: with the fibers formed in extended precision, "canonical coefficients
+        # have minimal norm" reads 2.9e-11 against its threshold 1e-8
+        assert _failed(verify_gabor(GroupSpec((15,)), 15, 1, seed=1)) == set()
 
 
 def _adjoint_atoms(janssen, G):
