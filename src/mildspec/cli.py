@@ -131,12 +131,12 @@ def cmd_gabor(args) -> int:
         io.save_coefficients(args.out, coeffs)
     else:
         coeffs = io.load_coefficients(args.input)
-        G = coeffs.lattice.group
-        if args.group is not None and args.group != G:
-            raise GroupMismatchError(
-                f"{args.input}: file group {G.moduli} does not match requested "
-                f"{args.group.moduli}"
-            )
+        G, a, b = coeffs.lattice.group, coeffs.lattice.time_steps, coeffs.lattice.freq_steps
+        asked = (args.group or G, _fit_steps(G, args.a, lambda _: a),
+                 _fit_steps(G, args.b, lambda _: b))
+        if asked != (G, a, b):
+            raise GroupMismatchError("{}: file lattice {} a={} b={} does not match requested "
+                                     "{} a={} b={}".format(args.input, G, a, b, *asked))
         system = GaborSystem(_load_window(args.window, G), coeffs.lattice)
         io.save_signal(args.out, system.synthesize(coeffs))
     print(f"wrote {args.out}")

@@ -170,10 +170,9 @@ def character(group: GroupSpec, s, x) -> complex:
     return complex(_roots_of_unity(k % L, L))
 
 
-def _roots_of_unity(phases, L: int, dtype=np.complex128):
-    """exp(2 pi i k / L) for integer phases k in complex128, or in clongdouble with a long double 2 pi."""
-    tau = 2 * math.pi if dtype is np.complex128 else 4 * np.arccos(np.longdouble(0))
-    return np.exp((tau * 1j / L) * phases)
+def _roots_of_unity(phases, L: int):
+    """exp(2 pi i k / L) in complex128 for integer phases k: every character value is read off it."""
+    return np.exp((2 * math.pi * 1j / L) * phases)
 
 
 def _phases(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -182,10 +181,10 @@ def _phases(group: GroupSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (rows * group._char_weights) @ cols.T % group._char_lcm
 
 
-def _character_block(group: GroupSpec, rows, cols, dtype=np.complex128) -> np.ndarray:
+def _character_block(group: GroupSpec, rows, cols) -> np.ndarray:
     """Matrix exp(2 pi i <r, c>) for coordinate arrays rows (m,d), cols (n,d): reads of the L roots."""
     L = group._char_lcm
-    return _roots_of_unity(np.arange(L), L, dtype)[_phases(group, rows, cols)]
+    return _roots_of_unity(np.arange(L), L)[_phases(group, rows, cols)]
 
 
 def character_vector(group: GroupSpec, s) -> np.ndarray:

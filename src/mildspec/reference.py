@@ -3,11 +3,13 @@
 Everything here is written from the defining sums, with characters read off the
 L roots of unity at exact integer phases and no FFT shortcuts, and none of it
 calls the kernels it checks; the fast paths are tested against these at small
-sizes and the runtime verify suites reuse them.  Two exceptions are second FFT
-routes that share nothing with the kernel they check: stft_columns, the STFT
-read on the frequency side, checks gabor's shifted-window fold at orders where
-the defining sums cannot run, and extension_by_convolution, the weighted comb
-convolved with phi, checks approx's double sum of translates.
+sizes and the runtime verify suites reuse them.  The exceptions are FFT routes
+that share nothing with the kernel they check: stft_columns, the STFT read on
+the frequency side, checks gabor's shifted-window fold where the defining sums
+cannot run; extension_by_convolution checks approx's double sum of translates;
+JanssenFrame's DFTs over F = (aZ)^perp are long-double FFTs of size prod a_j
+over the classes x mod a, where gabor's are of size prod N_j/b_j in double
+over the classes x mod N/b, and its Walnut blocks take none.
 
 JanssenFrame is the frame operator of a Gabor system on the adjoint lattice
 L^o = (bZ)^perp x (aZ)^perp, of prod a_j b_j points: the Janssen sum
@@ -16,10 +18,8 @@ its frame-bound estimates, the Wexler-Raz residual, and the Gram matrix of
 the atoms pi(mu) g as prod a_j fibers of size prod b_j.  Their eigenvalues
 are the frame bounds; one solve per fiber gives the canonical dual and the
 projection onto span pi(L^o) g, and S^{-1} is the dual system's Janssen sum.
-stft_cells evaluates the defining STFT sum at chosen cells, at any order.
-None of these shares code with gabor's Walnut blocks or its shifted-window
-fold.  The dense synthesis matrix, the dense frame operators and the full
-direct-sum STFT stay as oracles for the tests.
+stft_cells evaluates the defining STFT sum at chosen cells, at any order; the
+dense synthesis matrix, frame operators and direct-sum STFT are test oracles.
 pairing_deviations is d_pair over explicit probes by one s0_norm each and
 one dense product; over mild.default_probes it is the oracle of mild's d_pair.
 """
@@ -186,9 +186,8 @@ def pairing_deviations(deltas: np.ndarray, probes) -> np.ndarray:
     return (np.abs(deltas @ values.T) / (1.0 + norms)).max(axis=1)
 
 
-# The Janssen sum cancels down to multipliers as small as the lower frame
-# bound A, so its coefficients are formed in extended precision where the
-# platform has it (x86 long double: 64-bit mantissa) and rounded once.
+# The Janssen sum cancels down to multipliers as small as the lower frame bound A, so it is
+# formed in extended precision where the platform has it (x86: 64-bit mantissa), rounded once.
 _WIDE = np.clongdouble
 
 
@@ -200,45 +199,49 @@ class JanssenFrame:
 
         S f = kappa sum_{mu in L^o} c_mu pi(mu) f,      pi(t, s) = M_s T_t.
 
-    Every chi_s with s in (N/a)Z depends on x mod a only, so the sum over the
-    frequencies of L^o folds into one multiplier per time shift t, a function
-    on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t): an apply costs
-    O(|L^o| |G|), with index shifts and exact-phase characters built once.
-    The c_mu, the multipliers and the Gram fibers are formed in extended
-    precision and rounded once.
+    Every chi_s with s in F = (N/a)Z depends on x mod a only, so the sum over
+    the frequencies of L^o folds into one multiplier per time shift t, a
+    function on Z_a, and S f(x) = sum_t m_t(x mod a) f(x - t) costs O(|L^o| |G|).
+    F is Z_a's dual: c_mu, the multipliers, a synthesis and the fibers each take
+    one DFT over F, an FFT in extended precision, rounded once.
     """
 
     def __init__(self, window: Signal, lattice: TFLattice):
         group = lattice.group
         if window.group != group:
             raise GroupMismatchError("window and lattice live on different groups")
-        coords = group._coords
         self.window = window
         self.lattice = lattice
         self.kappa = group.order / math.prod(lattice.time_steps + lattice.freq_steps)
         self._times = annihilator(lattice.freq_lattice)
-        self._freqs = annihilator(lattice.time_lattice)
         # index of x - t for every time point t of L^o, one row per t
-        self._shifts = group._index_rows(coords[None] - self._times.coords_array[:, None])
-        residues = GroupSpec(lattice.time_steps)
-        self._residue = residue = residues._index_rows(coords)
+        self._shifts = group._index_rows(group._coords[None] - self._times.coords_array[:, None])
+        self._residues = residues = GroupSpec(lattice.time_steps)
+        self._residue = residue = residues._index_rows(group._coords)
         # the residue classes x mod a as consecutive runs, for np.add.reduceat
         self._by_residue = np.argsort(residue, kind="stable")
         self._class_starts = np.searchsorted(residue[self._by_residue], np.arange(residues.order))
-        # chi_s(u) for the frequencies s of L^o and the residues u in Z_a, exact integer phases
-        self._chars = _character_block(group, self._freqs.coords_array, residues._coords, _WIDE)
         self._wide = wide = self._inner(window.values)
         self.coefficients = wide.astype(np.complex128)
-        self._multipliers = (self.kappa * wide @ self._chars).astype(np.complex128)
+        self._multipliers = self._over_f(self.kappa * wide, inverse=True)
+
+    def _over_f(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """sum_u v(u) conj chi_s(u) at the s in F for each row v of values (rows, prod a), or with
+        inverse sum_s v(s) chi_s(u) at the u in Z_a, rounded to complex128: long-double FFTs."""
+        wide = np.asarray(values, dtype=_WIDE).reshape((len(values),) + self._residues.moduli)
+        if inverse:
+            out = np.fft.ifftn(wide, axes=range(1, wide.ndim), norm="forward")
+            return out.reshape(values.shape).astype(np.complex128)
+        return np.fft.fftn(wide, axes=range(1, wide.ndim)).reshape(values.shape)
 
     def _inner(self, values: np.ndarray) -> np.ndarray:
         """<f, pi(mu) g> on L^o in extended precision, shape (time points, frequency points)."""
-        folded = np.empty((len(self._shifts), len(self._chars)), dtype=_WIDE)
+        folded = np.empty((len(self._shifts), self._residues.order), dtype=_WIDE)
         for block in _row_blocks(len(self._shifts), len(values)):
             # f(x) conj g(x - t), summed over each residue class x mod a
             terms = values.astype(_WIDE) * np.conj(self.window.values[self._shifts[block]])
             folded[block] = np.add.reduceat(terms[:, self._by_residue], self._class_starts, axis=1)
-        return folded @ np.conj(self._chars).T
+        return self._over_f(folded)
 
     def _combine(self, multipliers: np.ndarray, values: np.ndarray) -> np.ndarray:
         """sum_t m_t(x mod a) v(x - t) for multipliers of shape (time points, prod a)."""
@@ -254,7 +257,7 @@ class JanssenFrame:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_mu d_mu pi(mu) g for coefficients d on L^o."""
-        return self._combine((coeffs @ self._chars).astype(np.complex128), self.window.values)
+        return self._combine(self._over_f(coeffs, inverse=True), self.window.values)
 
     def matrix(self) -> np.ndarray:
         """The same sum as a dense |G| x |G| matrix, S[x, x - t] = m_t(x); small groups only."""
@@ -279,15 +282,14 @@ class JanssenFrame:
     def _fibers(self) -> np.ndarray:
         """The fibers H_k = sum_{d in F} chi_d(k) H[d] of Gamma: prod a_j blocks of size prod b_j.
 
-        Gamma[mu, mu'] = <pi(mu') g, pi(mu) g> = H[s'-s][t, t'] = chi_{s'-s}(t) conj(c_{mu'-mu}).
+        Gamma[mu, mu'] = <pi(mu') g, pi(mu) g> = H[s'-s][t, t'] = chi_{s'-s}(t) conj(c_{mu'-mu}),
+        and chi_d(t) = chi_d(t mod a) only shifts k: H_k[t, t'] = W[t'-t, k+t], W = DFT^-1 conj c.
         """
-        group, box, t = self.window.group, self.lattice.time_steps, self._times.coords_array
-        # position of t' - t among the time points, row t, column t'
+        group, residues, t = self.window.group, self._residues, self._times.coords_array
+        # position of t' - t among the time points, row t, column t', and k + t in Z_a, row k
         dt = np.searchsorted(self._times.indices, group._index_rows(t[None] - t[:, None]))
-        chars = _character_block(group, self._freqs.coords_array, t, _WIDE)[:, :, None]
-        entries = (chars * np.conj(self._wide).T[:, dt]).reshape(box + dt.shape)
-        fibers = np.fft.ifftn(entries, axes=tuple(range(len(box))), norm="forward")
-        return fibers.reshape((-1,) + dt.shape).astype(np.complex128)
+        shifted = residues._index_rows(residues._coords[:, None] + t[None])
+        return self._over_f(np.conj(self._wide), inverse=True)[dt[None], shifted[:, :, None]]
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -297,11 +299,10 @@ class JanssenFrame:
 
     def _in_span(self, rhs: np.ndarray) -> np.ndarray:
         """sum_mu d_mu pi(mu) g with Gamma d = rhs: a DFT over F and one solve per fiber."""
-        shape = (len(rhs),) + self.lattice.time_steps
-        axes = tuple(range(1, len(shape)))
-        spectra = np.fft.fftn(rhs.reshape(shape), axes=axes).reshape(rhs.shape).T
-        d = np.linalg.solve(self._fibers, spectra[:, :, None])[:, :, 0].T
-        return self.synthesize(np.fft.ifftn(d.reshape(shape), axes=axes).reshape(rhs.shape))
+        spectra = self._over_f(rhs).astype(np.complex128).T
+        solved = np.linalg.solve(self._fibers, spectra[:, :, None])[:, :, 0].T
+        # d's inverse DFT over F and synthesize's DFT back to Z_a cancel to u -> -u
+        return self._combine(solved[:, self._residues.negation_permutation()], self.window.values)
 
     @cached_property
     def dual(self) -> Signal:

@@ -238,6 +238,27 @@ class TestTransformCommands:
         g = io.load_signal(back)
         assert np.max(np.abs(g.values - f.values)) / f.norm2 < 1e-9
 
+    @pytest.mark.parametrize("flags, requested", [
+        (["--a", "4", "--b", "4"], "Z16 a=(4,) b=(4,)"),
+        (["--b", "4"], "Z16 a=(2,) b=(4,)"),
+        (["--a", "2,2"], "Z16 a=(2, 2) b=(2,)"),
+        (["--group", "12"], "Z12 a=(2,) b=(2,)"),
+    ], ids=["both", "b", "axis-count", "group"])
+    def test_gabor_synth_request_must_match_the_file_lattice(self, tmp_path, rng, flags, requested):
+        G = GroupSpec((16,))
+        src, coef, out = tmp_path / "f.json", tmp_path / "c.json", tmp_path / "x.json"
+        io.save_signal(src, random_signal(G, rng))
+        assert run_cli("gabor", "analyze", src, "--a", "2", "--b", "2", "--out", coef).returncode == 0
+        proc = run_cli("gabor", "synth", coef, *flags, "--out", out)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            f"error: {coef}: file lattice Z16 a=(2,) b=(2,) does not match requested {requested}"
+        ]
+        assert not out.exists()
+        # the file's own lattice, given or left out, synthesizes as before
+        assert run_cli("gabor", "synth", coef, "--group", "16", "--a", "2", "--b", "2",
+                       "--out", out).returncode == 0
+
     def test_restrict_then_extend_recovers_lattice_values(self, tmp_path, rng):
         G = GroupSpec((16,))
         f = random_signal(G, rng)

@@ -28,7 +28,7 @@ from mildspec import (
 )
 from mildspec import reference
 from mildspec.gabor import _BLOCK_CELLS, _tf_abs_max, _tf_analysis, _tf_rows
-from mildspec.groups import _phases
+from mildspec.groups import _phases, annihilator
 
 
 class TestSTFT:
@@ -624,28 +624,64 @@ class TestStackedKernel:
         assert _tf_abs_max(rows, g0, plane).tolist() == want
 
 
+def _gap(x, ref):
+    """Largest entry of |x - ref| over the largest entry of |ref|."""
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+_TAU_WIDE = 4 * np.arccos(np.longdouble(0))
+
+
 class TestJanssenCharacters:
-    """The Janssen frame reads its characters off the L roots of unity: exp of the same phases."""
+    """The Janssen frame's DFTs over F are long-double FFTs, held to the exact-phase sums."""
 
     @pytest.mark.parametrize("moduli,a,b", [((24,), 2, 3), ((60,), 4, 5), ((4, 8), (2, 2), (2, 4)),
                                             ((6, 10), (2, 5), (3, 2)), ((2, 4, 8), (1, 2, 2), (2, 2, 4))],
                              ids=str)
     def test_characters_and_gram_are_the_exponentials(self, rng, moduli, a, b):
         G = GroupSpec(moduli)
-        frame = reference.JanssenFrame(random_signal(G, rng), TFLattice(G, a, b))
-        L, tau = G._char_lcm, 4 * np.arccos(np.longdouble(0))
-        wide = _phases(G, frame._freqs.coords_array, GroupSpec(frame.lattice.time_steps)._coords)
-        want = np.exp((tau * 1j / L) * wide.astype(np.longdouble))
-        assert want.dtype == frame._chars.dtype and np.array_equal(frame._chars, want)
+        window = random_signal(G, rng)
+        frame = reference.JanssenFrame(window, TFLattice(G, a, b))
+        L, residues = G._char_lcm, GroupSpec(frame.lattice.time_steps)
+        freqs, t = annihilator(frame.lattice.time_lattice).coords_array, frame._times.coords_array
+        # c_mu by exact-phase sums: g(x) conj g(x - t) folded over the classes x mod a in long
+        # double, then times conj chi_s(u) for s in F and u in Z_a
+        residue = residues._index_rows(G._coords)
+        order = np.argsort(residue, kind="stable")
+        starts = np.searchsorted(residue[order], np.arange(residues.order))
+        shifts = G._index_rows(G._coords[None] - t[:, None])
+        terms = window.values.astype(np.clongdouble) * np.conj(window.values[shifts])
+        folded = np.add.reduceat(terms[:, order], starts, axis=1)
+        phases = _phases(G, freqs, residues._coords).astype(np.longdouble)
+        chars = np.exp((_TAU_WIDE * 1j / L) * phases)
+        wide = folded @ np.conj(chars).T
+        assert frame._wide.dtype == wide.dtype == np.clongdouble
+        assert _gap(frame._wide, wide) <= 8 * np.finfo(np.longdouble).eps
+        multipliers = (frame.kappa * wide @ chars).astype(np.complex128)
+        assert _gap(frame._multipliers, multipliers) <= 2**-52
         # the Gram fibers: H[d][t, t'] = chi_d(t) conj(c_{t'-t, d}) in long double, summed over d
-        t, box = frame._times.coords_array, frame.lattice.time_steps
-        phases = _phases(G, frame._freqs.coords_array, t)
-        chars = np.exp((tau * 1j / L) * phases.astype(np.longdouble))
+        box = frame.lattice.time_steps
+        chars_t = np.exp((_TAU_WIDE * 1j / L) * _phases(G, freqs, t).astype(np.longdouble))
         dt = np.searchsorted(frame._times.indices, G._index_rows(t[None] - t[:, None]))
-        entries = (chars[:, :, None] * np.conj(frame._wide).T[:, dt]).reshape(box + dt.shape)
+        entries = (chars_t[:, :, None] * np.conj(wide).T[:, dt]).reshape(box + dt.shape)
         fibers = np.fft.ifftn(entries, axes=tuple(range(len(box))), norm="forward")
-        assert fibers.dtype == frame._wide.dtype == want.dtype
-        assert frame._fibers.tobytes() == fibers.astype(np.complex128).tobytes()
+        fibers = fibers.reshape(frame._fibers.shape).astype(np.complex128)
+        assert _gap(frame._fibers, fibers) <= 2**-52
+
+    def test_long_double_fft_stays_in_long_double(self):
+        assert np.fft.fftn(np.ones((4, 6), dtype=np.clongdouble)).dtype == np.clongdouble
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than double on this platform")
+    @pytest.mark.parametrize("n", [64, 60])
+    def test_long_double_fft_matches_the_exact_phase_dft(self, rng, n):
+        G = GroupSpec((n,))
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.clongdouble)
+        phases = _phases(G, G._coords, G._coords).astype(np.longdouble)
+        want = np.exp((-_TAU_WIDE * 1j / n) * phases) @ x
+        got = np.fft.fftn(x)
+        assert got.dtype == np.clongdouble
+        assert _gap(got, want) <= 1e-17
 
 
 def _numpy_synthesis_rows(c, g, lattice, rows):

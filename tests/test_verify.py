@@ -344,22 +344,39 @@ class TestJanssenOracles:
     def test_bounds_and_dual_hold_only_the_fibers(self):
         # |L^o| = 2048: a dense Gram matrix alone would take 64 MiB, the 64 fibers take 1 MiB
         G = GroupSpec((4096,))
-        tracemalloc.start()
-        try:
-            janssen = reference.JanssenFrame(finite_gaussian(G), TFLattice(G, 64, 32))
-            peaks = []
-            for read in (lambda: janssen.bounds, lambda: janssen.dual):
-                tracemalloc.reset_peak()
-                read()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert max(peaks) < 16 << 20
+        _assert_fibered_peaks(finite_gaussian(G), TFLattice(G, 64, 32), 16 << 20)
+
+    def test_bounds_and_dual_hold_only_the_fibers_at_a_coarse_time_step(self, rng):
+        # a = |G|, b = 1: 2048 fibers of size 1, and S = |G| |g|^2 Id is a frame for a window
+        # without zeros; a (prod a_j)^2 long-double table over the frequencies of L^o takes 128 MiB
+        G = GroupSpec((2048,))
+        _assert_fibered_peaks(random_signal(G, rng), TFLattice(G, 2048, 1), 4 << 20)
 
     def test_minimal_norm_on_an_ill_conditioned_cyclic_frame(self):
         # B/A = 7.5e8: with the fibers formed in extended precision, "canonical coefficients
         # have minimal norm" reads 2.9e-11 against its threshold 1e-8
         assert _failed(verify_gabor(GroupSpec((15,)), 15, 1, seed=1)) == set()
+
+
+def _assert_fibered_peaks(window, lattice, limit):
+    """JanssenFrame's construction, bounds and dual each peak under limit bytes of tracemalloc,
+    and its bounds and dual agree with the Walnut route's."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        janssen = reference.JanssenFrame(window, lattice)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        for read in (lambda: janssen.bounds, lambda: janssen.dual):
+            tracemalloc.reset_peak()
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < limit
+    system = GaborSystem(window, lattice)
+    A, B = system.frame_bounds
+    assert np.max(np.abs(np.subtract(janssen.bounds, (A, B)))) <= 1e-12 * B
+    assert _rel(janssen.dual.values, system.canonical_dual.values) <= 1e-12 * (B / A)
 
 
 def _adjoint_atoms(janssen, G):
