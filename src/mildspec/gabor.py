@@ -23,7 +23,9 @@ Against the canonical Gaussian window g0 it yields the two norms
 the second because the bilinear pairing flips the sign of the frequency
 relative to the conjugating inner product; the grids coincide, so the max
 is taken over |V_g0 f| directly.  Both reduce block by block, so neither
-holds the |G| x |G| grid; stft() still returns the full grid, as the
+holds the |G| x |G| grid, and for a nonnegative f the max is one time-0 row
+of the unitary transform of f (mild._gaussian_maxima, which decides that
+route); stft() still returns the full grid, as the
 CoefficientArray of the lattice a = b = 1 that GaborSystem.analyze returns
 for any other lattice.
 
@@ -293,9 +295,15 @@ def s0prime_norm(sigma: Signal) -> float:
     """Dual norm surrogate: the largest STFT magnitude against the Gaussian.
 
     Equals max over (t, s) of |pair(sigma, M_s T_t g0)|; the bilinear pairing
-    only reflects the frequency axis, which leaves the max unchanged.
+    only reflects the frequency axis, which leaves the max unchanged.  A
+    nonnegative sigma has it on the column s = 0, read as the time-0 row of
+    its unitary transform (mild._gaussian_maxima); any other sigma takes the
+    full-plane pass.
     """
-    return float(_tf_abs_max(sigma.values, finite_gaussian(sigma.group), TFLattice(sigma.group, 1, 1)))
+    # mild imports this module, so its helper is looked up when the norm is called
+    from .mild import _gaussian_maxima
+
+    return float(_gaussian_maxima(sigma.group, sigma.values[None])[0][0])
 
 
 def _frame_blocks(window: Signal, lattice: TFLattice) -> np.ndarray:

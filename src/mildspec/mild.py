@@ -23,7 +23,29 @@ of the axis Gaussians' norms as g0 is their tensor product, and
 V_g0 delta(t, -s): over the net, whose frequencies are closed under
 negation, the atom half of d_pair is one lattice STFT maximum, and no atom
 is built.  reference.pairing_deviations over default_probes is its oracle.
-Each metric is one pass of that kernel over the stack of all differences.
+Each metric is one pass of that kernel over the stack of all differences,
+and d_stft at most two: one on a line for the rows that allow it, one on
+the plane for the rest.
+
+The Gaussian maxima (d_stft, s0prime_norm, the uniform bound) use the sign
+structure of their rows.  g0 >= 0 and, the window being self-dual, its
+transform is sqrt(|G|) g0 >= 0, so
+
+    f >= 0:     |V_g0 f(t, s)| <= V_g0 f(t, 0),
+    f^ >= 0:    |V_g0 f(t, s)| <= V_g0 f(0, s),
+
+and such a row has its maximum on one line of G x G^ (Groechenig,
+Foundations of Time-Frequency Analysis, ch. 3).  A difference c 1_S - c0 of
+a comb on a subgroup S and a constant has the transform
+c|S| 1_{S^perp} - c0|G| delta_0, which is >= 0 when c >= 0 and
+|S| c >= |G| c0: d_stft reads such a row at time 0, one FFT of size |G| on
+the lattice TFLattice(G, G.moduli, 1).  A nonnegative row (s0prime_norm and
+the uniform bound, whose comb members are >= 0) has its maximum on the
+column s = 0, which the rotation |V_g0 f(t, 0)| = |V_g0 f^(0, -t)| of the
+unitary transform f^ turns into a time-0 row too.  Both properties are
+decided exactly, row by row: the values, not a tolerance, and the comb
+inequality in integers.  Every other row, and d_pair, d_coeff and an explicit
+window, take the kernel's pass over their lattice, the full plane for d_stft.
 
 The module also certifies structural facts: the support of a signal (the
 values above 1e-10 of its peak), and the periodicity law saying a signal is
@@ -44,7 +66,7 @@ import numpy as np
 
 from .errors import DomainError, GroupMismatchError, NotPeriodic
 from .fourier import dft
-from .gabor import GaborSystem, TFLattice, _tf_abs_max, s0_norm
+from .gabor import GaborSystem, TFLattice, _tf_abs_max, _tf_rows, s0_norm
 from .groups import (
     GroupSpec,
     Subgroup,
@@ -177,11 +199,86 @@ def mild_deviation_pairing(sigma: Signal, sigma0: Signal) -> float:
     return float(_pairing_deviations((sigma - sigma0).values, sigma.group))
 
 
+def _comb_minus_constant(group: GroupSpec, member: np.ndarray, c0: float) -> bool:
+    """Whether member = c 1_S, S a subgroup, with c >= 0 and |S| c >= |G| c0, exactly.
+
+    Then (member - c0)^ = c|S| 1_{S^perp} - c0|G| delta_0 is >= 0.  The
+    inequality is compared in integers, from the binary fractions of c and c0.
+    """
+    if member.imag.any():
+        return False
+    support = np.flatnonzero(member.real)
+    if not len(support) or not np.all(member.real[support] == member.real[support[0]]):
+        return False
+    c = float(member.real[support[0]])
+    if not math.isfinite(c) or c < 0:
+        return False
+    (p, q), (r, s) = c.as_integer_ratio(), c0.as_integer_ratio()
+    if len(support) * p * s < group.order * r * q:
+        return False
+    try:
+        Subgroup(group, support)
+    except GroupMismatchError:
+        return False
+    return True
+
+
+def _gaussian_maxima(
+    group: GroupSpec, members: np.ndarray, limit: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """max over G x G^ of |V_g0 (m - limit)| for each row m of members (m itself without a limit).
+
+    Returns (maxima, cells).  A row whose maximum an exact property puts on a
+    line (see the module docstring) is read on the time-0 row of one FFT:
+    a comb minus a constant limit as it is, a nonnegative row after
+    dft(., unitary=True).  cells[i] = (t, s), element indices of a cell where
+    row i attains its maximum, for those rows, and (-1, -1) for the rows that
+    take the full-plane pass.  The route depends on the row alone, so a row
+    reads the same in any stack.
+    """
+    g0 = finite_gaussian(group)
+    rows = members if limit is None else members - limit
+    comb = np.zeros(len(rows), dtype=bool)
+    if limit is not None and not limit.imag.any():
+        c0 = float(limit.real[0])
+        if math.isfinite(c0) and np.all(limit.real == c0):
+            comb[:] = [_comb_minus_constant(group, m, c0) for m in members]
+    nonneg = ~comb & ~rows.imag.any(axis=1) & (rows.real >= 0).all(axis=1)
+    line = comb | nonneg
+    maxima = np.empty(len(rows))
+    cells = np.full((len(rows), 2), -1, dtype=np.intp)
+    if line.any():
+        turned = nonneg[line]
+        reads = rows[line]
+        # dft(., unitary=True) of each nonnegative row, as one FFT over the stack
+        hats = np.fft.fftn(reads[turned].reshape((-1,) + group.moduli), axes=range(1, group.ndim + 1))
+        reads[turned] = hats.reshape(-1, group.order) / math.sqrt(group.order)
+        _, row0 = next(_tf_rows(reads, g0, TFLattice(group, group.moduli, 1)))
+        mags = np.abs(row0).reshape(len(reads), -1)
+        maxima[line] = mags.max(axis=1)
+        s = mags.argmax(axis=1)
+        zero = np.zeros_like(s)
+        # a comb difference peaks at (0, s); the time-0 row of f^ at s is f's column s = 0 at time -s
+        cells[line] = np.where(turned[:, None],
+                               np.stack([group.negation_permutation()[s], zero], axis=1),
+                               np.stack([zero, s], axis=1))
+    if not line.all():
+        maxima[~line] = _tf_abs_max(rows[~line], g0, TFLattice(group, 1, 1))
+    return maxima, cells
+
+
 def mild_deviation_stft(sigma: Signal, sigma0: Signal, window: Signal | None = None) -> float:
-    """Largest pointwise STFT deviation; default window is the Gaussian."""
+    """Largest pointwise STFT deviation; default window is the Gaussian.
+
+    With the default window the difference takes _gaussian_maxima's route:
+    one time-0 row when sigma is a comb c 1_S with c|S| >= |G| c0 and sigma0
+    the constant c0, or when sigma - sigma0 >= 0; otherwise, and with an
+    explicit window, the full plane.
+    """
+    delta = sigma - sigma0
     if window is None:
-        window = finite_gaussian(sigma.group)
-    return float(_tf_abs_max((sigma - sigma0).values, window, TFLattice(sigma.group, 1, 1)))
+        return float(_gaussian_maxima(delta.group, sigma.values[None], sigma0.values)[0][0])
+    return float(_tf_abs_max(delta.values, window, TFLattice(delta.group, 1, 1)))
 
 
 def mild_deviation_coeff(sigma: Signal, sigma0: Signal, system: GaborSystem) -> float:
@@ -207,10 +304,14 @@ class DistributionSequence:
 
     @cached_property
     def uniform_bound(self) -> float:
-        """max s0prime_norm over the members (uniform boundedness certificate), 0 for none."""
+        """max s0prime_norm over the members (uniform boundedness certificate), 0 for none.
+
+        Each member takes the route s0prime_norm takes, so the bound equals
+        the largest of its values bit for bit: the nonnegative comb members
+        of a refining sequence are one time-0 row each.
+        """
         members = np.array([m.values for m in self.members]).reshape(-1, self.group.order)
-        peaks = _tf_abs_max(members, finite_gaussian(self.group), TFLattice(self.group, 1, 1))
-        return float(peaks.max(initial=0.0))
+        return float(_gaussian_maxima(self.group, members)[0].max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -235,16 +336,22 @@ class ConvergenceReport:
 def convergence_report(sequence: DistributionSequence, system: GaborSystem) -> ConvergenceReport:
     """Evaluate all three deviation metrics for every member of a sequence.
 
-    Each metric is one kernel pass over the stack of the members' differences
-    from the limit; d_pair uses the closed-form probe norms, d_stft the
-    Gaussian window.  Metrics that overflow from finite members raise DomainError.
+    d_pair and d_coeff are one kernel pass each over the stack of the
+    members' differences from the limit, on the probe net and on the system's
+    lattice; d_pair uses the closed-form probe norms.  d_stft, against the
+    Gaussian window, reads the difference of a comb member from a constant
+    limit on one time-0 row when c|S| >= |G| c0 (every member of a refining
+    sequence on a group of order 2^k), a nonnegative difference on the
+    time-0 row of its unitary transform, and any other row on the full plane.
+    Metrics that overflow from finite members raise DomainError.
     """
     group = sequence.group
     if system.group != group:
         raise GroupMismatchError("system lives on a different group")
     deltas = np.array([(m - sequence.limit).values for m in sequence.members]).reshape(-1, group.order)
+    members = np.array([m.values for m in sequence.members]).reshape(-1, group.order)
     d_pair = _pairing_deviations(deltas, group).tolist()
-    d_stft = _tf_abs_max(deltas, finite_gaussian(group), TFLattice(group, 1, 1)).tolist()
+    d_stft = _gaussian_maxima(group, members, sequence.limit.values)[0].tolist()
     d_coeff = _tf_abs_max(deltas, system.canonical_dual, system.lattice).tolist()
 
     ratios: dict[str, float] = {}

@@ -166,16 +166,20 @@ def frame_matrix_dense(system: GaborSystem) -> np.ndarray:
     return (S + S.conj().T) / 2
 
 
-def stft_cells(f: Signal, window: Signal, times: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """V_g f at the cells (times[i], freqs[i]), element indices, by the defining sum."""
-    group = f.group
+def stft_cells(values: np.ndarray, window: Signal, times: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """V_g f at the cells (times[i], freqs[i]), element indices, by the defining sum.
+
+    values is one signal's (|G|,) or a stack (m, |G|) on the window's group;
+    the result has shape values.shape[:-1] + (cells,).
+    """
+    group = window.group
     coords = group._coords
-    out = np.empty(len(times), dtype=np.complex128)
+    out = np.empty(values.shape[:-1] + (len(times),), dtype=np.complex128)
     for block in _row_blocks(len(times), group.order):
         # g(x - t) for the time of each cell
         shifted = window.values[group._index_rows(coords[None] - coords[times[block], None])]
         atoms = _character_block(group, coords[freqs[block]], coords) * shifted
-        out[block] = np.conj(atoms) @ f.values
+        out[..., block] = (np.conj(atoms) @ values.T).T
     return out
 
 

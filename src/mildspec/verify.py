@@ -12,8 +12,9 @@ no clock, so a fixed seed yields byte-identical report files.
 
 The seed drives every random draw of a suite through one _Stream on the
 standard library's random.Random, not numpy.random: the test signals, the
-element triples of the group suite, and the gabor suite's sampled cells,
-which are part 1 of the seed.
+element triples of the group suite, the gabor suite's sampled cells, which
+are part 1 of the seed, and the mild suite's nonnegative signal and sampled
+cells, which are part 2.
 
 Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
@@ -24,7 +25,14 @@ Janssen sum in O(|L^o| |G|), and the bounds, the dual and S^-1 from the
 fibers of the Gram matrix of the atoms of L^o, so no check builds the synthesis matrix.
 Above _ORACLE_MAX_ORDER two [INFO] lines name what that cap left out: the
 share of the |G|^2 defining-sum cells that were sampled, and the dense
-frame oracle, which is not built.  The approx suite checks that the
+frame oracle, which is not built.  The mild suite holds the Gaussian maxima
+(mild._gaussian_maxima) of the comb differences, of the comb members and of
+a nonnegative signal, which read one time-0 row where their sign structure
+allows, to the full-plane pass up to _ORACLE_MAX_ORDER and to an [INFO]
+line above it.  At every order it runs a witness by the defining sum
+(reference.stft_cells): the cell each line read names must hold the
+claimed maximum, and no cell of a seeded sample, part 2 of the seed, may
+exceed it, both to 1e-12 relative.  The approx suite checks that the
 transform and the concentration norm factorize over a product on G x Z2,
 for every G; the identity holds for any second factor, and Z2 keeps its
 STFT at 4 |G|^2 cells.
@@ -65,9 +73,10 @@ from .fourier import (
     restriction,
     weil_map,
 )
-from .gabor import GaborSystem, TFLattice, _tf_rows, _tf_synthesis, s0_norm, s0prime_norm
+from .gabor import GaborSystem, TFLattice, _tf_abs_max, _tf_rows, _tf_synthesis, s0_norm, s0prime_norm
 from .groups import GroupSpec, all_subgroups, annihilator, character, grid_subgroup, quotient
 from .mild import (
+    _gaussian_maxima,
     _smallest_prime_factor,
     convergence_report,
     periodize_analysis,
@@ -195,7 +204,8 @@ class _Stream:
         return lo + (words % np.uint64(hi - lo)).astype(np.int64).reshape(size)
 
 
-# oracle comparisons that build |G| x |G| matrices run only up to this order
+# oracle comparisons that build |G| x |G| matrices or pass over the full |G| x |G|
+# time-frequency plane run only up to this order
 _ORACLE_MAX_ORDER = 128
 # above it the defining STFT sum runs at this many seeded cells
 _SAMPLED_CELLS = 256
@@ -350,7 +360,7 @@ def verify_gabor(G: GroupSpec, a, b, seed: int = 0):
         # the defining sum at seeded cells, drawn apart from the suite's stream
         cells = _Stream(seed, part=1)
         times, freqs = cells.integers(0, G.order, size=(2, _SAMPLED_CELLS))
-        direct = reference.stft_cells(normalized_hat, g0, times, freqs)
+        direct = reference.stft_cells(normalized_hat.values, g0, times, freqs)
     neg = G.negation_permutation()
     energy = peak = worst_direct = worst_rotation = 0.0
     for (block, rows), (_, cols) in zip(
@@ -496,6 +506,34 @@ def verify_mild(G: GroupSpec, a, b, seed: int = 0):
         "comb spectrum sits on the annihilator",
         all(support(dft(dirac_comb(H))) == frozenset(annihilator(H).elements) for H in _subgroups_for(G)[0]),
     )
+
+    # the Gaussian maxima of d_stft, of the uniform bound and of a nonnegative signal:
+    # against the plane pass, and at every order a witness by the defining sum
+    sample = _Stream(seed, part=2)
+    members = np.array([m.values for m in seq.members])
+    positive = np.abs(random_signal(G, sample).values)[None].astype(np.complex128)
+    rows, maxima, argmax = [], [], []
+    for stack, limit in ((members, seq.limit.values), (np.concatenate([members, positive]), None)):
+        found, at = _gaussian_maxima(G, stack, limit)
+        rows.append(stack if limit is None else stack - limit)
+        maxima.append(found)
+        argmax.append(at)
+    rows, maxima, argmax = map(np.concatenate, (rows, maxima, argmax))
+    scale = np.where(maxima > 0, maxima, 1.0)
+    if G.order <= _ORACLE_MAX_ORDER:
+        plane = _tf_abs_max(rows, g0, TFLattice(G, 1, 1))
+        yield "Gaussian maxima match the full plane", np.max(np.abs(maxima - plane) / scale), 1e-12
+    else:
+        yield _info("full-plane maxima not run above order cap", _ORACLE_MAX_ORDER)
+    # a row read on the plane names no cell; every other row is read where it claims its maximum
+    claimed = argmax[:, 0] >= 0
+    at_cells = np.abs(np.diagonal(reference.stft_cells(rows[claimed], g0, *argmax[claimed].T)))
+    yield ("Gaussian maxima attained at their cells",
+           np.max(np.abs(at_cells - maxima[claimed]) / scale[claimed], initial=0.0), 1e-12)
+    times, freqs = sample.integers(0, G.order, size=(2, _SAMPLED_CELLS))
+    sampled = np.abs(reference.stft_cells(rows, g0, times, freqs)).max(axis=1)
+    yield ("no sampled cell exceeds the Gaussian maxima",
+           max(0.0, float(np.max((sampled - maxima) / scale))), 1e-12)
 
     yield _info("uniform bound over the sequence", seq.uniform_bound)
 

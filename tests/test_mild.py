@@ -1,8 +1,10 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from mildspec import (
@@ -18,6 +20,7 @@ from mildspec import (
     SupportViolation,
     TFLattice,
     adjoint_restriction,
+    all_subgroups,
     convergence_report,
     default_probes,
     dirac,
@@ -37,8 +40,9 @@ from mildspec import (
     tf_shift,
     translate,
 )
-from mildspec import reference
-from mildspec.mild import _pairing_deviations, _probe_net
+from mildspec import gabor, mild, reference
+from mildspec.gabor import _tf_abs_max
+from mildspec.mild import _gaussian_maxima, _pairing_deviations, _probe_net
 from mildspec.signals import _translate_sum
 
 
@@ -466,3 +470,109 @@ class TestDefaultProbes:
             tracemalloc.stop()
         assert report.d_stft[-1] == 0.0
         assert peak < 16 * G.order**2 / 4
+
+
+def _plane(G, rows):
+    """The full-plane maxima of the Gaussian STFT, as every row took them before the line route."""
+    return _tf_abs_max(rows, finite_gaussian(G), TFLattice(G, 1, 1))
+
+
+class TestGaussianMaxima:
+    """A row with the sign structure is read on one line, and reads as the plane does."""
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_line_reads_match_the_plane(self, data):
+        moduli = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda m: math.prod(m) <= 64), label="moduli")
+        G = GroupSpec(tuple(moduli))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        seq = refining_comb_sequence(G)
+        chain = np.array([m.values for m in seq.members])
+        # scaled combs on drawn subgroups; a drawn constant decides |S| c against |G| c0
+        subgroups = all_subgroups(G)
+        picks = data.draw(st.lists(st.sampled_from(subgroups), min_size=1, max_size=4), label="S")
+        combs = np.array([rng.uniform(0.0, 2.0) * dirac_comb(S).values for S in picks])
+        constant = np.full(G.order, data.draw(st.sampled_from([0.0, -0.5, 1.0 / G.order, 0.3])))
+        positive = np.abs(random_signal(G, rng).values)
+        positive[rng.integers(0, 2, G.order) == 0] = 0.0
+        zero = np.zeros((1, G.order), dtype=np.complex128)
+        stacks = [(chain, seq.limit.values), (chain, None), (combs, constant), (combs, None),
+                  (np.array([positive, positive[::-1]], dtype=np.complex128), None),
+                  (zero, None), (zero, constant), (chain[:0], seq.limit.values), (chain[:0], None)]
+        for members, limit in stacks:
+            rows = members if limit is None else members - limit
+            maxima, cells = _gaussian_maxima(G, members, limit)
+            assert maxima.shape == (len(rows),) and cells.shape == (len(rows), 2)
+            if not len(rows):
+                continue
+            plane = _plane(G, rows)
+            line = cells[:, 0] >= 0
+            if G.order > 1:
+                assert_allclose(maxima, plane, rtol=1e-12, atol=0)
+                # a row off both properties takes the plane pass, as it did before the line route
+                assert maxima[~line].tobytes() == _plane(G, rows[~line]).tobytes()
+            else:
+                # the one cell is f conj(g), rounded with or without the vector loop's fused multiply-add
+                assert_allclose(maxima, plane, rtol=2**-52, atol=0)
+            # a claimed cell holds the maximum by the defining sum
+            direct = np.abs(np.diagonal(reference.stft_cells(rows[line], finite_gaussian(G), *cells[line].T)))
+            assert_allclose(direct, maxima[line], rtol=1e-12, atol=0)
+            # each row reads alone as in the stack: uniform_bound is max s0prime_norm bit for bit
+            alone = np.array([_gaussian_maxima(G, m[None], limit)[0][0] for m in members])
+            if G.order > 1:
+                assert alone.tobytes() == maxima.tobytes()
+            else:
+                assert_allclose(alone, maxima, rtol=2**-52, atol=0)
+        assert _gaussian_maxima(G, zero)[0][0] == 0.0
+
+    def test_rows_just_outside_the_properties_take_the_plane(self):
+        G = GroupSpec((8,))
+        comb = dirac_comb(grid_subgroup(G, 2)).values * 0.25
+        constant = np.full(8, 0.125, dtype=np.complex128)
+        negative = np.abs(finite_gaussian(G).values).astype(np.complex128)
+        negative[3] = -negative[3]
+        imaginary = comb + 1j * np.spacing(0.25) * (comb != 0)
+        bumped = constant.copy()
+        bumped[5] = np.nextafter(0.125, 1.0)
+        not_subgroup = np.zeros(8, dtype=np.complex128)
+        not_subgroup[[0, 1]] = 0.5
+        Z5 = GroupSpec((5,))
+        # 1 * 1 < 5 fl(1/5): the point mass's difference has the transform 1 - 5 fl(1/5) < 0 at 0
+        point = (Z5, dirac(Z5, Z5.zero()).values, np.full(5, 1.0 / 5, dtype=np.complex128))
+        for group, member, limit in [(G, negative, None), (G, imaginary, constant), (G, comb, bumped),
+                                     (G, not_subgroup, constant), point]:
+            maxima, cells = _gaussian_maxima(group, member[None], limit)
+            delta = member if limit is None else member - limit
+            assert cells.tolist() == [[-1, -1]]
+            assert maxima.tobytes() == _plane(group, delta[None]).tobytes()
+            sigma = Signal(group, member)
+            if limit is None:
+                assert s0prime_norm(sigma) == float(_plane(group, delta[None])[0])
+            else:
+                assert mild_deviation_stft(sigma, Signal(group, limit)) == float(_plane(group, delta[None])[0])
+
+    def test_metrics_read_lines_not_planes(self, monkeypatch):
+        # the Z1024 plane is 2^20 cells a row; its time-0 row is 1024
+        G = GroupSpec((1024,))
+        seq = refining_comb_sequence(G)
+        system = GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2))
+        calls, rows = [], gabor._tf_rows
+
+        def spy(values, window, lattice):
+            calls.append((lattice, values.ndim))
+            return rows(values, window, lattice)
+
+        monkeypatch.setattr(gabor, "_tf_rows", spy)
+        monkeypatch.setattr(mild, "_tf_rows", spy, raising=False)
+        convergence_report(seq, system)
+        seq.uniform_bound
+        line, plane = TFLattice(G, G.moduli, 1), TFLattice(G, 1, 1)
+        # d_pair on the probe net, d_stft on a line, d_coeff on the system's lattice, the bound on a line
+        assert [lat for lat, ndim in calls if ndim == 2] == [_probe_net(G), line, system.lattice, line]
+        # the one pass of a single signal is s0_norm of the axis Gaussian, d_pair's atom norm
+        assert [lat for lat, ndim in calls if ndim == 1] == [TFLattice(GroupSpec((1024,)), 1, 1)]
+        calls.clear()
+        negative = DistributionSequence(G, seq.members + (-1.0 * seq.members[1],), seq.limit)
+        negative.uniform_bound
+        assert calls == [(line, 2), (plane, 2)]

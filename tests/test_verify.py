@@ -193,6 +193,20 @@ class TestCapLines:
         assert "structured frame operator matches dense oracle" in names
         assert names.isdisjoint(self.NAMES)
 
+    MILD_NAME = "full-plane maxima not run above order cap"
+
+    def test_above_the_oracle_cap_the_mild_report_says_so(self):
+        checks = {c.name: c for c in verify_mild(GroupSpec((256,)), 2, 2, seed=1)}
+        assert checks[self.MILD_NAME].line() == f"[INFO] {self.MILD_NAME}: value=1.280000e+02"
+        assert "Gaussian maxima match the full plane" not in checks
+        for name in ("Gaussian maxima attained at their cells", "no sampled cell exceeds the Gaussian maxima"):
+            assert checks[name].passed and checks[name].threshold == 1e-12
+
+    def test_at_the_cap_the_mild_report_compares_the_plane(self):
+        checks = {c.name: c for c in verify_mild(GroupSpec((128,)), 2, 2, seed=1)}
+        assert checks["Gaussian maxima match the full plane"].passed
+        assert self.MILD_NAME not in checks
+
 
 PERIODICITY_CHECKS = ("periodic spectrum leakage", "comb weights match one-period transform",
                       "aperiodic input rejected")
