@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .fourier import adjoint_restriction, restriction
-from .gabor import s0_norm
 from .groups import GroupSpec, Subgroup
 from .signals import Signal, SubgroupSignal, _translate_sum, translate
 
@@ -167,6 +166,9 @@ def sampling_bound(f: Signal, lattice: Subgroup) -> SamplingBound:
     it is reported, not asserted.  s0_norm is a norm, so it only vanishes for
     the zero signal, whose samples vanish too.
     """
+    # the one use of gabor here: extension and quasi-interpolation load without it
+    from .gabor import s0_norm
+
     if lattice.parent != f.group:
         raise GroupMismatchError("lattice belongs to a different group")
     lhs = float(np.sum(np.abs(f.values[lattice.indices])))

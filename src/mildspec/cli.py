@@ -5,6 +5,14 @@ result or a failed allocation among them), 2 usage error, 3 malformed or
 unreadable input file, 4 group mismatch; main() maps exceptions to codes
 through one table, _EXIT_CODES.  Reports and output files are
 deterministic for a fixed seed so runs can be diffed byte for byte.
+
+Each cmd_* function imports the library modules it runs, so a process loads
+and compiles only what its command needs (dft, restrict and weil do without
+gabor, mild, approx, verify and reference).  The writers of one fixed format
+(stft and approx write CSV; gabor analyze, verify --report and mild-converge
+write JSON) refuse a path whose suffix names the other format, as a usage
+error raised before any work; a signal output takes its format from the
+suffix, as io.save_signal does.
 """
 
 from __future__ import annotations
@@ -13,11 +21,11 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .approx import BUPU_SHAPES, _halving_chain, make_bupu, quasi_interpolate, semidiscrete_extension
 from .errors import (
     DomainError,
     GroupMismatchError,
@@ -26,14 +34,15 @@ from .errors import (
     SchemaError,
     SupportViolation,
 )
-from .fourier import dft, idft, restriction, weil_map
-from .gabor import GaborSystem, TFLattice, gabor_coefficients, stft
 from .groups import GroupSpec, grid_subgroup
-from .mild import DistributionSequence, convergence_report
 from .signals import Signal, SubgroupSignal, dirac, finite_gaussian
-from .verify import _SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
+
+# the parser's choices, spelled out so that parsing imports neither verify nor
+# approx; a test holds them to verify._SUITES and approx.BUPU_SHAPES
+_SUITE_NAMES = ("group", "fourier", "gabor", "mild", "approx")
+_SHAPES = ("triangle", "bspline2", "indicator")
 
 
 def _group_type(text: str) -> GroupSpec:
@@ -79,6 +88,13 @@ def _fit_steps(G: GroupSpec, steps: tuple[int, ...] | None, fallback) -> tuple[i
     return steps
 
 
+def _check_suffix(path, written: str) -> None:
+    # before any work, so a mislabelled path costs no run; case as in save_signal
+    other = ".csv" if written == "JSON" else ".json"
+    if path is not None and Path(path).suffix.lower() == other:
+        raise ValueError(f"{path}: this command writes {written}; give a path not ending in {other}")
+
+
 def _load_window(spec: str, G: GroupSpec) -> Signal:
     if spec == "gauss":
         return finite_gaussian(G)
@@ -86,6 +102,9 @@ def _load_window(spec: str, G: GroupSpec) -> Signal:
 
 
 def cmd_verify(args) -> int:
+    _check_suffix(args.report, "JSON")
+    from .verify import run_suite
+
     G = args.group
     a = _fit_steps(G, args.a, _default_ab)
     b = _fit_steps(G, args.b, _default_ab)
@@ -104,6 +123,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dft(args) -> int:
+    from .fourier import dft, idft
+
     f = io.load_signal(args.input, group=args.group)
     transform = idft if args.inverse else dft
     io.save_signal(args.out, transform(f, unitary=args.unitary))
@@ -112,6 +133,9 @@ def cmd_dft(args) -> int:
 
 
 def cmd_stft(args) -> int:
+    _check_suffix(args.out, "CSV")
+    from .gabor import stft
+
     f = io.load_signal(args.input, group=args.group)
     window = _load_window(args.window, f.group)
     grid = stft(f, window)
@@ -121,7 +145,10 @@ def cmd_stft(args) -> int:
 
 
 def cmd_gabor(args) -> int:
+    from .gabor import GaborSystem, TFLattice, gabor_coefficients
+
     if args.action == "analyze":
+        _check_suffix(args.out, "JSON")
         f = io.load_signal(args.input, group=args.group)
         G = f.group
         a = _fit_steps(G, args.a, _default_ab)
@@ -144,6 +171,8 @@ def cmd_gabor(args) -> int:
 
 
 def cmd_weil(args) -> int:
+    from .fourier import weil_map
+
     f = io.load_signal(args.input, group=args.group)
     G = f.group
     steps = _fit_steps(G, args.lattice, _default_step)
@@ -157,6 +186,8 @@ def cmd_weil(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from .fourier import restriction
+
     f = io.load_signal(args.input, group=args.group)
     steps = _fit_steps(f.group, args.lattice, _default_step)
     H = grid_subgroup(f.group, steps)
@@ -166,6 +197,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .approx import make_bupu, semidiscrete_extension
+
     G = args.group
     steps = _fit_steps(G, args.lattice, _default_step)
     H = grid_subgroup(G, steps)
@@ -184,6 +217,10 @@ def cmd_extend(args) -> int:
 
 
 def cmd_mild_converge(args) -> int:
+    _check_suffix(args.out, "JSON")
+    from .gabor import GaborSystem, TFLattice
+    from .mild import DistributionSequence, convergence_report
+
     members, file_limit = io.load_sequence(args.input)
     limit = file_limit
     if args.limit is not None:
@@ -219,6 +256,9 @@ def cmd_mild_converge(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    _check_suffix(args.out, "CSV")
+    from .approx import _halving_chain, quasi_interpolate
+
     G = args.group
     steps = _fit_steps(G, args.lattice, _default_step)
     if args.target == "gauss":
@@ -245,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run an invariant suite and report residuals")
-    p.add_argument("suite", choices=[*_SUITES, "all"])
+    p.add_argument("suite", choices=[*_SUITE_NAMES, "all"])
     p.add_argument("--group", type=_group_type, required=True,
                    help="comma-separated moduli, e.g. 24 or 4,6")
     p.add_argument("--seed", type=int, default=0,
@@ -303,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="signal file holding the samples (reduced group)")
     p.add_argument("--group", type=_group_type, required=True, help="target group")
     p.add_argument("--lattice", type=_steps_type, required=True)
-    p.add_argument("--shape", choices=list(BUPU_SHAPES), default="triangle")
+    p.add_argument("--shape", choices=list(_SHAPES), default="triangle")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 
@@ -316,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="quasi-interpolation error along refinement")
     p.add_argument("--group", type=_group_type, required=True)
     p.add_argument("--lattice", type=_steps_type, default=None)
-    p.add_argument("--shape", choices=list(BUPU_SHAPES), default="triangle")
+    p.add_argument("--shape", choices=list(_SHAPES), default="triangle")
     p.add_argument("--target", default="gauss", help="'gauss', 'dirac', or a signal file")
     p.add_argument("--out", default=None, help="write (gap, sup error) rows as CSV")
     p.set_defaults(func=cmd_approx)

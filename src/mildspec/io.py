@@ -12,6 +12,11 @@ STFT CSV:      header t0,...,s0,...,re,im; t-major rows over the points of a
 Reports:       serialized with sorted keys and no timestamps, so fixed-seed
                reruns are byte-identical.
 
+Only load_coefficients, the one reader that builds a CoefficientArray,
+imports gabor, and it does so when called: the writers read the lattice off
+the array they are given.  So a command that moves signals alone (dft,
+restrict, weil, extend) does not load the Gabor layer.
+
 Writers stream from arrays: complex values are written as [re, im] pairs
 in chunks straight to the file handle, and CSV rows are formatted in blocks
 from coordinate strings precomputed off the group's coordinate array, never
@@ -48,13 +53,16 @@ import math
 import operator
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GroupMismatchError, SchemaError
-from .gabor import CoefficientArray, TFLattice
 from .groups import GroupSpec, _int_list
 from .signals import Signal
+
+if TYPE_CHECKING:
+    from .gabor import CoefficientArray
 
 __all__ = [
     "load_signal",
@@ -375,6 +383,8 @@ def save_signal(path, signal: Signal) -> None:
 
 
 def load_coefficients(path) -> CoefficientArray:
+    from .gabor import CoefficientArray, TFLattice
+
     data = _load_json(path)
     group = _group_from(data, path)
     lat = data.get("lattice")

@@ -470,6 +470,89 @@ class TestExitCodes:
         assert run_cli().returncode == 2
 
 
+def _tiny_inputs(d, argv):
+    """Files for one run of every command on Z8, and argv with "@name" as a path in d."""
+    G = GroupSpec((8,))
+    f = random_signal(G, np.random.default_rng(0))
+    io.save_signal(d / "f.json", f)
+    io.save_signal(d / "half.json", Signal(GroupSpec((4,)), f.values[::2]))
+    io.save_coefficients(d / "c.json", GaborSystem(finite_gaussian(G), TFLattice(G, 2, 2)).analyze(f))
+    pairs = [[float(v.real), float(v.imag)] for v in f.values]
+    (d / "seq.json").write_text(json.dumps({"group": [8], "members": [pairs, pairs], "limit": pairs}))
+    return [str(d / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+class TestOutputSuffix:
+    """A fixed-format writer refuses a path whose suffix names the other format."""
+
+    @pytest.mark.parametrize("argv, out, written", [
+        (["stft", "@f.json", "--out"], "grid.json", "CSV"),
+        (["approx", "--group", "32", "--out"], "e.JSON", "CSV"),
+        (["gabor", "analyze", "@f.json", "--out"], "c.csv", "JSON"),
+        (["verify", "all", "--group", "8", "--report"], "r.csv", "JSON"),
+        (["mild-converge", "@seq.json", "--out"], "m.Csv", "JSON"),
+    ], ids=["stft", "approx", "gabor-analyze", "verify", "mild-converge"])
+    def test_other_format_suffix_is_usage_error(self, tmp_path, argv, out, written):
+        out = tmp_path / out
+        proc = run_cli(*_tiny_inputs(tmp_path, argv), out)
+        assert proc.returncode == 2
+        other = ".csv" if written == "JSON" else ".json"
+        assert proc.stderr.splitlines() == [
+            f"error: {out}: this command writes {written}; give a path not ending in {other}"]
+        # refused before any work: no check ran, nothing was written
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["s.csv", "s.JSON", "s.txt"])
+    def test_signal_outputs_choose_their_format_by_suffix(self, tmp_path, name):
+        out = tmp_path / name
+        argv = _tiny_inputs(tmp_path, ["gabor", "synth", "@c.json", "--out"])
+        assert run_cli(*argv, out).returncode == 0
+        assert io.load_signal(out, group=GroupSpec((8,))).group.moduli == (8,)
+
+
+# the mildspec modules a command loads; a count instead of a clock
+_BASE = ["cli", "errors", "groups", "io", "signals"]
+_DFT_SET = sorted([*_BASE, "fourier"])
+_GABOR_SET = sorted([*_BASE, "gabor"])
+_EVERY = sorted([*_DFT_SET, "approx", "gabor", "mild", "reference", "verify"])
+_PROBE = """
+import json, sys
+from mildspec.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("mildspec.")),
+                  "numpy.random" in sys.modules]))
+"""
+
+
+class TestModulesLoaded:
+    @pytest.mark.parametrize("argv, modules", [
+        (["dft", "@f.json", "--out", "@o.json"], _DFT_SET),
+        (["restrict", "@f.json", "--lattice", "2", "--out", "@o.json"], _DFT_SET),
+        (["weil", "@f.json", "--lattice", "2", "--out", "@o.json"], _DFT_SET),
+        (["gabor", "analyze", "@f.json", "--out", "@o.json"], _GABOR_SET),
+        (["gabor", "synth", "@c.json", "--out", "@o.json"], _GABOR_SET),
+        (["stft", "@f.json", "--out", "@o.csv"], _GABOR_SET),
+        (["extend", "@half.json", "--group", "8", "--lattice", "2", "--out", "@o.json"],
+         sorted([*_DFT_SET, "approx"])),
+        (["mild-converge", "@seq.json", "--out", "@o.json"], sorted([*_DFT_SET, "gabor", "mild"])),
+        (["verify", "all", "--group", "4"], _EVERY),
+    ], ids=["dft", "restrict", "weil", "gabor-analyze", "gabor-synth", "stft", "extend",
+            "mild-converge", "verify-all"])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, modules):
+        proc = subprocess.run([sys.executable, "-c", _PROBE, *_tiny_inputs(tmp_path, argv)],
+                              capture_output=True, text=True)
+        code, loaded, random_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert loaded == [f"mildspec.{m}" for m in modules]
+        assert not random_loaded
+
+    def test_verify_all_loads_every_module(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "mildspec"
+        every = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("__"))
+        assert every == _EVERY
+
+
 class TestMildConverge:
     def test_sequence_report(self, tmp_path, rng):
         G = GroupSpec((16,))

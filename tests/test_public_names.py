@@ -1,10 +1,18 @@
+import argparse
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import mildspec
+from mildspec.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -49,6 +57,62 @@ def test_star_import_binds_no_submodule():
     namespace = {}
     exec("from mildspec import *", namespace)
     assert not any(isinstance(v, ModuleType) for v in namespace.values())
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    # the thread caps still land before NumPy loads, as README promises
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MILDSPEC_THREADS"] = "3"
+    code = ("import json, os, sys, mildspec; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('mildspec')), "
+            "'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert json.loads(proc.stdout) == [["mildspec"], False, "3"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in mildspec.__all__:
+        home = importlib.import_module(f"mildspec.{mildspec._HOMES[name]}")
+        assert getattr(mildspec, name) is vars(home)[name], name
+
+
+def test_a_read_name_is_not_cached_in_the_package(monkeypatch):
+    import mildspec.gabor
+
+    original = mildspec.GaborSystem
+    assert "GaborSystem" not in vars(mildspec)
+    # a patch in the home module, and its undoing, show through the package
+    monkeypatch.setattr(mildspec.gabor, "GaborSystem", "patched")
+    assert mildspec.GaborSystem == "patched"
+    monkeypatch.undo()
+    assert mildspec.GaborSystem is original
+    assert "GaborSystem" not in vars(mildspec)
+
+
+def test_unknown_name_raises_and_dir_lists_every_public_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mildspec.no_such_name
+    assert set(mildspec.__all__) <= set(dir(mildspec))
+
+
+def _subcommand(name):
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))[name]
+
+
+def _choices(subparser, dest):
+    return next(a.choices for a in subparser._actions if a.dest == dest)
+
+
+def test_cli_choices_match_the_suites_and_the_bump_shapes():
+    from mildspec.approx import BUPU_SHAPES
+    from mildspec.verify import _SUITES
+
+    assert _choices(_subcommand("verify"), "suite") == [*_SUITES, "all"]
+    for command in ("extend", "approx"):
+        assert _choices(_subcommand(command), "shape") == list(BUPU_SHAPES)
 
 
 def test_every_traced_name_resolves():
