@@ -202,13 +202,8 @@ def cmd_extend(args) -> int:
     G = args.group
     steps = _fit_steps(G, args.lattice, _default_step)
     H = grid_subgroup(G, steps)
-    coarse = io.load_signal(args.input)
-    expected = tuple(m // s for m, s in zip(G.moduli, steps))
-    if coarse.group.moduli != expected:
-        raise GroupMismatchError(
-            f"{args.input}: sample grid {coarse.group.moduli} does not match "
-            f"step {steps} on {G.moduli} (expected {expected})"
-        )
+    grid = GroupSpec(tuple(m // s for m, s in zip(G.moduli, steps)))
+    coarse = io.load_signal(args.input, group=grid)
     samples = SubgroupSignal(H, coarse.values)
     bupu = make_bupu(G, H, shape=args.shape)
     io.save_signal(args.out, semidiscrete_extension(samples, bupu.mother))

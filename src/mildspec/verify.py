@@ -16,6 +16,13 @@ element triples of the group suite, the gabor suite's sampled cells, which
 are part 1 of the seed, and the mild suite's nonnegative signal and sampled
 cells, which are part 2.
 
+The per-subgroup checks (annihilator order duality, biduality and the
+quotient partition in the group suite, Poisson summation, sampling against
+periodization, the subgroup and quotient transforms and the comb transform
+in the fourier suite, and the mild suite's comb spectrum) run on every
+subgroup of G that groups.all_subgroups lists, with no sample; one run
+enumerates them once.
+
 Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
 meet columns of the STFT of f from reference.stft_columns one block at a
@@ -212,17 +219,9 @@ _SAMPLED_CELLS = 256
 
 
 @lru_cache(maxsize=8)
-def _subgroups_for(G: GroupSpec) -> tuple[tuple, int]:
-    """(subgroups to check, number of subgroups), shared by one verify run."""
-    subs = tuple(all_subgroups(G))
-    if len(subs) > 24:
-        # keep runtime bounded on groups with rich subgroup lattices
-        step = len(subs) // 24 + 1
-        keep = subs[::step]
-        if subs[-1] not in keep:
-            keep += (subs[-1],)
-        return keep, len(subs)
-    return subs, len(subs)
+def _subgroups_for(G: GroupSpec) -> tuple:
+    """Every subgroup of G, enumerated once and shared by one verify run."""
+    return tuple(all_subgroups(G))
 
 
 @_judged
@@ -246,8 +245,7 @@ def verify_group(G: GroupSpec, seed: int = 0):
     )
     yield _flag("inverse element cancels", cancel_ok)
 
-    subs, total = _subgroups_for(G)
-    yield _info("subgroups checked", len(subs) / total)
+    subs = _subgroups_for(G)
     yield _flag(
         "annihilator order duality",
         all(H.order * annihilator(H).order == n for H in subs),
@@ -290,8 +288,7 @@ def verify_fourier(G: GroupSpec, seed: int = 0):
     rhs_p = pair(f, dft(g))
     yield "transform moves across the pairing", abs(lhs_p - rhs_p) / (1.0 + abs(rhs_p)), 1e-12
 
-    subs, total = _subgroups_for(G)
-    yield _info("subgroups checked", len(subs) / total)
+    subs = _subgroups_for(G)
     worst_poisson = 0.0
     worst_duality = 0.0
     worst_weil = 0.0
@@ -504,7 +501,7 @@ def verify_mild(G: GroupSpec, a, b, seed: int = 0):
 
     yield _flag(
         "comb spectrum sits on the annihilator",
-        all(support(dft(dirac_comb(H))) == frozenset(annihilator(H).elements) for H in _subgroups_for(G)[0]),
+        all(support(dft(dirac_comb(H))) == frozenset(annihilator(H).elements) for H in _subgroups_for(G)),
     )
 
     # the Gaussian maxima of d_stft, of the uniform bound and of a nonnegative signal:

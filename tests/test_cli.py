@@ -132,15 +132,25 @@ class TestVerifyCommand:
 
 
 class TestVerifyCoverage:
-    def test_subgroup_coverage_is_reported(self):
-        from mildspec.verify import run_suite
+    def test_every_suite_visits_every_subgroup(self, monkeypatch):
+        from mildspec import verify
+        from mildspec.groups import all_subgroups
 
-        for suite in ("group", "fourier"):
-            full = run_suite(suite, GroupSpec((24,)), None, None, None).checks
-            rich = run_suite(suite, GroupSpec((16, 16)), None, None, None).checks
-            assert [c.residual for c in full if c.name == "subgroups checked"] == [1.0]
-            # every fourth of the 83 subgroups of Z16xZ16, plus the last: 22
-            assert [c.residual for c in rich if c.name == "subgroups checked"] == [22 / 83]
+        G = GroupSpec((16, 16))
+        visited = {}
+        # one per-subgroup call of each suite, whose last argument is the subgroup
+        for suite, name in (("group", "quotient"), ("fourier", "comb_ft"), ("mild", "dirac_comb")):
+            seen = visited[suite] = set()
+
+            def counting(*args, _inner=getattr(verify, name), _seen=seen):
+                _seen.add(args[-1].indices.tobytes())
+                return _inner(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        checks = [c for suite in visited for c in verify.run_suite(suite, G, 4, 4, None).checks]
+        assert len(all_subgroups(G)) == 83
+        assert {suite: len(seen) for suite, seen in visited.items()} == dict.fromkeys(visited, 83)
+        assert not any(c.name == "subgroups checked" for c in checks)
 
     def test_all_runs_each_suite_in_turn(self):
         from mildspec.verify import run_suite
@@ -158,7 +168,6 @@ class TestVerifyCoverage:
         from mildspec.verify import verify_fourier
 
         checks = {c.name: c for c in verify_fourier(GroupSpec((4, 6)), seed=2)}
-        assert checks["subgroups checked"].residual == 1.0
         assert checks["subgroup and quotient transforms match direct sums"].passed
         assert not any("skipped" in name for name in checks)
 
@@ -275,6 +284,26 @@ class TestTransformCommands:
         g = io.load_signal(rebuilt)
         lam = grid_subgroup(G, 4)
         assert np.array_equal(g.values[lam.indices], f.values[lam.indices])
+
+    def test_extend_reads_the_csv_samples_restrict_writes(self, tmp_path, rng):
+        src = tmp_path / "f.json"
+        io.save_signal(src, random_signal(GroupSpec((16,)), rng))
+        outs = []
+        for suffix in (".json", ".csv"):
+            sampled, rebuilt = tmp_path / f"s{suffix}", tmp_path / f"e{suffix}.json"
+            assert run_cli("restrict", src, "--lattice", "4", "--out", sampled).returncode == 0
+            proc = run_cli("extend", sampled, "--group", "16", "--lattice", "4", "--out", rebuilt)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(rebuilt.read_bytes())
+        assert outs[0] == outs[1]
+        # samples on another grid than --group and --lattice name: a group mismatch
+        proc = run_cli("extend", tmp_path / "s.json", "--group", "16", "--lattice", "2",
+                       "--out", tmp_path / "wrong.json")
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            f"error: {tmp_path / 's.json'}: file group (4,) does not match requested (8,)"
+        ]
+        assert not (tmp_path / "wrong.json").exists()
 
     def test_weil_output_lives_on_quotient(self, tmp_path, rng):
         G = GroupSpec((12,))
