@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -41,9 +42,8 @@ __all__ = [
 
 
 def _as_coords(value) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        return (int(value),)
-    return tuple(int(c) for c in value)
+    """An integer or a sequence of integers; floats and strings are refused, not truncated."""
+    return tuple(map(operator.index, (value,) if isinstance(value, (int, np.integer)) else value))
 
 
 def _int_list(data, what: str) -> tuple[int, ...]:
@@ -198,20 +198,24 @@ class Subgroup:
 
     ``indices`` is the only store.  Row-major index order equals
     lexicographic coordinate order, so it lists the elements in sorted order.
-    The constructor derives the generators, which checks that the indices are
-    a subgroup's sorted elements; the membership mask, the coordinate rows,
-    the element tuples, the annihilator and the quotient are derived on first
-    use.  x is a member when ``mask[parent.index(x)]`` holds.
+    The constructor reads the generators off it and keeps their triangular
+    basis, whose box image must be the indices; the basis serves the quotient
+    and the grid steps.  The membership mask, the coordinate rows, the element
+    tuples, the annihilator and the quotient are derived on first use.  x is a
+    member when ``mask[parent.index(x)]`` holds.
     """
 
     parent: GroupSpec
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":  # an empty list is float64
+            raise TypeError(f"subgroup indices must be integers, got dtype {idx.dtype}")
+        idx = np.asarray(idx, dtype=np.intp)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        self.generators  # deriving them is the check that idx is a subgroup
+        self._basis  # building it is the check that idx is a subgroup
 
     @property
     def order(self) -> int:
@@ -225,20 +229,22 @@ class Subgroup:
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Greedy generators: each is the least element outside the span of those before.
 
-        Raises GroupMismatchError, from the constructor, unless that span is exactly the indices.
+        Read, not searched: the span of those before is every element whose
+        coordinates before axis i are 0, so from the last axis i to the first,
+        the next is the first sorted index in [stride_i, stride_i N_i), if any.
         """
         group, idx = self.parent, self.indices
-        gens: list[tuple[int, ...]] = []
-        inside = np.zeros(group.order, dtype=bool)
-        inside[0] = True  # the span of no generators
-        candidates = idx[(idx >= 0) & (idx < group.order)]
-        # each step adds an element, so the loop ends on any index set, [0, 0] too
-        while len(outside := candidates[~inside[candidates]]):
-            gens.append(group.element_at(int(outside[0])))
-            inside[_box_image(group, _triangular(group, gens))] = True
-        if not np.array_equal(np.flatnonzero(inside), idx):
-            raise GroupMismatchError(f"indices are not the sorted elements of a subgroup of {group!r}")
-        return tuple(gens)
+        firsts = zip(np.searchsorted(idx, group._strides), group._strides, group.moduli)
+        return tuple(group.element_at(int(idx[k])) for k, stride, n in reversed(list(firsts))
+                     if k < len(idx) and stride <= idx[k] < stride * n)
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
+        """Triangular basis of the generators; GroupMismatchError unless its box image is the indices."""
+        basis = _triangular(self.parent, self.generators)
+        if not np.array_equal(_box_image(self.parent, basis), self.indices):
+            raise GroupMismatchError(f"indices are not the sorted elements of a subgroup of {self.parent!r}")
+        return basis
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -258,16 +264,12 @@ class Subgroup:
     def axis_steps(self) -> tuple[int, ...] | None:
         """Per-axis steps (a_1, ..., a_d) if this is the grid a_1 Z x ... x a_d Z.
 
-        Returns None when the subgroup is not a product of per-axis cyclic
-        subgroups (a diagonal, say).  Step N_j means the axis is collapsed
-        to {0}.
+        They are the diagonal of the triangular basis when it is diagonal, and
+        None otherwise: the subgroup is then not a product of per-axis cyclic
+        subgroups (a diagonal, say).  Step N_j collapses the axis to {0}.
         """
-        steps = tuple(
-            math.gcd(n, int(np.gcd.reduce(self.coords_array[:, j])))
-            for j, n in enumerate(self.parent.moduli)
-        )
-        expected = math.prod(n // a for n, a in zip(self.parent.moduli, steps))
-        return steps if expected == self.order else None
+        steps = np.diag(self._basis)
+        return tuple(steps.tolist()) if np.array_equal(self._basis, np.diag(steps)) else None
 
     @cached_property
     def _annihilator(self) -> "Subgroup":
@@ -279,7 +281,7 @@ class Subgroup:
     @cached_property
     def _quotient(self) -> "QuotientSpec":
         group, reps = self.parent, self.parent._coords
-        for i, row in enumerate(_triangular(group, self.generators)):
+        for i, row in enumerate(self._basis):
             reps = (reps - (reps[:, i] // row[i])[:, None] * row) % group.moduli
         label = group._index_rows(reps)
         is_rep = label == np.arange(group.order)
@@ -333,17 +335,15 @@ def _box_image(group: GroupSpec, basis: np.ndarray) -> np.ndarray:
 def subgroup_generated(group: GroupSpec, generators) -> Subgroup:
     """Smallest subgroup containing the given generators, from their triangular basis.
 
-    Only the elements are kept: the result's ``generators`` are its own
-    greedy set, not the ones given here.
+    Only the elements are kept: the result's ``generators`` are read off
+    them, not the ones given here.
     """
     return Subgroup(group, _box_image(group, _triangular(group, map(group.element, generators))))
 
 
 def _grid_steps(group: GroupSpec, steps) -> tuple[int, ...]:
     """Per-axis steps from a scalar or a tuple, each dividing its axis modulus."""
-    if isinstance(steps, (int, np.integer)):
-        steps = (int(steps),) * group.ndim
-    steps = tuple(int(a) for a in steps)
+    steps = _as_coords((steps,) * group.ndim if isinstance(steps, (int, np.integer)) else steps)
     if len(steps) != group.ndim:
         raise GroupMismatchError(f"expected {group.ndim} steps, got {len(steps)}")
     for a, n in zip(steps, group.moduli):
@@ -369,8 +369,7 @@ def annihilator(subgroup: Subgroup) -> Subgroup:
     Membership is decided in integer arithmetic: s annihilates H iff
     lcm | sum_j s_j h_j (lcm / N_j) for every generator h.  The result
     satisfies |H| * |annihilator(H)| = |G| and annihilator(annihilator(H)) = H.
-    Computed once per subgroup, from the greedy generators derived from its
-    indices.
+    Computed once per subgroup, from the generators read off its indices.
     """
     return subgroup._annihilator
 
@@ -410,7 +409,7 @@ def quotient(group: GroupSpec, subgroup: Subgroup) -> QuotientSpec:
     """Quotient of the group by a subgroup, with lex-min coset representatives.
 
     Each element is labelled with the index of its coset's lex-min member,
-    its reduction by a triangular basis B of the subgroup: row i brings
+    its reduction by the subgroup's triangular basis B: row i brings
     coordinate i into [0, B_ii) and leaves those before it.  Computed once per subgroup.
     """
     if subgroup.parent != group:

@@ -21,7 +21,8 @@ quotient partition in the group suite, Poisson summation, sampling against
 periodization, the subgroup and quotient transforms and the comb transform
 in the fourier suite, and the mild suite's comb spectrum) run on every
 subgroup of G that groups.all_subgroups lists, with no sample; one run
-enumerates them once.
+enumerates them once, and Poisson summation holds each subgroup to the same
+three test signals, drawn once.
 
 Each check costs about what its identity needs.  The gabor suite streams
 its energy and rotation checks: rows of the STFT of f^ from gabor's kernel
@@ -294,9 +295,9 @@ def verify_fourier(G: GroupSpec, seed: int = 0):
     worst_weil = 0.0
     worst_direct = 0.0
     comb_ok = True
+    poisson_signals = [random_signal(G, rng) for _ in range(3)]
     for H in subs:
-        for _ in range(3):
-            h = random_signal(G, rng)
+        for h in poisson_signals:
             worst_poisson = max(worst_poisson, poisson_check(h, H).residual)
         duality = duality_sampling_periodization(f, H)
         worst_duality = max(worst_duality, duality.residual)

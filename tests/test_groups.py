@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import subprocess
@@ -15,6 +16,7 @@ from mildspec import (
     GroupMismatchError,
     GroupSpec,
     Subgroup,
+    TFLattice,
     all_subgroups,
     annihilator,
     character,
@@ -29,7 +31,7 @@ from mildspec import (
     subgroup_generated,
     weil_map,
 )
-from mildspec import reference
+from mildspec import groups, reference
 from mildspec.groups import _character_block, _phases
 
 
@@ -87,6 +89,21 @@ class TestGroupSpec:
     def test_json_roundtrip(self):
         G = GroupSpec((4, 6))
         assert GroupSpec.from_json(G.to_json()) == G
+
+
+class TestIntegerInput:
+    # moduli, coordinates, steps and subgroup indices are integers: a float or a string is refused
+    @pytest.mark.parametrize("build", [
+        lambda: GroupSpec((8.5,)),
+        lambda: character(GroupSpec((8,)), (1.5,), (1,)),
+        lambda: grid_subgroup(GroupSpec((8,)), (2.5,)),
+        lambda: TFLattice(GroupSpec((8,)), (2.9,), (4.2,)),
+        lambda: Subgroup(GroupSpec((8,)), [0, 4.9]),
+        lambda: Subgroup(GroupSpec((8,)), ["0", "4"]),
+    ], ids=["moduli", "character", "grid-steps", "lattice-steps", "float-indices", "str-indices"])
+    def test_non_integers_are_refused(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestCharacter:
@@ -473,6 +490,45 @@ class TestAgainstClosureOracle:
         elements = sorted(reference._closure(G, [G.zero()], gens))
         assert_array_equal(H.indices, [G.index(x) for x in elements])
         assert H.generators == reference._reduced_generators(G, elements)
+
+    @pytest.mark.parametrize("moduli", [(8,), (6,), (9,), (2, 4), (3, 3), (2, 6), (2, 2, 2)])
+    def test_constructor_accepts_exactly_the_closed_index_sets(self, moduli):
+        G = GroupSpec(moduli)
+        elements = list(G.elements())
+        for size in range(G.order + 1):
+            for subset in itertools.combinations(range(G.order), size):
+                members = [elements[i] for i in subset]
+                # a closed set holds 0, so the oracle runs only on sets that do
+                closed = 0 in subset and reference._closure(G, members, members) == set(members)
+                if not closed:
+                    with pytest.raises(GroupMismatchError, match="not the sorted elements"):
+                        Subgroup(G, list(subset))
+                    continue
+                H = Subgroup(G, list(subset))
+                assert H.generators == reference._reduced_generators(G, members)
+                unsorted = [subset[::-1]] if size > 1 else []
+                for bad in unsorted + [subset + subset[-1:],         # duplicated
+                                       (-G.order,) + subset[1:],     # negative
+                                       subset[:-1] + (subset[-1] + G.order,)]:  # out of range
+                    with pytest.raises(GroupMismatchError, match="not the sorted elements"):
+                        Subgroup(G, list(bad))
+
+    def test_constructor_triangulates_once_whatever_the_rank(self, monkeypatch):
+        G = GroupSpec((8, 8, 4))
+        indices = subgroup_generated(G, [(1, 1, 0), (0, 2, 1), (0, 0, 2)]).indices
+        calls = {"_triangular": 0, "_box_image": 0}
+        for name in calls:
+            def counting(*args, real=getattr(groups, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(groups, name, counting)
+        H = Subgroup(G, indices)
+        assert len(H.generators) == 3
+        assert calls == {"_triangular": 1, "_box_image": 1}
+        # the quotient and the grid steps reuse the constructor's basis
+        assert quotient(G, H).size == G.order // H.order
+        assert H.axis_steps is None
+        assert calls == {"_triangular": 1, "_box_image": 1}
 
     def test_generated_subgroup_matches_closure(self):
         G = GroupSpec((4, 6))
